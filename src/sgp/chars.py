@@ -16,6 +16,7 @@ avoids coset-transversal bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -91,6 +92,11 @@ class ClassFunction:
     def value_on_element(self, i: int) -> Cyclotomic:
         return self.values[conjugacy_classes(self.group).class_of[i]]
 
+    @functools.cached_property
+    def conj_values(self) -> tuple[Cyclotomic, ...]:
+        """Complex conjugates of the values, computed once per function."""
+        return tuple(v.conj() for v in self.values)
+
     def renamed(self, name: str) -> "ClassFunction":
         return ClassFunction(self.group, self.values, name)
 
@@ -136,10 +142,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     """(1/|G|) * sum over classes of size * f * conj(g), exactly."""
     if f.group is not g.group:
         raise DomainMismatchError("inner product requires class functions on the same group")
-    cls = conjugacy_classes(f.group)
-    total = _ZERO
-    for size, fv, gv in zip(cls.sizes, f.values, g.values):
-        total = total + fv * gv.conj() * size
+    total = weighted_product_sum(f.values, g.conj_values, conjugacy_classes(f.group).sizes)
     return total * Fraction(1, f.group.order)
 
 
@@ -400,14 +403,12 @@ def validate_table(t: CharacterTable) -> TableValidation:
             deg_sum += d * d
     if deg_sum != g.order:
         failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
-    # conjugates are shared by every pair below, so compute them once
-    conj_rows = [tuple(v.conj() for v in r.values) for r in rows]
     sizes = cls.sizes
     order = g.order
     for i, ri in enumerate(rows):
         vi = ri.values
         for j in range(i, len(rows)):
-            total = weighted_product_sum(vi, conj_rows[j], sizes)
+            total = weighted_product_sum(vi, rows[j].conj_values, sizes)
             want = order if i == j else 0
             if total != want:
                 failures.append(
@@ -415,7 +416,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
                     f"{total * Fraction(1, order)}, expected {1 if i == j else 0}"
                 )
     columns = [tuple(r.values[c] for r in rows) for c in range(k)]
-    conj_columns = [tuple(cr[c] for cr in conj_rows) for c in range(k)]
+    conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
     for c in range(k):
         for cp in range(c, k):
             total = weighted_product_sum(columns[c], conj_columns[cp])

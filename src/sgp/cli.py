@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import chars, gelfand, groups
@@ -72,7 +74,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> Iterator[int]:
+    """Validate n or a..b now; yield its values, freeing each group after use."""
     m = _RANGE.match(text.strip())
     if not m:
         raise _UsageError(f"cannot parse n or range {text!r} (expected e.g. 5 or 3..10)")
@@ -80,7 +83,15 @@ def _parse_range(text: str) -> list[int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if lo < 1 or hi < lo:
         raise _UsageError(f"invalid range {text!r}: need 1 <= a <= b")
-    return list(range(lo, hi + 1))
+    return _collecting(range(lo, hi + 1))
+
+
+def _collecting(ns: range) -> Iterator[int]:
+    # A group's cached tables and matrices point back at the group, so it
+    # is only freed by the cycle collector; run it before the next n is built.
+    for n in ns:
+        yield n
+        gc.collect()
 
 
 def _max_order(args) -> int:
@@ -175,6 +186,7 @@ def _cmd_classify(args) -> int:
     bound = _max_order(args)
     chunks = []
     for n in _parse_range(args.n):
+        groups.check_order(groups.family_order(args.family, n), bound)
         g = groups.build_group(args.family, n)
         report = gelfand.classify_subgroups(g, bound)
         if args.format == "text":
@@ -241,6 +253,7 @@ def _cmd_audit(args) -> int:
 
 
 def _atlas_document(family: str, n: int, bound: int) -> dict:
+    groups.check_order(groups.family_order(family, n), bound)
     g = groups.build_group(family, n)
     table = chars.family_table(g)
     check = chars.validate_table(table)

@@ -38,7 +38,9 @@ from .groups import (
     Subgroup,
     all_subgroups,
     build_group,
+    check_order,
     describe_subgroup,
+    family_order,
 )
 
 __all__ = [
@@ -323,6 +325,7 @@ def _reverify_witness(g: FiniteGroup, h: Subgroup, witness: Witness) -> None:
 
 def audit_group(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupAudit:
     """Diff the brute-force classification of one group against the rules."""
+    check_order(family_order(family, n), max_order)
     g = build_group(family, n)
     prediction = _prediction_for(family, n)
     report = classify_subgroups(g, max_order)

@@ -35,6 +35,8 @@ __all__ = [
     "dicyclic_group",
     "product_group",
     "build_group",
+    "family_order",
+    "check_order",
     "conjugacy_classes",
     "generated_subgroup",
     "trivial_subgroup",
@@ -324,6 +326,22 @@ def product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
                        factors=(g1, g2), gens=gens, name=name)
 
 
+_FAMILY_ORDER_FACTOR = {"cyclic": 1, "dihedral": 2, "dicyclic": 4}
+
+
+def family_order(family: str, n: int) -> int:
+    """The order of `build_group(family, n)`, known before any table is built."""
+    if family not in _FAMILY_ORDER_FACTOR:
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
+    return _FAMILY_ORDER_FACTOR[family] * n
+
+
+def check_order(order: int, max_order: int) -> None:
+    """Refuse a group whose order exceeds the subgroup-enumeration bound."""
+    if order > max_order:
+        raise SizeLimitError(f"group order {order} exceeds the bound {max_order}")
+
+
 def build_group(family: str, n: int) -> FiniteGroup:
     if family == "cyclic":
         return cyclic_group(n)
@@ -484,8 +502,7 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     <H union K> to a fixed point; every subgroup is the join of its cyclic
     subgroups, so the closure is complete.
     """
-    if g.order > max_order:
-        raise SizeLimitError(f"group order {g.order} exceeds the bound {max_order}")
+    check_order(g.order, max_order)
     subs = {frozenset(_closure(g, (x,))) for x in range(g.order)}
     work = list(subs)
     while work:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgp.chars import (
     ClassFunction,
@@ -61,6 +63,46 @@ def test_irreducible_has_unit_norm():
     t = family_table(dihedral_group(5))
     for r in t.irreducibles:
         assert inner_product(r, r) == 1
+
+
+def inner_product_by_terms(f, g):
+    """The term-by-term sum that `inner_product` computed before its kernel."""
+    cls = conjugacy_classes(f.group)
+    total = rational(0)
+    for size, fv, gv in zip(cls.sizes, f.values, g.values):
+        total = total + fv * gv.conj() * size
+    return total * Fraction(1, f.group.order)
+
+
+_KERNEL_GROUPS = (cyclic_group(1), cyclic_group(4), dihedral_group(3), dihedral_group(4),
+                  dicyclic_group(2), dicyclic_group(3))
+
+# a value is a short sum of c * zeta(d, k) with mixed orders d and small rationals c
+_cyclotomic_values = st.lists(
+    st.tuples(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.integers(0, 11),
+              st.fractions(min_value=-3, max_value=3, max_denominator=3)),
+    max_size=3,
+).map(lambda terms: sum((zeta(d, k) * c for d, k, c in terms), rational(0)))
+
+
+@st.composite
+def _class_function_pairs(draw):
+    g = draw(st.sampled_from(_KERNEL_GROUPS))
+    k = len(conjugacy_classes(g).reps)
+    f, h = (ClassFunction(g, tuple(draw(st.lists(_cyclotomic_values, min_size=k, max_size=k))))
+            for _ in range(2))
+    return f, h
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_class_function_pairs())
+def test_inner_product_kernel_equals_term_by_term_sum(pair):
+    f, h = pair
+    assert h.conj_values == tuple(v.conj() for v in h.values)
+    assert h.conj_values is h.conj_values
+    for a, b in ((f, h), (h, f), (f, f)):
+        fast, slow = inner_product(a, b), inner_product_by_terms(a, b)
+        assert fast == slow and fast.order == slow.order
 
 
 def test_inner_product_requires_same_group():

@@ -1,16 +1,22 @@
 """CLI surface: commands, formats, exit codes, atlas persistence."""
 
 import csv
+import gc
 import io
 import json
 import subprocess
 import sys
+import time
+
+import pytest
 
 import sgp.chars
 import sgp.gelfand
+import sgp.groups
 from sgp.chars import TableValidation
 from sgp.cli import main
 from sgp.errors import InternalConsistencyError
+from sgp.groups import FiniteGroup
 
 
 def run(capsys, *argv):
@@ -128,6 +134,43 @@ def test_classify_respects_env_bound(capsys, monkeypatch):
     monkeypatch.setenv("SGP_MAX_ORDER", "64")
     rc, _, _ = run(capsys, "classify", "dihedral", "10")
     assert rc == 0
+
+
+@pytest.mark.parametrize("command, family, order", [
+    ("classify", "dihedral", 2_000_000),
+    ("audit", "dicyclic", 4_000_000),
+    ("atlas", "cyclic", 1_000_000),
+])
+def test_oversized_group_is_refused_before_it_is_built(command, family, order, tmp_path,
+                                                       capsys, monkeypatch):
+    def build_group(family, n):
+        raise AssertionError(f"{family} {n} was built past the order bound")
+
+    monkeypatch.delenv("SGP_MAX_ORDER", raising=False)
+    monkeypatch.setattr(sgp.groups, "build_group", build_group)
+    monkeypatch.setattr(sgp.gelfand, "build_group", build_group)
+    out_dir = tmp_path / "atlas"
+    start = time.perf_counter()
+    rc, _, err = run(capsys, command, family, "1000000", "--out", str(out_dir))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert f"group order {order} exceeds the bound 256" in err
+    if command == "atlas":
+        assert list(out_dir.iterdir()) == []
+
+
+def test_each_finished_group_is_freed_without_the_cycle_collector(tmp_path, capsys):
+    gc.collect()
+    before = {id(o): o for o in gc.get_objects() if isinstance(o, FiniteGroup)}
+    gc.disable()
+    try:
+        assert run(capsys, "audit", "dicyclic", "2..8", "--format", "json")[0] == 0
+        assert run(capsys, "atlas", "cyclic", "1..6", "--out", str(tmp_path))[0] == 0
+        left = sum(1 for o in gc.get_objects()
+                   if isinstance(o, FiniteGroup) and id(o) not in before)
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 # -- audit ---------------------------------------------------------------------------

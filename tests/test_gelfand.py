@@ -271,6 +271,22 @@ def test_audit_dic8_center_conflict():
     assert d.witness is not None and d.witness.mult == 2
 
 
+def _closed_form_discrepancy(family, n):
+    if family == "dihedral":
+        return f"C{n // 2}" if n % 4 == 0 else None
+    return f"C{n}" if n % 2 == 0 else None
+
+
+@pytest.mark.parametrize("family, ns", [("dihedral", range(3, 21)), ("dicyclic", range(2, 13))])
+def test_audit_discrepancies_follow_their_closed_form(family, ns):
+    for ga in audit(family, ns).audits:
+        expected = _closed_form_discrepancy(family, ga.n)
+        assert [d.descriptor for d in ga.discrepancies] == ([expected] if expected else [])
+        for d in ga.discrepancies:
+            assert d.predicted is True and d.computed is False
+            assert d.witness is not None and d.witness.mult == 2
+
+
 def test_audit_degenerate_families():
     assert audit("dihedral", [1, 2]).total_discrepancies == 0
     assert audit("dicyclic", [1]).total_discrepancies == 0
