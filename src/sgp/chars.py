@@ -37,6 +37,7 @@ from .groups import (
     generated_subgroup,
     dihedral_group,
     dicyclic_group,
+    memoized,
     product_group,
     subgroup_structure,
 )
@@ -211,8 +212,8 @@ def _cyclic_rows(g: FiniteGroup, gen: int, letter: str = "μ") -> list[ClassFunc
     return rows
 
 
-def _dihedral_rows(g: FiniteGroup) -> list[ClassFunction]:
-    n = g.n
+def _dihedral_rows(g: FiniteGroup, n: int) -> list[ClassFunction]:
+    """Rows chi/psi of a group whose rotations are the elements below n."""
     cls = conjugacy_classes(g)
     reps = cls.reps
 
@@ -238,6 +239,10 @@ def _dihedral_rows(g: FiniteGroup) -> list[ClassFunction]:
 def _dicyclic_rows(g: FiniteGroup) -> list[ClassFunction]:
     n = g.n
     m = 2 * n
+    if n % 2 == 0:
+        # dihedral-shaped table with rotation order 2n; the class of
+        # b^2 = a^n plays the central column.
+        return _dihedral_rows(g, m)
     cls = conjugacy_classes(g)
     reps = cls.reps
     z4 = zeta(4, 1)
@@ -245,50 +250,33 @@ def _dicyclic_rows(g: FiniteGroup) -> list[ClassFunction]:
     def row(fn, name):
         return ClassFunction(g, tuple(fn(e) for e in reps), name)
 
-    if n % 2:
-        # 1 <= j, k <= (n-1)/2; pi_j comes from even rotation exponents 2j,
-        # gamma_k from odd exponents 2k-1 (the central value -2 forces odd).
-        rows = [
-            row(lambda e: _ONE, "θ_1"),
-            row(lambda e: _ONE if e < m else -_ONE, "θ_2"),
-            row(lambda e: _sign(e) if e < m else z4 * _sign(e - m), "θ_3"),
-            row(lambda e: _sign(e) if e < m else -z4 * _sign(e - m), "θ_4"),
-        ]
-        for j in range(1, (n - 1) // 2 + 1):
-            rows.append(row(
-                lambda e, j=j: (zeta(n, j * e) + zeta(n, -j * e)) if e < m else _ZERO,
-                f"π_{j}"))
-        for k in range(1, (n - 1) // 2 + 1):
-            s = 2 * k - 1
-            rows.append(row(
-                lambda e, s=s: (zeta(m, s * e) + zeta(m, -s * e)) if e < m else _ZERO,
-                f"γ_{k}"))
-        return rows
-
-    # n even: dihedral-shaped table with rotation order 2n; the class of
-    # b^2 = a^n plays the central column.
+    # 1 <= j, k <= (n-1)/2; pi_j comes from even rotation exponents 2j,
+    # gamma_k from odd exponents 2k-1 (the central value -2 forces odd).
     rows = [
-        row(lambda e: _ONE, "χ_1"),
-        row(lambda e: _ONE if e < m else -_ONE, "χ_2"),
-        row(lambda e: _sign(e) if e < m else _sign(e - m), "χ_3"),
-        row(lambda e: _sign(e) if e < m else -_sign(e - m), "χ_4"),
+        row(lambda e: _ONE, "θ_1"),
+        row(lambda e: _ONE if e < m else -_ONE, "θ_2"),
+        row(lambda e: _sign(e) if e < m else z4 * _sign(e - m), "θ_3"),
+        row(lambda e: _sign(e) if e < m else -z4 * _sign(e - m), "θ_4"),
     ]
-    for j in range(1, n):
+    for j in range(1, (n - 1) // 2 + 1):
         rows.append(row(
-            lambda e, j=j: (zeta(m, j * e) + zeta(m, -j * e)) if e < m else _ZERO,
-            f"ψ_{j}"))
+            lambda e, j=j: (zeta(n, j * e) + zeta(n, -j * e)) if e < m else _ZERO,
+            f"π_{j}"))
+    for k in range(1, (n - 1) // 2 + 1):
+        s = 2 * k - 1
+        rows.append(row(
+            lambda e, s=s: (zeta(m, s * e) + zeta(m, -s * e)) if e < m else _ZERO,
+            f"γ_{k}"))
     return rows
 
 
+@memoized
 def family_table(g: FiniteGroup) -> CharacterTable:
     """The closed-form character table of a family-constructed group."""
-    cached = g._cache.get("family_table")
-    if cached is not None:
-        return cached
     if g.family == "cyclic":
         rows = _cyclic_rows(g, g.gens["a"])
     elif g.family == "dihedral":
-        rows = _dihedral_rows(g)
+        rows = _dihedral_rows(g, g.n)
     elif g.family == "dicyclic":
         if g.n == 1:
             rows = _cyclic_rows(g, g.gens["b"])
@@ -296,14 +284,10 @@ def family_table(g: FiniteGroup) -> CharacterTable:
             rows = _dicyclic_rows(g)
     elif g.family == "product":
         g1, g2 = g.factors
-        table = tensor_table(family_table(g1), family_table(g2), g)
-        g._cache["family_table"] = table
-        return table
+        return tensor_table(family_table(g1), family_table(g2), g)
     else:
         raise UnsupportedFamilyError(f"no closed-form table for family {g.family!r}")
-    table = CharacterTable(g, tuple(rows), "closed-form")
-    g._cache["family_table"] = table
-    return table
+    return CharacterTable(g, tuple(rows), "closed-form")
 
 
 def tensor_table(t1: CharacterTable, t2: CharacterTable,
@@ -327,6 +311,7 @@ def tensor_table(t1: CharacterTable, t2: CharacterTable,
     return CharacterTable(product, tuple(rows), "closed-form")
 
 
+@memoized
 def subgroup_table(h: Subgroup) -> CharacterTable:
     """Irreducible characters of a subgroup, on the subgroup's own classes.
 
@@ -337,10 +322,6 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
     """
     if h.is_full():
         return family_table(h.parent)
-    key = ("subgroup_table", h.members)
-    cached = h.parent._cache.get(key)
-    if cached is not None:
-        return cached
     hg = h.group
     kind, data = subgroup_structure(h)
     if kind == "trivial":
@@ -371,9 +352,7 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
         raise UnsupportedFamilyError(
             f"no character table construction for subgroup kind {kind!r}"
         )
-    table = CharacterTable(hg, tuple(rows), "closed-form")
-    h.parent._cache[key] = table
-    return table
+    return CharacterTable(hg, tuple(rows), "closed-form")
 
 
 # -- validation and decomposition --------------------------------------------

@@ -7,8 +7,9 @@ Grammar::
 
 Commands: table, classify, audit, atlas.  Exit codes: 0 success, 1 usage
 or failed --fail-on-discrepancy, 2 internal consistency, 3 table
-validation.  The subgroup-enumeration bound defaults to 256 and can be
-overridden with --max-order or the SGP_MAX_ORDER environment variable.
+validation.  The group-order bound defaults to 256 and can be overridden
+with --max-order or the SGP_MAX_ORDER environment variable; every command
+checks it before a group is built.
 All output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -67,7 +68,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write output here instead of stdout"
                        if name != "atlas" else "output directory (required)")
         p.add_argument("--max-order", type=int, default=None,
-                       help="override the subgroup-enumeration order bound")
+                       help="override the group-order bound")
         if name == "audit":
             p.add_argument("--fail-on-discrepancy", action="store_true",
                            help="exit nonzero when any discrepancy is reported")
@@ -87,8 +88,9 @@ def _parse_range(text: str) -> Iterator[int]:
 
 
 def _collecting(ns: range) -> Iterator[int]:
-    # A group's cached tables and matrices point back at the group, so it
-    # is only freed by the cycle collector; run it before the next n is built.
+    # The tables and matrices memoized on a group and its subgroups point
+    # back at them, so a finished group is only freed by the cycle
+    # collector; run it before the next n is built.
     for n in ns:
         yield n
         gc.collect()
@@ -104,6 +106,12 @@ def _max_order(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"SGP_MAX_ORDER must be an integer, got {env!r}") from exc
     return groups.DEFAULT_MAX_ORDER
+
+
+def _bounded_group(family: str, n: int, bound: int) -> groups.FiniteGroup:
+    """Refuse an order over the bound before any table is allocated, then build."""
+    groups.check_order(groups.family_order(family, n), bound)
+    return groups.build_group(family, n)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -129,9 +137,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _cmd_table(args) -> int:
+    bound = _max_order(args)
     chunks = []
     for n in _parse_range(args.n):
-        g = groups.build_group(args.family, n)
+        g = _bounded_group(args.family, n, bound)
         table = chars.family_table(g)
         check = chars.validate_table(table)
         if not check.passed:
@@ -186,8 +195,7 @@ def _cmd_classify(args) -> int:
     bound = _max_order(args)
     chunks = []
     for n in _parse_range(args.n):
-        groups.check_order(groups.family_order(args.family, n), bound)
-        g = groups.build_group(args.family, n)
+        g = _bounded_group(args.family, n, bound)
         report = gelfand.classify_subgroups(g, bound)
         if args.format == "text":
             chunks.append(_classification_text(report))
@@ -253,15 +261,14 @@ def _cmd_audit(args) -> int:
 
 
 def _atlas_document(family: str, n: int, bound: int) -> dict:
-    groups.check_order(groups.family_order(family, n), bound)
-    g = groups.build_group(family, n)
+    g = _bounded_group(family, n, bound)
     table = chars.family_table(g)
     check = chars.validate_table(table)
     if not check.passed:
         raise InternalConsistencyError(
             "family table failed validation: " + "; ".join(check.failures)
         )
-    ga = gelfand.audit_group(family, n, bound)
+    ga = gelfand.audit_group(g, bound)
     doc = {"schema_version": ATLAS_SCHEMA_VERSION}
     doc.update(gelfand.group_audit_to_json(ga))
     doc["order"] = g.order

@@ -41,6 +41,7 @@ from .groups import (
     check_order,
     describe_subgroup,
     family_order,
+    memoized,
 )
 
 __all__ = [
@@ -129,12 +130,14 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup) -> tuple[tuple[int,
 
 
 def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
-    """Dual-path multiplicity matrix for the pair (g, h), cached per pair."""
+    """Dual-path multiplicity matrix for the pair (g, h), computed once per h."""
     _check_pair(g, h)
-    key = ("multiplicity_matrix", h.members)
-    cached = g._cache.get(key)
-    if cached is not None:
-        return cached
+    return _multiplicity_matrix(h)
+
+
+@memoized
+def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
+    g = h.parent
     via_induction = multiplicity_by_induction(g, h)
     via_restriction = multiplicity_by_restriction(g, h)
     if via_induction != via_restriction:
@@ -142,15 +145,13 @@ def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
             f"induce-path and restrict-path matrices disagree for "
             f"({g.name}, subgroup of order {h.order})"
         )
-    matrix = MultiplicityMatrix(
+    return MultiplicityMatrix(
         group=g,
         subgroup=h,
         row_names=subgroup_table(h).names,
         col_names=family_table(g).names,
         entries=via_induction,
     )
-    g._cache[key] = matrix
-    return matrix
 
 
 def _trivial_row_index(h: Subgroup) -> int:
@@ -187,12 +188,14 @@ class SubgroupRecord:
 class ClassificationReport:
     group: FiniteGroup
     records: tuple[SubgroupRecord, ...]
+    subgroups: tuple[Subgroup, ...]  # aligned with records
 
 
 def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> ClassificationReport:
     """One record per subgroup, in the deterministic all_subgroups order."""
+    subgroups = all_subgroups(g, max_order)
     records = []
-    for h in all_subgroups(g, max_order):
+    for h in subgroups:
         strong, witness = is_strong_gelfand(g, h)
         records.append(SubgroupRecord(
             descriptor=describe_subgroup(h),
@@ -203,7 +206,7 @@ def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Cl
             strong_gelfand=strong,
             witness=witness,
         ))
-    return ClassificationReport(g, tuple(records))
+    return ClassificationReport(g, tuple(records), tuple(subgroups))
 
 
 @dataclass(frozen=True)
@@ -323,19 +326,17 @@ def _reverify_witness(g: FiniteGroup, h: Subgroup, witness: Witness) -> None:
         )
 
 
-def audit_group(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> GroupAudit:
-    """Diff the brute-force classification of one group against the rules."""
-    check_order(family_order(family, n), max_order)
-    g = build_group(family, n)
-    prediction = _prediction_for(family, n)
+def audit_group(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> GroupAudit:
+    """Diff the brute-force classification of one family group against the rules."""
+    prediction = _prediction_for(g.family, g.n)
     report = classify_subgroups(g, max_order)
     entries = []
     discrepancies = []
-    for record in report.records:
+    for h, record in zip(report.subgroups, report.records):
         predicted = prediction.predicate(record.descriptor)
         entries.append(AuditEntry(record, predicted))
         if record.witness is not None:
-            _reverify_witness(g, Subgroup(g, record.members), record.witness)
+            _reverify_witness(g, h, record.witness)
         if predicted != record.strong_gelfand:
             discrepancies.append(Discrepancy(
                 descriptor=record.descriptor,
@@ -344,13 +345,16 @@ def audit_group(family: str, n: int, max_order: int = DEFAULT_MAX_ORDER) -> Grou
                 computed=record.strong_gelfand,
                 witness=record.witness,
             ))
-    return GroupAudit(family, n, g.name, tuple(entries), tuple(discrepancies))
+    return GroupAudit(g.family, g.n, g.name, tuple(entries), tuple(discrepancies))
 
 
 def audit(family: str, ns, max_order: int = DEFAULT_MAX_ORDER) -> AuditReport:
     """Audit a family over a range of n values; discrepancies are data."""
-    audits = tuple(audit_group(family, n, max_order) for n in ns)
-    return AuditReport(family, audits)
+    audits = []
+    for n in ns:
+        check_order(family_order(family, n), max_order)
+        audits.append(audit_group(build_group(family, n), max_order))
+    return AuditReport(family, tuple(audits))
 
 
 # -- JSON renderings -----------------------------------------------------------

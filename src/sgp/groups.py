@@ -10,11 +10,14 @@ Every constructed table is self-checked: Latin-square, identity, inverse
 laws always, associativity exhaustively up to order 64 and by seeded
 random sampling of 10^5 triples above that.  Groups and subgroups are
 immutable after construction and all functions are pure, so enumeration
-over different groups can run in parallel with no shared state.
+over different groups can run in parallel with no shared state.  What is
+derived from a group or subgroup (classes, tables, matrices) is computed
+once by `memoized` and kept on that object.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -55,6 +58,26 @@ _ASSOC_SAMPLES = 100_000
 
 _WORD_TOKEN = re.compile(r"([a-z])(?:\^(-?\d+))?")
 _PRODUCT_LETTERS = "abcdefgh"
+
+
+def memoized(fn):
+    """Compute `fn(x)` once per object and keep it in `x.__dict__`.
+
+    Each value then lives and dies with the group or subgroup it describes.
+    The key is the function's name with a leading underscore, so a memoized
+    method is not shadowed by its own value.
+    """
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(x):
+        try:
+            return x.__dict__[key]
+        except KeyError:
+            value = x.__dict__[key] = fn(x)
+            return value
+
+    return wrapper
 
 
 def _verify_table(mul: tuple[tuple[int, ...], ...], identity: int) -> tuple[int, ...]:
@@ -99,9 +122,6 @@ def _verify_table(mul: tuple[tuple[int, ...], ...], identity: int) -> tuple[int,
 class FiniteGroup:
     """An immutable finite group given by its full multiplication table."""
 
-    __slots__ = ("order", "mul", "identity", "inv", "labels", "family", "n",
-                 "factors", "gens", "name", "_cache")
-
     def __init__(self, mul, labels, family, n=None, factors=(), gens=None, name=""):
         mul = tuple(tuple(row) for row in mul)
         object.__setattr__(self, "order", len(mul))
@@ -117,7 +137,6 @@ class FiniteGroup:
         object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "gens", dict(gens or {}))
         object.__setattr__(self, "name", name or f"G{len(mul)}")
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
@@ -153,30 +172,26 @@ class FiniteGroup:
             acc = self.mul[acc][i]
         return acc
 
+    @memoized
+    def _element_orders(self) -> tuple[int, ...]:
+        orders = []
+        for g in range(self.order):
+            k, acc = 1, g
+            while acc != self.identity:
+                acc = self.mul[acc][g]
+                k += 1
+            orders.append(k)
+        return tuple(orders)
+
     def element_order(self, i: int) -> int:
-        orders = self._cache.get("element_orders")
-        if orders is None:
-            orders = []
-            for g in range(self.order):
-                k, acc = 1, g
-                while acc != self.identity:
-                    acc = self.mul[acc][g]
-                    k += 1
-                orders.append(k)
-            orders = tuple(orders)
-            self._cache["element_orders"] = orders
-        return orders[i]
+        return self._element_orders()[i]
 
     def is_abelian(self) -> bool:
-        flag = self._cache.get("abelian")
-        if flag is None:
-            flag = all(
-                self.mul[i][j] == self.mul[j][i]
-                for i in range(self.order)
-                for j in range(i + 1, self.order)
-            )
-            self._cache["abelian"] = flag
-        return flag
+        return all(
+            self.mul[i][j] == self.mul[j][i]
+            for i in range(self.order)
+            for j in range(i + 1, self.order)
+        )
 
     def element(self, word: str) -> int:
         """Parse a normal-form word such as '1', 'a^3', 'ba^2' or 'b^2'."""
@@ -362,11 +377,9 @@ class ConjugacyClasses:
     classes: tuple[tuple[int, ...], ...]
 
 
+@memoized
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
     """Conjugacy classes of g, deterministically ordered by minimal element."""
-    cached = g._cache.get("classes")
-    if cached is not None:
-        return cached
     class_of = [-1] * g.order
     classes: list[tuple[int, ...]] = []
     for e in range(g.order):
@@ -385,7 +398,6 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
     )
     if result.reps[0] != g.identity or result.sizes[0] != 1:
         raise InternalConsistencyError("identity class is not the leading singleton")
-    g._cache["classes"] = result
     return result
 
 
@@ -429,34 +441,25 @@ class Subgroup:
     def is_full(self) -> bool:
         return len(self.members) == self.parent.order
 
+    @memoized
     def local_index(self) -> dict[int, int]:
         """Map parent element index -> position inside `members`."""
-        key = ("subgroup_local", self.members)
-        loc = self.parent._cache.get(key)
-        if loc is None:
-            loc = {p: i for i, p in enumerate(self.members)}
-            self.parent._cache[key] = loc
-        return loc
+        return {p: i for i, p in enumerate(self.members)}
 
     @property
+    @memoized
     def group(self) -> FiniteGroup:
         """The subgroup as a standalone group (the parent itself when full)."""
         if self.is_full():
             return self.parent
-        key = ("subgroup_group", self.members)
-        g = self.parent._cache.get(key)
-        if g is None:
-            loc = self.local_index()
-            p = self.parent
-            mul = [[loc[p.mul[x][y]] for y in self.members] for x in self.members]
-            labels = [p.labels[x] for x in self.members]
-            kind, _ = subgroup_structure(self)
-            names = {"trivial": "C1", "cyclic": f"C{self.order}",
-                     "dihedral": f"D{self.order}", "dicyclic": f"Dic{self.order}"}
-            g = FiniteGroup(mul, labels, "subgroup",
-                            name=names.get(kind, f"H{self.order}"))
-            self.parent._cache[key] = g
-        return g
+        loc = self.local_index()
+        p = self.parent
+        mul = [[loc[p.mul[x][y]] for y in self.members] for x in self.members]
+        labels = [p.labels[x] for x in self.members]
+        kind, _ = subgroup_structure(self)
+        names = {"trivial": "C1", "cyclic": f"C{self.order}",
+                 "dihedral": f"D{self.order}", "dicyclic": f"Dic{self.order}"}
+        return FiniteGroup(mul, labels, "subgroup", name=names.get(kind, f"H{self.order}"))
 
 
 def _closure(g: FiniteGroup, seed) -> set[int]:

@@ -137,6 +137,7 @@ def test_classify_respects_env_bound(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command, family, order", [
+    ("table", "dihedral", 2_000_000),
     ("classify", "dihedral", 2_000_000),
     ("audit", "dicyclic", 4_000_000),
     ("atlas", "cyclic", 1_000_000),
@@ -157,6 +158,20 @@ def test_oversized_group_is_refused_before_it_is_built(command, family, order, t
     assert f"group order {order} exceeds the bound 256" in err
     if command == "atlas":
         assert list(out_dir.iterdir()) == []
+
+
+def test_atlas_builds_each_group_once(tmp_path, capsys, monkeypatch):
+    build = sgp.groups.build_group
+    built = []
+
+    def counted(family, n):
+        built.append((family, n))
+        return build(family, n)
+
+    monkeypatch.setattr(sgp.groups, "build_group", counted)
+    monkeypatch.setattr(sgp.gelfand, "build_group", counted)
+    assert run(capsys, "atlas", "cyclic", "1..4", "--out", str(tmp_path))[0] == 0
+    assert built == [("cyclic", n) for n in range(1, 5)]
 
 
 def test_each_finished_group_is_freed_without_the_cycle_collector(tmp_path, capsys):

@@ -24,6 +24,7 @@ from sgp.groups import (
     dihedral_group,
     generated_subgroup,
     full_subgroup,
+    Subgroup,
     product_group,
     trivial_subgroup,
 )
@@ -290,6 +291,20 @@ def test_audit_discrepancies_follow_their_closed_form(family, ns):
 def test_audit_degenerate_families():
     assert audit("dihedral", [1, 2]).total_discrepancies == 0
     assert audit("dicyclic", [1]).total_discrepancies == 0
+
+
+def test_audit_validates_each_subgroup_once(monkeypatch):
+    validate = Subgroup.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Subgroup, "__post_init__", counted)
+    report = audit("dicyclic", range(2, 7))
+    assert sum(1 for ga in report.audits for e in ga.entries if e.record.witness) > 0
+    assert len(calls) == sum(ga.total for ga in report.audits)
 
 
 # -- report renderings -----------------------------------------------------------------------
