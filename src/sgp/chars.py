@@ -9,6 +9,9 @@ route (`constructive_family_table`) rebuilds the nonabelian tables from
 brute-forced linear characters plus inductions from the maximal rotation
 subgroup and is used as an oracle against the closed forms.
 
+A subgroup's table is the family table of `h.group`; `restrict` and
+`induce` reach the parent through `h.embedding()` and `h.local_index()`.
+
 Induction uses the raw Frobenius sum over the whole parent group; at the
 orders this package targets (<= 256) the quadratic sum is cheap and
 avoids coset-transversal bookkeeping.
@@ -35,11 +38,8 @@ from .groups import (
     Subgroup,
     conjugacy_classes,
     generated_subgroup,
-    dihedral_group,
-    dicyclic_group,
     memoized,
     product_group,
-    subgroup_structure,
 )
 
 __all__ = [
@@ -98,9 +98,6 @@ class ClassFunction:
         """Complex conjugates of the values, computed once per function."""
         return tuple(v.conj() for v in self.values)
 
-    def renamed(self, name: str) -> "ClassFunction":
-        return ClassFunction(self.group, self.values, name)
-
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values)
         return f"<ClassFunction {self.name or '?'} on {self.group.name}: [{vals}]>"
@@ -153,7 +150,8 @@ def restrict(f: ClassFunction, h: Subgroup) -> ClassFunction:
         raise DomainMismatchError("can only restrict to a subgroup of the function's group")
     hg = h.group
     cls_h = conjugacy_classes(hg)
-    values = tuple(f.value_on_element(h.members[rep]) for rep in cls_h.reps)
+    emb = h.embedding()
+    values = tuple(f.value_on_element(emb[rep]) for rep in cls_h.reps)
     name = f"{f.name}↓{hg.name}" if f.name else ""
     return ClassFunction(hg, values, name)
 
@@ -192,7 +190,7 @@ def induce(f: ClassFunction, h: Subgroup) -> ClassFunction:
 # -- closed-form family tables ---------------------------------------------
 
 
-def _cyclic_rows(g: FiniteGroup, gen: int, letter: str = "μ") -> list[ClassFunction]:
+def _cyclic_rows(g: FiniteGroup, gen: int) -> list[ClassFunction]:
     """Rows mu_k(gen^r) = zeta_d^(k*r) for a cyclic group of order d."""
     d = g.order
     dlog = [0] * d
@@ -208,7 +206,7 @@ def _cyclic_rows(g: FiniteGroup, gen: int, letter: str = "μ") -> list[ClassFunc
     rows = []
     for k in range(d):
         values = tuple(zeta(d, k * dlog[rep]) for rep in cls.reps)
-        rows.append(ClassFunction(g, values, f"{letter}_{k}"))
+        rows.append(ClassFunction(g, values, f"μ_{k}"))
     return rows
 
 
@@ -311,48 +309,15 @@ def tensor_table(t1: CharacterTable, t2: CharacterTable,
     return CharacterTable(product, tuple(rows), "closed-form")
 
 
-@memoized
 def subgroup_table(h: Subgroup) -> CharacterTable:
-    """Irreducible characters of a subgroup, on the subgroup's own classes.
+    """Irreducible characters of a subgroup: the closed-form table of `h.group`.
 
-    Cyclic subgroups get the mu_k rows directly; nonabelian subgroups of
-    dihedral/dicyclic parents are matched to the isomorphic family group
-    through the generators (rotation part, outside element) and the family
-    table is transported along that isomorphism.
+    Every subgroup of a cyclic, dihedral or dicyclic group is again cyclic,
+    dihedral or dicyclic, and `h.group` is that family group; `h.embedding()`
+    maps its elements into the parent.  A non-cyclic proper subgroup of a
+    product group has no family group and raises `UnsupportedFamilyError`.
     """
-    if h.is_full():
-        return family_table(h.parent)
-    hg = h.group
-    kind, data = subgroup_structure(h)
-    if kind == "trivial":
-        rows = [ClassFunction(hg, (_ONE,), "μ_0")]
-    elif kind == "cyclic":
-        rows = _cyclic_rows(hg, h.local_index()[data])
-    elif kind in ("dihedral", "dicyclic"):
-        a1, b1 = data
-        p = h.parent
-        model = dihedral_group(h.order // 2) if kind == "dihedral" \
-            else dicyclic_group(h.order // 4)
-        rot = model.order // 2
-        # model element j*rot + i corresponds to b1^j * a1^i in the parent
-        model_of_local: dict[int, int] = {}
-        loc = h.local_index()
-        for e in range(model.order):
-            j, i = divmod(e, rot)
-            parent_elt = p.mul[p.power(b1, j)][p.power(a1, i)]
-            model_of_local[loc[parent_elt]] = e
-        if len(model_of_local) != h.order:
-            raise InternalConsistencyError("subgroup correspondence is not a bijection")
-        cls_h = conjugacy_classes(hg)
-        rows = []
-        for r in family_table(model).irreducibles:
-            values = tuple(r.value_on_element(model_of_local[rep]) for rep in cls_h.reps)
-            rows.append(ClassFunction(hg, values, r.name))
-    else:
-        raise UnsupportedFamilyError(
-            f"no character table construction for subgroup kind {kind!r}"
-        )
-    return CharacterTable(hg, tuple(rows), "closed-form")
+    return family_table(h.group)
 
 
 # -- validation and decomposition --------------------------------------------

@@ -84,9 +84,6 @@ class MultiplicityMatrix:
     col_names: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def max_entry(self) -> int:
-        return max(max(row) for row in self.entries)
-
     def first_witness(self) -> Witness | None:
         """Lexicographically first entry >= 2 in (row, col) order."""
         for i, row in enumerate(self.entries):
@@ -215,7 +212,6 @@ class ClassificationRule:
 
     family: str
     n: int
-    source: str
 
     def predicate(self, descriptor: str) -> bool:
         n = self.n
@@ -248,16 +244,14 @@ def predict(family: str, n: int) -> ClassificationRule:
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if family == "dihedral":
-        return ClassificationRule(family, n, "dihedral classification rule")
-    if family == "dicyclic":
-        return ClassificationRule(family, n, "dicyclic classification rule")
-    raise UnsupportedFamilyError(f"no classification rule for family {family!r}")
+    if family not in ("dihedral", "dicyclic"):
+        raise UnsupportedFamilyError(f"no classification rule for family {family!r}")
+    return ClassificationRule(family, n)
 
 
 def _prediction_for(family: str, n: int) -> ClassificationRule:
     if family == "cyclic":
-        return ClassificationRule(family, n, "abelian rule")
+        return ClassificationRule(family, n)
     return predict(family, n)
 
 

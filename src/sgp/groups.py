@@ -13,6 +13,10 @@ immutable after construction and all functions are pure, so enumeration
 over different groups can run in parallel with no shared state.  What is
 derived from a group or subgroup (classes, tables, matrices) is computed
 once by `memoized` and kept on that object.
+
+Every subgroup of a cyclic, dihedral or dicyclic group is again one of
+these.  `Subgroup.group` is that family group (the parent when full) and
+`Subgroup.embedding()` the parent element each of its elements stands for.
 """
 
 from __future__ import annotations
@@ -146,19 +150,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} order={self.order}>"
-
-    @property
-    def family_tag(self) -> str:
-        """Descriptor such as 'dihedral 10' (the numeral is the group order)."""
-        if self.family == "product":
-            return "product"
-        return f"{self.family} {self.order}"
-
-    def multiply(self, i: int, j: int) -> int:
-        return self.mul[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self.inv[i]
 
     def conjugate(self, g: int, x: int) -> int:
         """x g x^-1."""
@@ -442,24 +433,65 @@ class Subgroup:
         return len(self.members) == self.parent.order
 
     @memoized
-    def local_index(self) -> dict[int, int]:
-        """Map parent element index -> position inside `members`."""
-        return {p: i for i, p in enumerate(self.members)}
+    def _model(self) -> tuple[FiniteGroup, tuple[int, ...]]:
+        """The family group isomorphic to this subgroup, and its embedding.
+
+        Element r of a cyclic model is gen^r and element j*rot + i of a
+        dihedral or dicyclic one is b1^j a1^i (generators from
+        `subgroup_structure`), checked to be an isomorphism onto `members`.
+        """
+        p = self.parent
+        if self.is_full():
+            return p, tuple(range(p.order))
+
+        def powers(x, k):
+            out = [p.identity]
+            for _ in range(1, k):
+                out.append(p.mul[out[-1]][x])
+            return out
+
+        kind, data = subgroup_structure(self)
+        if kind in ("trivial", "cyclic"):
+            model = cyclic_group(self.order)
+            emb = powers(data, self.order)  # the trivial generator None is never read
+        elif kind in ("dihedral", "dicyclic"):
+            a1, b1 = data
+            model = dihedral_group(self.order // 2) if kind == "dihedral" \
+                else dicyclic_group(self.order // 4)
+            rotations = powers(a1, model.order // 2)
+            emb = rotations + [p.mul[b1][x] for x in rotations]
+        else:
+            raise UnsupportedFamilyError(
+                f"no family group for subgroup kind {kind!r} of {p.name}"
+            )
+        emb = tuple(emb)
+        if tuple(sorted(emb)) != self.members or any(
+            emb[model.mul[x][s]] != p.mul[emb[x]][emb[s]]
+            for x in range(model.order)
+            for s in model.gens.values()
+        ):
+            raise InternalConsistencyError(
+                f"embedding of {model.name} in {p.name} is not an isomorphism onto the subgroup"
+            )
+        return model, emb
 
     @property
-    @memoized
     def group(self) -> FiniteGroup:
-        """The subgroup as a standalone group (the parent itself when full)."""
-        if self.is_full():
-            return self.parent
-        loc = self.local_index()
-        p = self.parent
-        mul = [[loc[p.mul[x][y]] for y in self.members] for x in self.members]
-        labels = [p.labels[x] for x in self.members]
-        kind, _ = subgroup_structure(self)
-        names = {"trivial": "C1", "cyclic": f"C{self.order}",
-                 "dihedral": f"D{self.order}", "dicyclic": f"Dic{self.order}"}
-        return FiniteGroup(mul, labels, "subgroup", name=names.get(kind, f"H{self.order}"))
+        """The family group isomorphic to the subgroup (the parent itself when full).
+
+        Non-cyclic proper subgroups of product groups have no family group
+        and raise `UnsupportedFamilyError`.
+        """
+        return self._model()[0]
+
+    def embedding(self) -> tuple[int, ...]:
+        """The parent element that each element of `group` stands for."""
+        return self._model()[1]
+
+    @memoized
+    def local_index(self) -> dict[int, int]:
+        """Map parent element index -> the element of `group` standing for it."""
+        return {x: i for i, x in enumerate(self.embedding())}
 
 
 def _closure(g: FiniteGroup, seed) -> set[int]:

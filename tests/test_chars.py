@@ -148,10 +148,13 @@ def test_restrict_theta3_to_b_subgroup():
         g = dicyclic_group(n)
         h = generated_subgroup(g, ["b"])
         down = restrict(family_table(g).row("θ_3"), h)
-        # local classes are 1, b^2 (= a^n), b, b^3 in member order
-        labels = [h.group.labels[r] for r in conjugacy_classes(h.group).reps]
-        assert labels == ["1", f"a^{n}", "b", f"ba^{n}"]
-        assert down.values == (rational(1), rational(-1), zeta(4, 1), zeta(4, 3))
+        # keyed by the parent element each class of h.group stands for:
+        # 1, b^2 (= a^n), b, b^3 (= ba^n)
+        emb = h.embedding()
+        reps = conjugacy_classes(h.group).reps
+        values = {g.labels[emb[rep]]: v for rep, v in zip(reps, down.values)}
+        assert values == {"1": rational(1), f"a^{n}": rational(-1),
+                          "b": zeta(4, 1), f"ba^{n}": zeta(4, 3)}
 
 
 def test_restrict_trivial_character_is_trivial():
@@ -241,14 +244,18 @@ def test_induction_is_transitive_along_chains():
     for g in (dihedral_group(6), dicyclic_group(3)):
         subs = all_subgroups(g)
         for h in subs:
-            loc_h = h.local_index()
+            loc_h, emb_h = h.local_index(), h.embedding()
             for k in subs:
                 if k.order >= h.order or not set(k.members) <= set(h.members):
                     continue
                 k_in_h = Subgroup(h.group, tuple(loc_h[x] for x in k.members))
+                # carry psi across: element x of k_in_h.group is the parent
+                # element emb_h[emb[x]], which k.group numbers loc_k[...]
+                loc_k, emb = k.local_index(), k_in_h.embedding()
+                reps = conjugacy_classes(k_in_h.group).reps
                 for psi in subgroup_table(k).irreducibles:
-                    # same member ordering on both views of K, so values carry over
-                    psi_h = ClassFunction(k_in_h.group, psi.values, psi.name)
+                    values = tuple(psi.value_on_element(loc_k[emb_h[emb[rep]]]) for rep in reps)
+                    psi_h = ClassFunction(k_in_h.group, values, psi.name)
                     via_h = induce(induce(psi_h, k_in_h), h)
                     direct = induce(psi, k)
                     assert via_h.values == direct.values

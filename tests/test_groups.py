@@ -2,7 +2,8 @@
 
 import pytest
 
-from sgp.errors import InvalidParameterError, SizeLimitError
+from sgp.chars import family_table, restrict, subgroup_table, trivial_character
+from sgp.errors import InvalidParameterError, SizeLimitError, UnsupportedFamilyError
 from sgp.groups import (
     FiniteGroup,
     Subgroup,
@@ -15,6 +16,7 @@ from sgp.groups import (
     dihedral_group,
     generated_subgroup,
     product_group,
+    subgroup_structure,
     trivial_subgroup,
 )
 
@@ -305,15 +307,36 @@ def test_conjugate_subgroups_share_descriptors():
 
 
 def test_subgroup_group_reindexes_consistently():
-    g = dicyclic_group(3)
-    h = generated_subgroup(g, ["b"])
-    hg = h.group
-    assert hg.order == 4
-    assert hg.name == "C4"
-    loc = h.local_index()
-    for x in h.members:
-        for y in h.members:
-            assert hg.mul[loc[x]][loc[y]] == loc[g.mul[x][y]]
+    # every subgroup's group is its family group (the parent when full), and
+    # its embedding is a bijection onto the members and a homomorphism
+    for g in (dihedral_group(6), dihedral_group(8), dicyclic_group(3), dicyclic_group(4)):
+        for h in all_subgroups(g):
+            hg, emb = h.group, h.embedding()
+            if h.is_full():
+                assert hg is g
+            else:
+                kind, _ = subgroup_structure(h)
+                d = h.order
+                expected = {"trivial": ("cyclic", 1, "C1"), "cyclic": ("cyclic", d, f"C{d}"),
+                            "dihedral": ("dihedral", d // 2, f"D{d}"),
+                            "dicyclic": ("dicyclic", d // 4, f"Dic{d}")}[kind]
+                assert (hg.family, hg.n, hg.name) == expected
+            assert sorted(emb) == list(h.members)
+            for x in range(hg.order):
+                for y in range(hg.order):
+                    assert emb[hg.mul[x][y]] == g.mul[emb[x]][emb[y]]
+            assert h.local_index() == {p: x for x, p in enumerate(emb)}
+            assert subgroup_table(h) is family_table(hg)
+
+
+def test_unclassified_product_subgroup_has_no_family_group():
+    g = product_group(cyclic_group(2), cyclic_group(4))
+    h = generated_subgroup(g, ["a", "b^2"])
+    assert h.order == 4 and subgroup_structure(h) == ("unclassified", None)
+    with pytest.raises(UnsupportedFamilyError):
+        h.group
+    with pytest.raises(UnsupportedFamilyError):
+        restrict(trivial_character(g), h)
 
 
 def test_full_subgroup_group_is_parent():
