@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -397,49 +396,30 @@ def decompose(f: ClassFunction, t: CharacterTable) -> tuple[int, ...]:
 # -- independent constructive route ------------------------------------------
 
 
-_LABEL_TOKEN = re.compile(r"([a-z])(?:\^(\d+))?")
-
-
-def _tokenize_label(label: str) -> list[tuple[str, int]]:
-    if label == "1":
-        return []
-    out = []
-    pos = 0
-    for m in _LABEL_TOKEN.finditer(label):
-        if m.start() != pos:
-            raise InternalConsistencyError(f"unparseable label {label!r}")
-        pos = m.end()
-        out.append((m.group(1), int(m.group(2) or 1)))
-    if pos != len(label):
-        raise InternalConsistencyError(f"unparseable label {label!r}")
-    return out
-
-
 def linear_characters_bruteforce(g: FiniteGroup) -> list[ClassFunction]:
     """All homomorphisms g -> roots of unity, found by exhaustive assignment.
 
     Each labeled generator is assigned a root of unity of order dividing
-    the generator's order; the assignment extends to every element along
-    its normal-form label, and survives only if multiplication by each
-    generator is respected everywhere (which forces a homomorphism).
+    the generator's order; the assignment extends breadth-first from the
+    identity along right multiplication by the generators, and survives
+    only if multiplication by each generator is respected everywhere
+    (which forces a homomorphism).
     """
-    gen_items = sorted(g.gens.items())
-    gen_idx = [i for _, i in gen_items]
+    gen_idx = [i for _, i in sorted(g.gens.items())]
     gen_ord = [g.element_order(i) for i in gen_idx]
-    tokenized = [_tokenize_label(label) for label in g.labels]
     cls = conjugacy_classes(g)
     found: list[ClassFunction] = []
     for assignment in itertools.product(*(range(o) for o in gen_ord)):
-        images = {
-            letter: zeta(order, exp)
-            for (letter, _), order, exp in zip(gen_items, gen_ord, assignment)
-        }
-        values = []
-        for toks in tokenized:
-            v = _ONE
-            for letter, e in toks:
-                v = v * images[letter] ** e
-            values.append(v)
+        images = [zeta(order, exp) for order, exp in zip(gen_ord, assignment)]
+        values = [None] * g.order
+        values[g.identity] = _ONE
+        frontier = [g.identity]
+        for x in frontier:
+            row = g.mul[x]
+            for s, z in zip(gen_idx, images):
+                if values[row[s]] is None:
+                    values[row[s]] = values[x] * z
+                    frontier.append(row[s])
         ok = True
         for gi in gen_idx:
             vg = values[gi]

@@ -9,7 +9,7 @@ Commands: table, classify, audit, atlas.  Exit codes: 0 success, 1 usage
 or failed --fail-on-discrepancy, 2 internal consistency, 3 table
 validation.  The group-order bound defaults to 256 and can be overridden
 with --max-order or the SGP_MAX_ORDER environment variable; every command
-checks it before a group is built.
+checks it at the largest n of the range before any group is built.
 All output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -44,6 +44,10 @@ class _UsageError(Exception):
     pass
 
 
+class _ValidationFailure(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -75,8 +79,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_range(text: str) -> Iterator[int]:
-    """Validate n or a..b now; yield its values, freeing each group after use."""
+def _parse_range(text: str, family: str, bound: int) -> Iterator[int]:
+    """Validate n or a..b now; yield its values, freeing each group after use.
+
+    The family order grows with n, so checking the largest n refuses an
+    oversized range before any group is built.
+    """
     m = _RANGE.match(text.strip())
     if not m:
         raise _UsageError(f"cannot parse n or range {text!r} (expected e.g. 5 or 3..10)")
@@ -84,6 +92,7 @@ def _parse_range(text: str) -> Iterator[int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if lo < 1 or hi < lo:
         raise _UsageError(f"invalid range {text!r}: need 1 <= a <= b")
+    groups.check_order(groups.family_order(family, hi), bound)
     return _collecting(range(lo, hi + 1))
 
 
@@ -108,10 +117,15 @@ def _max_order(args) -> int:
     return groups.DEFAULT_MAX_ORDER
 
 
-def _bounded_group(family: str, n: int, bound: int) -> groups.FiniteGroup:
-    """Refuse an order over the bound before any table is allocated, then build."""
-    groups.check_order(groups.family_order(family, n), bound)
-    return groups.build_group(family, n)
+def _validated_table(g: groups.FiniteGroup) -> chars.CharacterTable:
+    """The family table of g; a validation failure is printed and exits 3."""
+    table = chars.family_table(g)
+    check = chars.validate_table(table)
+    if not check.passed:
+        for failure in check.failures:
+            print(f"table validation failed: {failure}", file=sys.stderr)
+        raise _ValidationFailure
+    return table
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -139,14 +153,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def _cmd_table(args) -> int:
     bound = _max_order(args)
     chunks = []
-    for n in _parse_range(args.n):
-        g = _bounded_group(args.family, n, bound)
-        table = chars.family_table(g)
-        check = chars.validate_table(table)
-        if not check.passed:
-            for failure in check.failures:
-                print(f"table validation failed: {failure}", file=sys.stderr)
-            return EXIT_VALIDATION
+    for n in _parse_range(args.n, args.family, bound):
+        table = _validated_table(groups.build_group(args.family, n))
         if args.format == "text":
             chunks.append(chars.table_to_text(table))
         elif args.format == "json":
@@ -194,9 +202,8 @@ def _classification_csv(report) -> str:
 def _cmd_classify(args) -> int:
     bound = _max_order(args)
     chunks = []
-    for n in _parse_range(args.n):
-        g = _bounded_group(args.family, n, bound)
-        report = gelfand.classify_subgroups(g, bound)
+    for n in _parse_range(args.n, args.family, bound):
+        report = gelfand.classify_subgroups(groups.build_group(args.family, n), bound)
         if args.format == "text":
             chunks.append(_classification_text(report))
         elif args.format == "json":
@@ -243,7 +250,8 @@ def _audit_csv(report) -> str:
 
 
 def _cmd_audit(args) -> int:
-    report = gelfand.audit(args.family, _parse_range(args.n), _max_order(args))
+    bound = _max_order(args)
+    report = gelfand.audit(args.family, _parse_range(args.n, args.family, bound), bound)
     if args.format == "text":
         _emit(_audit_text(report), args.out)
     elif args.format == "json":
@@ -261,13 +269,8 @@ def _cmd_audit(args) -> int:
 
 
 def _atlas_document(family: str, n: int, bound: int) -> dict:
-    g = _bounded_group(family, n, bound)
-    table = chars.family_table(g)
-    check = chars.validate_table(table)
-    if not check.passed:
-        raise InternalConsistencyError(
-            "family table failed validation: " + "; ".join(check.failures)
-        )
+    g = groups.build_group(family, n)
+    table = _validated_table(g)
     ga = gelfand.audit_group(g, bound)
     doc = {"schema_version": ATLAS_SCHEMA_VERSION}
     doc.update(gelfand.group_audit_to_json(ga))
@@ -283,7 +286,7 @@ def _cmd_atlas(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for n in _parse_range(args.n):
+    for n in _parse_range(args.n, args.family, bound):
         doc = _atlas_document(args.family, n, bound)
         payload = (_json_dumps(doc) + "\n").encode("utf-8")
         filename = f"{args.family}_{n}.json"
@@ -314,6 +317,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"sgp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _ValidationFailure:
+        return EXIT_VALIDATION
     except InternalConsistencyError as exc:
         print(f"sgp: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -10,6 +10,11 @@ values of the same order are equal exactly when their stored vectors
 coincide.  Values of different orders are compared after lifting both to
 the lcm order; no automatic order minimization is performed.
 
+Every operation that makes a value from exponents (lifting, conjugation,
+products and `weighted_product_sum`) fills an integer buffer indexed by
+raw exponents of zeta_m and ends in the one reduction routine `_reduce`,
+which folds the exponents at or above phi(m) back into the power basis.
+
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across workers.  The cached cyclotomic
 polynomials and power-reduction tables are memoized pure functions.
@@ -129,6 +134,23 @@ def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _reduce(m: int, buf: list[int], den: int) -> "Cyclotomic":
+    """The value sum(buf[e] * zeta_m^e) / den in canonical form, for e < 2m.
+
+    Every exponent at or above phi(m) is folded back into the power basis
+    through its `_power_rows` row; `buf` is consumed.
+    """
+    phi = euler_phi(m)
+    rows = _power_rows(m)
+    for e in range(phi, len(buf)):
+        c = buf[e]
+        if c:
+            for t, r in enumerate(rows[e]):
+                if r:
+                    buf[t] += c * r
+    return Cyclotomic._make(m, buf[:phi], den)
+
+
 class Cyclotomic:
     """An exact element of Q(zeta_order) in canonical power-basis form."""
 
@@ -243,15 +265,10 @@ class Cyclotomic:
         if m == self.order:
             return self
         ratio = m // self.order
-        rows = _power_rows(m)
-        acc = [0] * euler_phi(m)
+        buf = [0] * m
         for i, a in enumerate(self._num):
-            if a:
-                row = rows[i * ratio]
-                for t, r in enumerate(row):
-                    if r:
-                        acc[t] += a * r
-        return Cyclotomic._make(m, acc, self._den)
+            buf[i * ratio] = a
+        return _reduce(m, buf, self._den)
 
     @staticmethod
     def _coerce(value) -> "Cyclotomic | None":
@@ -286,11 +303,7 @@ class Cyclotomic:
         o = Cyclotomic._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._common(o)
-        if a._den == b._den:
-            return Cyclotomic._make(a.order, [x - y for x, y in zip(a._num, b._num)], a._den)
-        da, db = a._den, b._den
-        return Cyclotomic._make(a.order, [x * db - y * da for x, y in zip(a._num, b._num)], da * db)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = Cyclotomic._coerce(other)
@@ -313,25 +326,14 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(other)
-        phi = len(a._num)
-        rows = _power_rows(a.order)
-        acc = [0] * phi
+        buf = [0] * (2 * len(a._num) - 1)
         bn = b._num
         for i, x in enumerate(a._num):
-            if not x:
-                continue
-            for j, y in enumerate(bn):
-                if not y:
-                    continue
-                e = i + j
-                if e < phi:
-                    acc[e] += x * y
-                else:
-                    xy = x * y
-                    for t, r in enumerate(rows[e]):
-                        if r:
-                            acc[t] += xy * r
-        return Cyclotomic._make(a.order, acc, a._den * b._den)
+            if x:
+                for j, y in enumerate(bn):
+                    if y:
+                        buf[i + j] += x * y
+        return _reduce(a.order, buf, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -358,14 +360,10 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: zeta^k -> zeta^(N-k) applied before reduction."""
         n = self.order
-        rows = _power_rows(n)
-        acc = [0] * len(self._num)
+        buf = [0] * n
         for i, a in enumerate(self._num):
-            if a:
-                for t, r in enumerate(rows[(n - i) % n]):
-                    if r:
-                        acc[t] += a * r
-        return Cyclotomic._make(n, acc, self._den)
+            buf[(n - i) % n] = a
+        return _reduce(n, buf, self._den)
 
     # -- comparison --------------------------------------------------------
 
@@ -414,9 +412,10 @@ def as_rational_integer(x: Cyclotomic) -> int | None:
 def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:
     """Exact sum of w * f * g over aligned triples, with integer weights.
 
-    Equivalent to `sum(w * f * g)` but accumulates a single convolution
-    buffer and reduces modulo the cyclotomic polynomial once at the end;
-    orthogonality validation calls this with thousands of terms.
+    Equivalent to `sum(w * f * g)` but adds every term into one buffer at
+    its raw exponent in zeta_m, m the lcm of all orders, and reduces modulo
+    the cyclotomic polynomial once at the end; no lifted value is built.
+    Orthogonality validation calls this with thousands of terms.
     """
     fs = list(fs)
     gs = list(gs)
@@ -425,15 +424,12 @@ def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:
     m = 1
     for f, g in zip(fs, gs):
         m = math.lcm(m, f.order, g.order)
-    phi = euler_phi(m)
-    buf = [0] * (2 * phi - 1 if phi > 1 else 1)
+    buf = [0] * (2 * m - 1)
     den = 1
     for f, g, w in zip(fs, gs, weights):
         if not w or f.is_zero() or g.is_zero():
             continue
-        fl = f._lifted(m)
-        gl = g._lifted(m)
-        d = fl._den * gl._den
+        d = f._den * g._den
         if d != den:
             new_den = math.lcm(den, d)
             if new_den != den:
@@ -443,19 +439,14 @@ def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:
                         buf[t] = v * scale
                 den = new_den
             w = w * (den // d)
-        gn = gl._num
-        for i, a in enumerate(fl._num):
+        fr = m // f.order
+        gr = m // g.order
+        gn = g._num
+        for i, a in enumerate(f._num):
             if a:
                 wa = w * a
+                fi = i * fr
                 for j, b in enumerate(gn):
                     if b:
-                        buf[i + j] += wa * b
-    rows = _power_rows(m)
-    out = list(buf[:phi])
-    for e in range(phi, len(buf)):
-        c = buf[e]
-        if c:
-            for t, r in enumerate(rows[e]):
-                if r:
-                    out[t] += c * r
-    return Cyclotomic._make(m, out, den)
+                        buf[fi + j * gr] += wa * b
+    return _reduce(m, buf, den)

@@ -75,12 +75,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert "Character table of D10" in target.read_text()
 
 
-def test_table_validation_failure_exits_3(capsys, monkeypatch):
+def test_table_validation_failure_exits_3(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sgp.chars, "validate_table",
                         lambda t: TableValidation(False, ("forced failure",)))
     rc, _, err = run(capsys, "table", "dihedral", "5")
     assert rc == 3
-    assert "forced failure" in err
+    assert "table validation failed: forced failure" in err
+    rc, _, err = run(capsys, "atlas", "dihedral", "3..5", "--out", str(tmp_path))
+    assert rc == 3
+    assert "table validation failed: forced failure" in err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # -- classify -----------------------------------------------------------------------
@@ -151,13 +155,15 @@ def test_oversized_group_is_refused_before_it_is_built(command, family, order, t
     monkeypatch.setattr(sgp.groups, "build_group", build_group)
     monkeypatch.setattr(sgp.gelfand, "build_group", build_group)
     out_dir = tmp_path / "atlas"
-    start = time.perf_counter()
-    rc, _, err = run(capsys, command, family, "1000000", "--out", str(out_dir))
-    assert time.perf_counter() - start < 1.0
-    assert rc == 1
-    assert f"group order {order} exceeds the bound 256" in err
-    if command == "atlas":
-        assert list(out_dir.iterdir()) == []
+    # a range is refused at its largest n, before its in-bound groups are built
+    for n in ("1000000", "1..1000000"):
+        start = time.perf_counter()
+        rc, _, err = run(capsys, command, family, n, "--out", str(out_dir))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert f"group order {order} exceeds the bound 256" in err
+        if command == "atlas":
+            assert list(out_dir.iterdir()) == []
 
 
 def test_atlas_builds_each_group_once(tmp_path, capsys, monkeypatch):

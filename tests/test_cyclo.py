@@ -245,30 +245,54 @@ def test_values_are_immutable():
 
 
 def test_weighted_product_sum_matches_naive_expression():
-    # orders drawn from divisors of 24, the shape the table validator feeds it
+    # orders drawn from the divisors of 24 (the shape the table validator
+    # feeds it), then of 72 and 360, whose raw exponents land past phi(m)
+    # for several primes at once
     rng = random.Random(2718)
-    divisors = [1, 2, 3, 4, 6, 8, 12, 24]
 
-    def draw():
+    def draw(divisors):
         order = rng.choice(divisors)
         return Cyclotomic(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                   for _ in range(euler_phi(order))])
 
-    for _ in range(150):
-        count = rng.randint(0, 6)
-        fs = [draw() for _ in range(count)]
-        gs = [draw() for _ in range(count)]
-        weights = [rng.randint(-3, 5) for _ in range(count)]
-        naive = rational(0)
-        for f, g, w in zip(fs, gs, weights):
-            naive = naive + f * g * w
-        assert weighted_product_sum(fs, gs, weights) == naive
+    for n, rounds in ((24, 150), (72, 40), (360, 25)):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for _ in range(rounds):
+            count = rng.randint(0, 6)
+            fs = [draw(divisors) for _ in range(count)]
+            gs = [draw(divisors) for _ in range(count)]
+            weights = [rng.randint(-3, 5) for _ in range(count)]
+            naive = rational(0)
+            for f, g, w in zip(fs, gs, weights):
+                naive = naive + f * g * w
+            result = weighted_product_sum(fs, gs, weights)
+            assert result == naive
+            floats = sum(w * f.approx() * g.approx() for f, g, w in zip(fs, gs, weights))
+            assert cmath.isclose(result.approx(), floats, rel_tol=1e-9, abs_tol=1e-6)
     # a genuinely mixed-order case still agrees
     fs = [zeta(5, 1), zeta(4, 1) + 1, rational(Fraction(2, 3))]
     gs = [zeta(5, 4), zeta(6, 1), zeta(4, 3)]
     naive = fs[0] * gs[0] * 2 + fs[1] * gs[1] * 3 + fs[2] * gs[2] * -1
     assert weighted_product_sum(fs, gs, (2, 3, -1)) == naive
     assert weighted_product_sum([zeta(5, 1)], [zeta(5, 4)]) == 1
+
+
+def test_weighted_product_sum_builds_only_its_result(monkeypatch):
+    fs = [rational(Fraction(2, 3)), zeta(4, 1) + 1, zeta(5, 2), zeta(9, 4)]
+    gs = [zeta(3, 1), zeta(6, 5), rational(7), zeta(8, 3)]
+    naive = fs[0] * gs[0] * 2 + fs[1] * gs[1] * 3 + fs[2] * gs[2] * -1 + fs[3] * gs[3]
+    make = Cyclotomic._make
+    made = []
+
+    def counted(order, num, den):
+        made.append(make(order, num, den))
+        return made[-1]
+
+    monkeypatch.setattr(Cyclotomic, "_make", staticmethod(counted))
+    result = weighted_product_sum(fs, gs, (2, 3, -1, 1))
+    monkeypatch.undo()
+    assert len(made) == 1 and made[0] is result
+    assert result == naive
 
 
 def test_str_rendering():

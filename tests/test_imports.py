@@ -1,4 +1,5 @@
-"""Every name a package module imports is read there or re-exported in `__all__`."""
+"""Every name a package module imports is read there or re-exported in `__all__`,
+and every module-level private name is read by some package module."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level names that start with one underscore: defs, classes, assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Module-level private names that no module among `sources` reads."""
+    defined, read = set(), set()
+    for source in sources:
+        defined |= private_definitions(source)
+        read |= names_read(source)
+    return sorted(defined - read)
+
+
+def test_unread_private_names_are_found():
+    a = "import re\n_TOKEN = re.compile('x')\n_USED = 1\ndef _helper():\n    return _USED\n"
+    b = "from .a import _gone\nclass _Unused:\n    pass\n"
+    assert unread_private_names([a, b]) == ["_TOKEN", "_Unused", "_helper"]
+
+
+def test_no_unread_private_names():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(sources) == []
