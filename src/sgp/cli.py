@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import hashlib
 import io
 import json
 import os
 import re
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 from . import chars, gelfand, groups
@@ -79,11 +77,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_range(text: str, family: str, bound: int) -> Iterator[int]:
-    """Validate n or a..b now; yield its values, freeing each group after use.
+def _parse_range(text: str, family: str, bound: int) -> range:
+    """The values of n or a..b, refused before any group is built.
 
     The family order grows with n, so checking the largest n refuses an
-    oversized range before any group is built.
+    oversized range at once.
     """
     m = _RANGE.match(text.strip())
     if not m:
@@ -93,16 +91,7 @@ def _parse_range(text: str, family: str, bound: int) -> Iterator[int]:
     if lo < 1 or hi < lo:
         raise _UsageError(f"invalid range {text!r}: need 1 <= a <= b")
     groups.check_order(groups.family_order(family, hi), bound)
-    return _collecting(range(lo, hi + 1))
-
-
-def _collecting(ns: range) -> Iterator[int]:
-    # The tables and matrices memoized on a group and its subgroups point
-    # back at them, so a finished group is only freed by the cycle
-    # collector; run it before the next n is built.
-    for n in ns:
-        yield n
-        gc.collect()
+    return range(lo, hi + 1)
 
 
 def _max_order(args) -> int:
@@ -152,18 +141,19 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _cmd_table(args) -> int:
     bound = _max_order(args)
-    chunks = []
-    for n in _parse_range(args.n, args.family, bound):
-        table = _validated_table(groups.build_group(args.family, n))
+
+    def render(g):
+        table = _validated_table(g)
         if args.format == "text":
-            chunks.append(chars.table_to_text(table))
-        elif args.format == "json":
-            chunks.append(_json_dumps(chars.table_to_json(table)))
-        else:
-            doc = chars.table_to_json(table)
-            rows = [[r["name"], *r["values"]] for r in doc["rows"]]
-            chunks.append(_csv_text(["name", *doc["classes"]], rows))
-    _emit("\n\n".join(chunks), args.out)
+            return chars.table_to_text(table)
+        doc = chars.table_to_json(table)
+        if args.format == "json":
+            return _json_dumps(doc)
+        rows = [[r["name"], *r["values"]] for r in doc["rows"]]
+        return _csv_text(["name", *doc["classes"]], rows)
+
+    ns = _parse_range(args.n, args.family, bound)
+    _emit("\n\n".join(groups.map_family(args.family, ns, render, bound)), args.out)
     return EXIT_OK
 
 
@@ -201,16 +191,17 @@ def _classification_csv(report) -> str:
 
 def _cmd_classify(args) -> int:
     bound = _max_order(args)
-    chunks = []
-    for n in _parse_range(args.n, args.family, bound):
-        report = gelfand.classify_subgroups(groups.build_group(args.family, n), bound)
+
+    def render(g):
+        report = gelfand.classify_subgroups(g, bound)
         if args.format == "text":
-            chunks.append(_classification_text(report))
-        elif args.format == "json":
-            chunks.append(_json_dumps(gelfand.classification_to_json(report)))
-        else:
-            chunks.append(_classification_csv(report))
-    _emit("\n\n".join(chunks), args.out)
+            return _classification_text(report)
+        if args.format == "json":
+            return _json_dumps(gelfand.classification_to_json(report))
+        return _classification_csv(report)
+
+    ns = _parse_range(args.n, args.family, bound)
+    _emit("\n\n".join(groups.map_family(args.family, ns, render, bound)), args.out)
     return EXIT_OK
 
 
@@ -268,8 +259,7 @@ def _cmd_audit(args) -> int:
 # -- atlas ------------------------------------------------------------------------
 
 
-def _atlas_document(family: str, n: int, bound: int) -> dict:
-    g = groups.build_group(family, n)
+def _atlas_document(g: groups.FiniteGroup, bound: int) -> dict:
     table = _validated_table(g)
     ga = gelfand.audit_group(g, bound)
     doc = {"schema_version": ATLAS_SCHEMA_VERSION}
@@ -283,13 +273,13 @@ def _cmd_atlas(args) -> int:
     if args.out is None:
         raise _UsageError("atlas requires --out DIRECTORY")
     bound = _max_order(args)
+    ns = _parse_range(args.n, args.family, bound)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for n in _parse_range(args.n, args.family, bound):
-        doc = _atlas_document(args.family, n, bound)
+    for doc in groups.map_family(args.family, ns, lambda g: _atlas_document(g, bound), bound):
         payload = (_json_dumps(doc) + "\n").encode("utf-8")
-        filename = f"{args.family}_{n}.json"
+        filename = f"{args.family}_{doc['n']}.json"
         (out_dir / filename).write_bytes(payload)
         manifest.append({"file": filename, "sha256": hashlib.sha256(payload).hexdigest()})
     manifest_text = _json_dumps(manifest) + "\n"

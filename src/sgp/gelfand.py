@@ -37,10 +37,8 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
-    build_group,
-    check_order,
     describe_subgroup,
-    family_order,
+    map_family,
     memoized,
 )
 
@@ -344,10 +342,7 @@ def audit_group(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> GroupAudi
 
 def audit(family: str, ns, max_order: int = DEFAULT_MAX_ORDER) -> AuditReport:
     """Audit a family over a range of n values; discrepancies are data."""
-    audits = []
-    for n in ns:
-        check_order(family_order(family, n), max_order)
-        audits.append(audit_group(build_group(family, n), max_order))
+    audits = map_family(family, ns, lambda g: audit_group(g, max_order), max_order)
     return AuditReport(family, tuple(audits))
 
 

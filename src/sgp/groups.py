@@ -22,8 +22,10 @@ these.  `Subgroup.group` is that family group (the parent when full) and
 from __future__ import annotations
 
 import functools
+import gc
 import random
 import re
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -42,6 +44,7 @@ __all__ = [
     "dicyclic_group",
     "product_group",
     "build_group",
+    "map_family",
     "family_order",
     "check_order",
     "conjugacy_classes",
@@ -358,6 +361,21 @@ def build_group(family: str, n: int) -> FiniteGroup:
     raise UnsupportedFamilyError(f"unknown family {family!r}")
 
 
+def map_family(family: str, ns: Iterable[int], fn: Callable[[FiniteGroup], object],
+               max_order: int = DEFAULT_MAX_ORDER) -> Iterator:
+    """Yield `fn(build_group(family, n))` for each n, freeing each group before the next.
+
+    Each n is checked against the order bound before its group is built.
+    The values memoized on a group and its subgroups point back at them, so
+    a finished group is freed only by the cycle collector, which runs after
+    each n; `fn`'s result must not hold the group.
+    """
+    for n in ns:
+        check_order(family_order(family, n), max_order)
+        yield fn(build_group(family, n))
+        gc.collect()
+
+
 @dataclass(frozen=True)
 class ConjugacyClasses:
     """Partition of a group under conjugation, ordered by minimal element."""
@@ -494,24 +512,24 @@ class Subgroup:
         return {x: i for i, x in enumerate(self.embedding())}
 
 
-def _closure(g: FiniteGroup, seed) -> set[int]:
+def _closure(g: FiniteGroup, gens) -> frozenset[int]:
+    """The subgroup generated by `gens`: breadth-first search from the
+    identity over right multiplication by the generators only.
+
+    Every inverse in a finite group is a positive power, so the products of
+    generators already reach the whole subgroup.
+    """
     mul = g.mul
     members = {g.identity}
-    work: list[int] = []
-
-    def add(x: int) -> None:
-        if x not in members:
-            members.add(x)
-            work.append(x)
-
-    for s in seed:
-        add(s)
-    while work:
-        x = work.pop()
-        for y in tuple(members):
-            add(mul[x][y])
-            add(mul[y][x])
-    return members
+    queue = [g.identity]
+    for x in queue:  # the queue grows while it is read
+        row = mul[x]
+        for s in gens:
+            y = row[s]
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return frozenset(members)
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
@@ -519,6 +537,9 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     idxs = {g.element(x) if isinstance(x, str) else int(x) for x in gens}
     if not idxs:
         raise InvalidParameterError("generator set must be nonempty")
+    for x in idxs:
+        if not 0 <= x < g.order:
+            raise InvalidParameterError(f"element index {x} out of range")
     return Subgroup(g, tuple(sorted(_closure(g, idxs))))
 
 
@@ -533,23 +554,29 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Subgroup]:
     """Every subgroup of g, each exactly once, sorted by (order, members).
 
-    Seeds with all cyclic subgroups <x> and closes under pairwise joins
-    <H union K> to a fixed point; every subgroup is the join of its cyclic
-    subgroups, so the closure is complete.
+    Cyclic extension (Neubüser 1960): each subgroup found carries one
+    generating tuple, and is extended only by the distinct cyclic subgroups
+    <x> with x outside it, <H, x> being the closure of its tuple plus x.
+    Every subgroup is the join of its cyclic subgroups, one at a time, so
+    the search is complete.
     """
     check_order(g.order, max_order)
-    subs = {frozenset(_closure(g, (x,))) for x in range(g.order)}
-    work = list(subs)
+    cyclic: dict[frozenset[int], int] = {}
+    for x in range(g.order):
+        cyclic.setdefault(_closure(g, (x,)), x)
+    found = {h: (x,) for h, x in cyclic.items()}
+    work = list(found)
     while work:
         h = work.pop()
-        for k in tuple(subs):
-            if h <= k or k <= h:
+        for x in cyclic.values():
+            if x in h:
                 continue
-            j = frozenset(_closure(g, h | k))
-            if j not in subs:
-                subs.add(j)
+            gens = found[h] + (x,)
+            j = _closure(g, gens)
+            if j not in found:
+                found[j] = gens
                 work.append(j)
-    ordered = sorted(subs, key=lambda s: (len(s), tuple(sorted(s))))
+    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
     return [Subgroup(g, tuple(sorted(s))) for s in ordered]
 
 

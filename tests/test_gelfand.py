@@ -1,5 +1,7 @@
 """Multiplicity matrices, (strong) Gelfand decisions, prediction, audits."""
 
+import gc
+
 import pytest
 
 from sgp.errors import UnsupportedFamilyError
@@ -17,6 +19,7 @@ from sgp.gelfand import (
     group_audit_to_json,
 )
 from sgp.groups import (
+    FiniteGroup,
     all_subgroups,
     are_conjugate_subgroups,
     cyclic_group,
@@ -305,6 +308,20 @@ def test_audit_validates_each_subgroup_once(monkeypatch):
     report = audit("dicyclic", range(2, 7))
     assert sum(1 for ga in report.audits for e in ga.entries if e.record.witness) > 0
     assert len(calls) == sum(ga.total for ga in report.audits)
+
+
+def test_library_audit_frees_each_group_without_the_cycle_collector():
+    gc.collect()
+    before = {id(o): o for o in gc.get_objects() if isinstance(o, FiniteGroup)}
+    gc.disable()
+    try:
+        report = audit("dicyclic", range(2, 9))
+        left = sum(1 for o in gc.get_objects()
+                   if isinstance(o, FiniteGroup) and id(o) not in before)
+    finally:
+        gc.enable()
+    assert len(report.audits) == 7
+    assert left == 0
 
 
 # -- report renderings -----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Group construction, conjugacy classes, subgroup enumeration, descriptors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgp.chars import family_table, restrict, subgroup_table, trivial_character
 from sgp.errors import InvalidParameterError, SizeLimitError, UnsupportedFamilyError
@@ -9,6 +11,7 @@ from sgp.groups import (
     Subgroup,
     all_subgroups,
     are_conjugate_subgroups,
+    build_group,
     conjugacy_classes,
     cyclic_group,
     describe_subgroup,
@@ -27,6 +30,93 @@ def _sigma(n):
 
 def _tau(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+_FAMILIES = ("cyclic", "dihedral", "dicyclic")
+
+
+# -- reference enumerator ----------------------------------------------------------
+# The pairwise-join enumeration that cyclic extension replaced, kept as the
+# reference it is compared against.
+
+
+def closure_two_sided(g, seed):
+    """The subgroup generated by `seed`: every new element times every member, both sides."""
+    members = {g.identity}
+    work = []
+
+    def add(x):
+        if x not in members:
+            members.add(x)
+            work.append(x)
+
+    for s in seed:
+        add(s)
+    while work:
+        x = work.pop()
+        for y in tuple(members):
+            add(g.mul[x][y])
+            add(g.mul[y][x])
+    return members
+
+
+def all_subgroups_by_pairwise_joins(g):
+    """Every cyclic subgroup, closed under pairwise joins <H u K> to a fixed point."""
+    subs = {frozenset(closure_two_sided(g, (x,))) for x in range(g.order)}
+    work = list(subs)
+    while work:
+        h = work.pop()
+        for k in tuple(subs):
+            if h <= k or k <= h:
+                continue
+            j = frozenset(closure_two_sided(g, h | k))
+            if j not in subs:
+                subs.add(j)
+                work.append(j)
+    ordered = sorted(subs, key=lambda s: (len(s), tuple(sorted(s))))
+    return [tuple(sorted(s)) for s in ordered]
+
+
+# -- closed-form census and member sets -------------------------------------------
+
+
+def closed_form_subgroups(family, n):
+    """Every subgroup's member set from the classification, not from any closure.
+
+    Cn: <a^d> for d | n.  D2n: <a^d> and <a^d, ba^i> for d | n, 0 <= i < d.
+    Dic4n: <a^d> for d | 2n, and <a^d, ba^i> for d | n, 0 <= i < d.
+    Rotation a^k is element k and ba^k is element rot + k, rot being a's order.
+    """
+    rot = 2 * n if family == "dicyclic" else n
+    subs = [tuple(range(0, rot, d)) for d in range(1, rot + 1) if rot % d == 0]
+    if family != "cyclic":
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            rotations = tuple(range(0, rot, d))
+            for i in range(d):
+                subs.append(rotations + tuple(sorted(rot + (i + k) % rot for k in rotations)))
+    return sorted(subs, key=lambda s: (len(s), s))
+
+
+def census(family, n):
+    """Subgroup count: tau(n) for Cn, tau(n) + sigma(n) for D2n, tau(2n) + sigma(n) for Dic4n."""
+    if family == "cyclic":
+        return _tau(n)
+    if family == "dihedral":
+        return _tau(n) + _sigma(n)
+    return _tau(2 * n) + _sigma(n)
+
+
+def check_closed_form(family, ns):
+    """all_subgroups over each n agrees with the census and the closed-form member sets.
+
+    The whole default bound is one call per family, e.g.
+    check_closed_form("dihedral", range(1, 129)).
+    """
+    for n in ns:
+        found = [h.members for h in all_subgroups(build_group(family, n))]
+        expected = closed_form_subgroups(family, n)
+        assert len(found) == len(expected) == census(family, n), (family, n)
+        assert found == expected, (family, n)
 
 
 # -- constructors ------------------------------------------------------------
@@ -170,6 +260,23 @@ def test_generated_subgroup_examples():
     assert set(hb.members) == {dic12.element(w) for w in ("1", "b", "b^2", "b^3")}
 
     assert generated_subgroup(d10, [0]).members == (0,)
+    for bad in ([-1], [10], [5, -2]):
+        with pytest.raises(InvalidParameterError):
+            generated_subgroup(d10, bad)
+
+
+@st.composite
+def _generator_sets(draw):
+    g = build_group(draw(st.sampled_from(_FAMILIES)), draw(st.integers(1, 24)))
+    gens = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=3))
+    return g, gens
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_generator_sets())
+def test_generated_subgroup_equals_two_sided_closure(case):
+    g, gens = case
+    assert generated_subgroup(g, gens).members == tuple(sorted(closure_two_sided(g, gens)))
 
 
 def test_subgroup_validation_rejects_non_closed_sets():
@@ -226,6 +333,18 @@ def test_dihedral_subgroup_count_formula_up_to_16():
         assert len(seen) == len(subs)
         for h in subs:
             assert h.parent.order % h.order == 0
+
+
+@pytest.mark.parametrize("family, hi", [("cyclic", 64), ("dihedral", 48), ("dicyclic", 24)])
+def test_all_subgroups_match_census_and_closed_form(family, hi):
+    check_closed_form(family, range(1, hi + 1))
+
+
+@pytest.mark.parametrize("family, hi", [("cyclic", 30), ("dihedral", 16), ("dicyclic", 10)])
+def test_all_subgroups_match_pairwise_join_reference(family, hi):
+    for n in range(1, hi + 1):
+        g = build_group(family, n)
+        assert [h.members for h in all_subgroups(g)] == all_subgroups_by_pairwise_joins(g), n
 
 
 def test_all_subgroups_respects_size_bound():
