@@ -206,8 +206,14 @@ class Cyclotomic:
         den = self._den
         return tuple(Fraction(a, den) for a in self._num)
 
-    def is_zero(self) -> bool:
-        return not any(self._num)
+    def key(self, m: int) -> tuple[tuple[int, ...], int]:
+        """The value lifted to Q(zeta_m) as (numerators, denominator).
+
+        Two values are equal exactly when their keys at one m are equal, so
+        the key can index a dict where `Cyclotomic` itself cannot.
+        """
+        v = self.lift(m)
+        return v._num, v._den
 
     def as_rational(self) -> Fraction | None:
         """The value as a rational, or None when it is irrational."""
@@ -427,7 +433,7 @@ def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:
     buf = [0] * (2 * m - 1)
     den = 1
     for f, g, w in zip(fs, gs, weights):
-        if not w or f.is_zero() or g.is_zero():
+        if not w:
             continue
         d = f._den * g._den
         if d != den:

@@ -1,20 +1,38 @@
 """Multiplicity matrices, (strong) Gelfand decisions, and classification audits.
 
 The multiplicity matrix of a pair (G, H) holds <psi induced to G, chi>
-over Irr(H) x Irr(G).  Every matrix is computed twice, once through
-induction and once through restriction; the two paths must agree exactly
-(this is Frobenius reciprocity used as a runtime self-check) and any
-disagreement raises `InternalConsistencyError`.
+over Irr(H) x Irr(G).  Two exact symmetries fill most of it without
+arithmetic:
+
+* Galois.  For t a unit mod the exponent of G, sigma_t: zeta -> zeta^t
+  sends a character psi to x -> psi(x^t), so it permutes Irr(H) and
+  Irr(G) as the class power maps permute values; a multiplicity is
+  rational, so M[sigma_t psi][sigma_t chi] = M[psi][chi].  Only the first
+  row of each Galois orbit of Irr(H) is computed.
+* Conjugacy.  A conjugate x H x^-1 has the matrix of H with its rows
+  permuted through the class bijection h -> x h x^-1; `classify_subgroups`
+  computes one subgroup per conjugacy class.
+
+Each computed row goes through both paths, induction and restriction,
+which must agree exactly (Frobenius reciprocity as a runtime self-check),
+and every entry is certified a nonnegative integer.  Rows are matched by
+exact keys of their values, and a failed match or a map that is not a
+bijection raises `InternalConsistencyError`, as does a path disagreement.
+Called without a row subset, `multiplicity_by_induction` and
+`multiplicity_by_restriction` compute the whole matrix, the reference for
+the transported rows.
 
 `predict` encodes the closed-form classification rules for which
 subgroups of the dihedral and dicyclic families are strong Gelfand;
 `audit` diffs the brute-force classification against those rules and
-reports discrepancies as data, each carrying a dual-verified witness.
-The audit asserts nothing about which side is right.
+reports discrepancies as data, each carrying a witness re-verified through
+both paths on its own subgroup.  The audit asserts nothing about which
+side is right.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .chars import (
@@ -37,6 +55,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
+    conjugacy_classes,
     describe_subgroup,
     map_family,
     memoized,
@@ -96,22 +115,29 @@ def _check_pair(g: FiniteGroup, h: Subgroup) -> None:
         raise DomainMismatchError("subgroup does not belong to the given group")
 
 
-def multiplicity_by_induction(g: FiniteGroup, h: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """Rows <psi induced to G, chi> computed by decomposing each induction."""
-    _check_pair(g, h)
-    tg = family_table(g)
-    th = subgroup_table(h)
-    return tuple(decompose(induce(psi, h), tg) for psi in th.irreducibles)
+def _rows(h: Subgroup, rows):
+    irreducibles = subgroup_table(h).irreducibles
+    return irreducibles if rows is None else [irreducibles[i] for i in rows]
 
 
-def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """The same matrix computed as <psi, chi restricted to H>."""
+def multiplicity_by_induction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
+    """Rows <psi induced to G, chi> computed by decomposing each induction.
+
+    `rows` lists the indices of the subgroup-table rows to compute, in that
+    order; by default every row is computed.
+    """
     _check_pair(g, h)
     tg = family_table(g)
-    th = subgroup_table(h)
+    return tuple(decompose(induce(psi, h), tg) for psi in _rows(h, rows))
+
+
+def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
+    """The same rows computed as <psi, chi restricted to H>."""
+    _check_pair(g, h)
+    tg = family_table(g)
     restricted = [restrict(chi, h) for chi in tg.irreducibles]
-    rows = []
-    for psi in th.irreducibles:
+    out = []
+    for psi in _rows(h, rows):
         row = []
         for chi_down, chi in zip(restricted, tg.irreducibles):
             q = inner_product(psi, chi_down).as_rational_integer()
@@ -120,12 +146,95 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup) -> tuple[tuple[int,
                     f"<{psi.name}, {chi.name} restricted> is not a nonnegative integer"
                 )
             row.append(q)
-        rows.append(tuple(row))
-    return tuple(rows)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+# -- symmetry orbits -----------------------------------------------------------
+#
+# A row of a character table is keyed by the exact values it takes, each
+# lifted to Q(zeta_e) for e the exponent of its group, with equal values
+# sharing one small integer id.  A map c -> cmap[c] of classes then carries
+# a row to the tuple of ids it reads through the map, and that tuple names
+# the row it becomes, or no row at all.
+
+
+@dataclass(frozen=True)
+class _RowKeys:
+    ids: dict  # exact value key -> id
+    rows: tuple[tuple[int, ...], ...]  # one id per class, per table row
+    index: dict  # row of ids -> its table row
+
+
+@memoized
+def _row_keys(group: FiniteGroup) -> _RowKeys:
+    e = group.exponent()
+    ids: dict = {}
+    rows = tuple(
+        tuple(ids.setdefault(v.key(e), len(ids)) for v in psi.values)
+        for psi in family_table(group).irreducibles
+    )
+    index = {row: i for i, row in enumerate(rows)}
+    if len(index) != len(rows):
+        raise InternalConsistencyError(f"two rows of the table of {group.name} are equal")
+    return _RowKeys(ids, rows, index)
+
+
+def _row_permutation(dst: _RowKeys, rows, cmap) -> tuple[int, ...]:
+    """The row of `dst` that each row of ids in `rows` equals when read through `cmap`.
+
+    Row j of `dst` matches row i when dst row j takes at class c the value
+    row i takes at class cmap[c].  Every row must match a different row.
+    """
+    perm = tuple(dst.index.get(tuple(row[c] for c in cmap)) for row in rows)
+    if None in perm or len(set(perm)) != len(dst.rows):
+        raise InternalConsistencyError("a class map does not permute the table rows")
+    return perm
+
+
+def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
+    """The class of rep^t, for the representative rep of each class."""
+    cls = conjugacy_classes(group)
+    return tuple(cls.class_of[group.power(rep, t % group.element_order(rep))]
+                 for rep in cls.reps)
+
+
+@memoized
+def _galois_row_perms(group: FiniteGroup) -> dict[int, tuple[int, ...]]:
+    """For each unit t mod the exponent, the row permutation of sigma_t: zeta -> zeta^t.
+
+    sigma_t sends a character psi to the character x -> psi(x^t), so it
+    permutes the rows of the table as the class power map permutes values.
+    """
+    keys = _row_keys(group)
+    e = group.exponent()
+    return {t: _row_permutation(keys, keys.rows, _class_power_map(group, t))
+            for t in range(e) if math.gcd(t, e) == 1}
+
+
+def _galois_sources(h: Subgroup) -> list[tuple[int, int] | None]:
+    """For each row of the subgroup table: None for the first row of its
+    Galois orbit, else (r, t) with the row sigma_t of row r, t a unit mod
+    the exponent of the parent.
+    """
+    e_h = h.group.exponent()
+    perms = _galois_row_perms(h.group)
+    sources: dict = {}
+    for r in range(len(_row_keys(h.group).rows)):
+        if r not in sources:
+            sources[r] = None
+            for t in _galois_row_perms(h.parent):  # t mod e_h covers every unit mod e_h
+                sources.setdefault(perms[t % e_h][r], (r, t))
+    return [sources[i] for i in range(len(sources))]
 
 
 def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
-    """Dual-path multiplicity matrix for the pair (g, h), computed once per h."""
+    """Multiplicity matrix for the pair (g, h), computed once per h.
+
+    The first row of each Galois orbit of Irr(h) is computed by both paths;
+    a multiplicity is rational, so sigma_t fixes it, and each other row is
+    M[sigma_t psi][sigma_t chi] = M[psi][chi].
+    """
     _check_pair(g, h)
     return _multiplicity_matrix(h)
 
@@ -133,19 +242,86 @@ def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
 @memoized
 def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
     g = h.parent
-    via_induction = multiplicity_by_induction(g, h)
-    via_restriction = multiplicity_by_restriction(g, h)
+    sources = _galois_sources(h)
+    reps = [i for i, s in enumerate(sources) if s is None]
+    via_induction = multiplicity_by_induction(g, h, reps)
+    via_restriction = multiplicity_by_restriction(g, h, reps)
     if via_induction != via_restriction:
         raise InternalConsistencyError(
             f"induce-path and restrict-path matrices disagree for "
             f"({g.name}, subgroup of order {h.order})"
         )
+    rows = dict(zip(reps, via_induction))
+    col_perms = _galois_row_perms(g)
+    entries = []
+    for i, source in enumerate(sources):
+        if source is None:
+            entries.append(rows[i])
+        else:
+            r, t = source
+            moved = [0] * len(col_perms[t])
+            for c, j in enumerate(col_perms[t]):
+                moved[j] = rows[r][c]
+            entries.append(tuple(moved))
     return MultiplicityMatrix(
         group=g,
         subgroup=h,
         row_names=subgroup_table(h).names,
         col_names=family_table(g).names,
-        entries=via_induction,
+        entries=tuple(entries),
+    )
+
+
+def _conjugacy_orbits(g: FiniteGroup, subgroups: list[Subgroup]) -> list[tuple[int, int]]:
+    """For each subgroup K, (i, x) with K = x H x^-1 for H = subgroups[i],
+    the first subgroup of K's conjugacy class (x is the identity for H).
+
+    A breadth-first search over conjugation by the generators of g, which
+    tracks the conjugator; `subgroups` must hold every subgroup it reaches.
+    """
+    index = {h.members: i for i, h in enumerate(subgroups)}
+    gens = sorted(set(g.gens.values()))
+    orbits: list = [None] * len(subgroups)
+    for i, h in enumerate(subgroups):
+        if orbits[i] is not None:
+            continue
+        orbits[i] = (i, g.identity)
+        queue = [(h.members, g.identity)]
+        for members, x in queue:  # the queue grows while it is read
+            for s in gens:
+                j = index.get(tuple(sorted(g.conjugate(y, s) for y in members)))
+                if j is None:
+                    raise InternalConsistencyError("a conjugate subgroup is not in the list")
+                if orbits[j] is None:
+                    orbits[j] = (i, g.mul[s][x])
+                    queue.append((subgroups[j].members, orbits[j][1]))
+    return orbits
+
+
+def _conjugate_matrix(m: MultiplicityMatrix, k: Subgroup, x: int) -> MultiplicityMatrix:
+    """The matrix of k = x h x^-1, h = m.subgroup: the rows of m, permuted.
+
+    psi on k and psi(x . x^-1) on h induce to the same character, so their
+    rows agree; the classes of h and k correspond through x and the two
+    embeddings.
+    """
+    g, h = m.group, m.subgroup
+    if {g.conjugate(y, x) for y in h.members} != set(k.members):
+        raise InternalConsistencyError(f"the conjugator does not carry one subgroup of {g.name} "
+                                       f"onto the other")
+    emb, loc = h.embedding(), k.local_index()
+    cls_k = conjugacy_classes(k.group)
+    cmap = [cls_k.class_of[loc[g.conjugate(emb[rep], x)]]
+            for rep in conjugacy_classes(h.group).reps]
+    h_keys, k_keys = _row_keys(h.group), _row_keys(k.group)
+    to_h = {i: h_keys.ids.get(value) for value, i in k_keys.ids.items()}
+    perm = _row_permutation(h_keys, [tuple(to_h[v] for v in row) for row in k_keys.rows], cmap)
+    return MultiplicityMatrix(
+        group=g,
+        subgroup=k,
+        row_names=subgroup_table(k).names,
+        col_names=m.col_names,
+        entries=tuple(m.entries[j] for j in perm),
     )
 
 
@@ -187,8 +363,16 @@ class ClassificationReport:
 
 
 def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> ClassificationReport:
-    """One record per subgroup, in the deterministic all_subgroups order."""
+    """One record per subgroup, in the deterministic all_subgroups order.
+
+    The first subgroup of each conjugacy class gets `multiplicity_matrix`;
+    each of its conjugates gets that matrix with its rows permuted.
+    """
     subgroups = all_subgroups(g, max_order)
+    for k, (i, x) in zip(subgroups, _conjugacy_orbits(g, subgroups)):
+        if subgroups[i] is not k:
+            _multiplicity_matrix.remember(
+                k, _conjugate_matrix(multiplicity_matrix(g, subgroups[i]), k, x))
     records = []
     for h in subgroups:
         strong, witness = is_strong_gelfand(g, h)

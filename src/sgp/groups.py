@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 import random
 import re
 from collections.abc import Callable, Iterable, Iterator
@@ -72,7 +73,8 @@ def memoized(fn):
 
     Each value then lives and dies with the group or subgroup it describes.
     The key is the function's name with a leading underscore, so a memoized
-    method is not shadowed by its own value.
+    method is not shadowed by its own value.  `wrapper.remember(x, value)`
+    stores a value of `fn(x)` found another way.
     """
     key = "_" + fn.__name__
 
@@ -84,6 +86,10 @@ def memoized(fn):
             value = x.__dict__[key] = fn(x)
             return value
 
+    def remember(x, value):
+        x.__dict__[key] = value
+
+    wrapper.remember = remember
     return wrapper
 
 
@@ -179,6 +185,10 @@ class FiniteGroup:
 
     def element_order(self, i: int) -> int:
         return self._element_orders()[i]
+
+    def exponent(self) -> int:
+        """The least common multiple of the element orders."""
+        return math.lcm(*self._element_orders())
 
     def is_abelian(self) -> bool:
         return all(

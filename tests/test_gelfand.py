@@ -3,9 +3,14 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgp.errors import UnsupportedFamilyError
+import sgp.gelfand
+from sgp.cli import main
+from sgp.errors import InternalConsistencyError, UnsupportedFamilyError
 from sgp.gelfand import (
+    _conjugacy_orbits,
     Witness,
     audit,
     classify_subgroups,
@@ -22,6 +27,7 @@ from sgp.groups import (
     FiniteGroup,
     all_subgroups,
     are_conjugate_subgroups,
+    build_group,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -71,6 +77,72 @@ def test_both_computation_paths_agree():
     for g in (dihedral_group(7), dicyclic_group(4)):
         for h in all_subgroups(g):
             assert multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
+
+
+def _assert_matrices_equal_the_reference(g):
+    """Every classified subgroup's matrix equals both full paths; return how
+    many conjugates got their class representative's matrix with rows moved."""
+    report = classify_subgroups(g)
+    for h in report.subgroups:
+        entries = multiplicity_matrix(g, h).entries
+        assert entries == multiplicity_by_induction(g, h), (g.name, h.members)
+        assert entries == multiplicity_by_restriction(g, h), (g.name, h.members)
+    subs = report.subgroups
+    return sum(
+        1 for k, (i, _) in zip(subs, _conjugacy_orbits(g, subs))
+        if multiplicity_matrix(g, k).entries != multiplicity_matrix(g, subs[i]).entries
+    )
+
+
+def test_orbit_matrices_equal_the_two_path_reference():
+    permuted = 0
+    for family, top in (("cyclic", 30), ("dihedral", 16), ("dicyclic", 8)):
+        for n in range(1, top + 1):
+            permuted += _assert_matrices_equal_the_reference(build_group(family, n))
+    assert permuted > 0
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.sampled_from(["cyclic", "dihedral", "dicyclic"]), st.integers(1, 24),
+       st.integers(0, 10**6))
+def test_orbit_matrix_of_a_random_subgroup_equals_the_reference(family, n, pick):
+    g = build_group(family, n)
+    subs = classify_subgroups(g).subgroups
+    h = subs[pick % len(subs)]
+    entries = multiplicity_matrix(g, h).entries
+    assert entries == multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
+
+
+@pytest.mark.parametrize("g", [dihedral_group(n) for n in range(1, 13)]
+                         + [dicyclic_group(n) for n in range(1, 7)], ids=lambda g: g.name)
+def test_subgroup_orbits_are_the_conjugacy_classes(g):
+    subs = all_subgroups(g)
+    orbits = _conjugacy_orbits(g, subs)
+    for k, (i, x) in zip(subs, orbits):
+        assert {g.conjugate(y, x) for y in subs[i].members} == set(k.members)
+        assert orbits[i] == (i, g.identity)
+    for a in range(len(subs)):
+        for b in range(a + 1, len(subs)):
+            same = orbits[a][0] == orbits[b][0]
+            assert same == are_conjugate_subgroups(g, subs[a], subs[b])
+
+
+def _wrong_power_map(original):
+    return lambda group, t: original(group, t + 1)
+
+
+def _wrong_conjugator(original):
+    return lambda g, subgroups: [(i, g.identity) for i, _ in original(g, subgroups)]
+
+
+@pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
+                                         ("_conjugacy_orbits", _wrong_conjugator)])
+def test_a_wrong_transport_is_an_internal_consistency_error(name, wrong, monkeypatch, capsys):
+    monkeypatch.setattr(sgp.gelfand, name, wrong(getattr(sgp.gelfand, name)))
+    with pytest.raises(InternalConsistencyError):
+        classify_subgroups(dihedral_group(6))
+    assert main(["classify", "dihedral", "6"]) == 2
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 def test_row_degree_accounting():
@@ -281,7 +353,7 @@ def _closed_form_discrepancy(family, n):
     return f"C{n}" if n % 2 == 0 else None
 
 
-@pytest.mark.parametrize("family, ns", [("dihedral", range(3, 21)), ("dicyclic", range(2, 13))])
+@pytest.mark.parametrize("family, ns", [("dihedral", range(3, 29)), ("dicyclic", range(2, 17))])
 def test_audit_discrepancies_follow_their_closed_form(family, ns):
     for ga in audit(family, ns).audits:
         expected = _closed_form_discrepancy(family, ga.n)
