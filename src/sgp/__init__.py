@@ -30,7 +30,6 @@ from .groups import (
     dihedral_group,
     full_subgroup,
     generated_subgroup,
-    product_group,
     trivial_subgroup,
 )
 from .chars import (
@@ -47,7 +46,6 @@ from .chars import (
     subgroup_table,
     table_to_json,
     table_to_text,
-    tensor_table,
     trivial_character,
     validate_table,
 )
@@ -76,11 +74,11 @@ __all__ = [
     "ConjugacyClasses", "FiniteGroup", "Subgroup", "all_subgroups",
     "are_conjugate_subgroups", "build_group", "conjugacy_classes",
     "cyclic_group", "describe_subgroup", "dicyclic_group", "dihedral_group",
-    "full_subgroup", "generated_subgroup", "product_group", "trivial_subgroup",
+    "full_subgroup", "generated_subgroup", "trivial_subgroup",
     "CharacterTable", "ClassFunction", "constructive_family_table",
     "decompose", "family_table", "induce", "inner_product",
     "linear_characters_bruteforce", "regular_character", "restrict",
-    "subgroup_table", "table_to_json", "table_to_text", "tensor_table",
+    "subgroup_table", "table_to_json", "table_to_text",
     "trivial_character", "validate_table",
     "AuditReport", "ClassificationReport", "ClassificationRule", "GroupAudit",
     "MultiplicityMatrix", "Witness", "audit", "classify_subgroups",

@@ -38,7 +38,6 @@ from .groups import (
     conjugacy_classes,
     generated_subgroup,
     memoized,
-    product_group,
 )
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "induce",
     "family_table",
     "subgroup_table",
-    "tensor_table",
     "validate_table",
     "decompose",
     "linear_characters_bruteforce",
@@ -279,33 +277,9 @@ def family_table(g: FiniteGroup) -> CharacterTable:
             rows = _cyclic_rows(g, g.gens["b"])
         else:
             rows = _dicyclic_rows(g)
-    elif g.family == "product":
-        g1, g2 = g.factors
-        return tensor_table(family_table(g1), family_table(g2), g)
     else:
         raise UnsupportedFamilyError(f"no closed-form table for family {g.family!r}")
     return CharacterTable(g, tuple(rows), "closed-form")
-
-
-def tensor_table(t1: CharacterTable, t2: CharacterTable,
-                 product: FiniteGroup | None = None) -> CharacterTable:
-    """Character table of a direct product as the tensor of factor tables."""
-    if product is None:
-        product = product_group(t1.group, t2.group)
-    if len(product.factors) != 2 or product.factors[0] is not t1.group \
-            or product.factors[1] is not t2.group:
-        raise DomainMismatchError("tables must belong to the factors of the product group")
-    o2 = t2.group.order
-    cls = conjugacy_classes(product)
-    rows = []
-    for r1 in t1.irreducibles:
-        for r2 in t2.irreducibles:
-            values = []
-            for rep in cls.reps:
-                i1, i2 = divmod(rep, o2)
-                values.append(r1.value_on_element(i1) * r2.value_on_element(i2))
-            rows.append(ClassFunction(product, tuple(values), f"{r1.name}⊗{r2.name}"))
-    return CharacterTable(product, tuple(rows), "closed-form")
 
 
 def subgroup_table(h: Subgroup) -> CharacterTable:
@@ -313,8 +287,7 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
 
     Every subgroup of a cyclic, dihedral or dicyclic group is again cyclic,
     dihedral or dicyclic, and `h.group` is that family group; `h.embedding()`
-    maps its elements into the parent.  A non-cyclic proper subgroup of a
-    product group has no family group and raises `UnsupportedFamilyError`.
+    maps its elements into the parent.
     """
     return family_table(h.group)
 

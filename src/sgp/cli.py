@@ -276,6 +276,9 @@ def _cmd_atlas(args) -> int:
     ns = _parse_range(args.n, args.family, bound)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # An old manifest must not survive a run that fails partway through.
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     manifest = []
     for doc in groups.map_family(args.family, ns, lambda g: _atlas_document(g, bound), bound):
         payload = (_json_dumps(doc) + "\n").encode("utf-8")
@@ -283,7 +286,9 @@ def _cmd_atlas(args) -> int:
         (out_dir / filename).write_bytes(payload)
         manifest.append({"file": filename, "sha256": hashlib.sha256(payload).hexdigest()})
     manifest_text = _json_dumps(manifest) + "\n"
-    (out_dir / "manifest.json").write_text(manifest_text, encoding="utf-8")
+    partial = out_dir / "manifest.json.partial"
+    partial.write_text(manifest_text, encoding="utf-8")
+    os.replace(partial, manifest_path)
     print(manifest_text, end="")
     return EXIT_OK
 

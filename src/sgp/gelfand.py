@@ -557,12 +557,9 @@ def _record_json(record: SubgroupRecord, predicted: bool | None = None) -> dict:
 
 def classification_to_json(report: ClassificationReport) -> dict:
     g = report.group
-    out = {"group": g.name, "order": g.order,
-           "subgroups": [_record_json(r) for r in report.records]}
-    if g.family in ("cyclic", "dihedral", "dicyclic"):
-        out["family"] = g.family
-        out["n"] = g.n
-    return out
+    return {"group": g.name, "order": g.order,
+            "subgroups": [_record_json(r) for r in report.records],
+            "family": g.family, "n": g.n}
 
 
 def group_audit_to_json(ga: GroupAudit) -> dict:

@@ -19,20 +19,19 @@ from sgp.chars import (
     subgroup_table,
     table_to_json,
     table_to_text,
-    tensor_table,
     trivial_character,
     validate_table,
 )
 from sgp.cyclo import rational, zeta
 from sgp.errors import DomainMismatchError, IntegralityError, UnsupportedFamilyError
 from sgp.groups import (
+    FiniteGroup,
     all_subgroups,
     conjugacy_classes,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
     generated_subgroup,
-    product_group,
     Subgroup,
     trivial_subgroup,
 )
@@ -312,77 +311,18 @@ def test_d2_and_d4_tables():
     t2 = family_table(dihedral_group(1))
     assert t2.names == ("χ_1", "χ_2")
     assert t2.irreducibles[1].values == (rational(1), rational(-1))
-    t4 = family_table(dihedral_group(2))
-    assert len(t4.irreducibles) == 4
-    assert validate_table(t4).passed
-
-
-# -- tensor tables ---------------------------------------------------------------------
-
-
-def test_tensor_c2_c2_gives_klein_four_table():
-    c2 = cyclic_group(2)
-    t = tensor_table(family_table(c2), family_table(cyclic_group(2)))
-    ints = [[v.as_rational_integer() for v in r.values] for r in t.irreducibles]
+    d4 = dihedral_group(2)
+    t4 = family_table(d4)
+    assert [d4.labels[rep] for rep in conjugacy_classes(d4).reps] == ["1", "a", "b", "ba"]
+    # the Klein-four table: every row a sign character
+    ints = [[v.as_rational_integer() for v in r.values] for r in t4.irreducibles]
     assert ints == [
         [1, 1, 1, 1],
-        [1, -1, 1, -1],
         [1, 1, -1, -1],
+        [1, -1, 1, -1],
         [1, -1, -1, 1],
     ]
-    assert validate_table(t).passed
-
-
-def test_d4_table_matches_tensor_construction():
-    d4 = dihedral_group(2)
-    v4 = product_group(cyclic_group(2), cyclic_group(2))
-    tensor = family_table(v4)
-    direct = family_table(d4)
-    # correspondence (i, j) in C2 x C2  <->  b^j a^i in D4
-    mapping = {2 * i + j: d4.element("1" if (i, j) == (0, 0) else
-                                     ("a" if (i, j) == (1, 0) else
-                                      ("b" if (i, j) == (0, 1) else "ba")))
-               for i in range(2) for j in range(2)}
-    for tr, dr in zip(tensor.irreducibles, direct.irreducibles):
-        for e in range(4):
-            assert tr.value_on_element(e) == dr.value_on_element(mapping[e])
-
-
-def test_tensor_with_trivial_factor_is_identity():
-    c1 = cyclic_group(1)
-    c5 = cyclic_group(5)
-    t = tensor_table(family_table(c5), family_table(c1))
-    base = family_table(c5)
-    for r, b in zip(t.irreducibles, base.irreducibles):
-        assert r.values == b.values
-
-
-def test_tensor_c3_c2_isomorphic_to_c6():
-    prod = product_group(cyclic_group(3), cyclic_group(2))
-    t = family_table(prod)
-    c6 = cyclic_group(6)
-    t6 = family_table(c6)
-    # CRT isomorphism: product exponents (i, j) -> the element of C6 with
-    # exponent x = i mod 3, x = j mod 2
-    iso = {}
-    for x in range(6):
-        iso[2 * (x % 3) + (x % 2)] = x
-    matched = 0
-    for r in t.irreducibles:
-        reordered = tuple(r.value_on_element(p) for p, x in
-                          sorted(iso.items(), key=lambda kv: kv[1]))
-        for row in t6.irreducibles:
-            if all(a == b for a, b in zip(reordered, row.values)):
-                matched += 1
-                break
-    assert matched == 6
-
-
-def test_tensor_rejects_foreign_factors():
-    c2, c3 = cyclic_group(2), cyclic_group(3)
-    prod = product_group(c2, c3)
-    with pytest.raises(DomainMismatchError):
-        tensor_table(family_table(cyclic_group(2)), family_table(c3), prod)
+    assert validate_table(t4).passed
 
 
 # -- validation --------------------------------------------------------------------------
@@ -482,10 +422,10 @@ def test_constructive_table_equals_family_for_cyclic():
         assert a.values == b.values
 
 
-def test_constructive_rejects_products():
-    v4 = product_group(cyclic_group(2), cyclic_group(2))
+def test_constructive_rejects_unknown_family():
+    g = FiniteGroup([[0, 1], [1, 0]], ["1", "x"], "mystery")
     with pytest.raises(UnsupportedFamilyError):
-        constructive_family_table(v4)
+        constructive_family_table(g)
 
 
 # -- subgroup tables ------------------------------------------------------------------------------

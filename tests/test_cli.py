@@ -255,6 +255,25 @@ def test_atlas_writes_files_and_manifest(tmp_path, capsys):
         assert digest == entry["sha256"]
 
 
+def test_failed_atlas_rerun_leaves_no_old_manifest(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "atlas"
+    rc, _, _ = run(capsys, "atlas", "dihedral", "3..5", "--out", str(out_dir))
+    assert rc == 0 and (out_dir / "manifest.json").exists()
+    validate = sgp.chars.validate_table
+
+    def fail_on_d8(t):
+        if t.group.name == "D8":
+            return TableValidation(False, ("forced failure",))
+        return validate(t)
+
+    monkeypatch.setattr(sgp.chars, "validate_table", fail_on_d8)
+    rc, _, err = run(capsys, "atlas", "dihedral", "3..5", "--out", str(out_dir))
+    assert rc == 3
+    assert "table validation failed: forced failure" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "dihedral_3.json", "dihedral_4.json", "dihedral_5.json"]
+
+
 def test_atlas_rerun_is_byte_identical(tmp_path, capsys):
     out_dir = tmp_path / "atlas"
     run(capsys, "atlas", "dicyclic", "2..4", "--out", str(out_dir))

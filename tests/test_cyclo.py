@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgp.cyclo import (
     Cyclotomic,
@@ -198,6 +200,40 @@ def test_conj_is_involution_and_ring_homomorphism():
         assert x.conj().conj() == x
         assert (x * y).conj() == x.conj() * y.conj()
         assert (x + y).conj() == x.conj() + y.conj()
+
+
+_DIVISORS_72 = [d for d in range(1, 73) if 72 % d == 0]
+
+
+@st.composite
+def _values_over_divisors_of_72(draw):
+    m = draw(st.sampled_from(_DIVISORS_72))
+    phi = euler_phi(m)
+    coeffs = draw(st.lists(st.fractions(-9, 9, max_denominator=4), min_size=phi, max_size=phi))
+    return Cyclotomic(m, coeffs)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_values_over_divisors_of_72(), _values_over_divisors_of_72(),
+       _values_over_divisors_of_72(), st.sampled_from(_DIVISORS_72))
+def test_ring_laws_conj_and_lift_across_orders(x, y, z, k):
+    # ring laws, each side computed in the field of its own operands' orders
+    assert (x + y) + z == x + (y + z)
+    assert x + y == y + x
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x and x - x == 0 and (x - y) + y == x
+    # conj is an involutive ring automorphism
+    assert x.conj().conj() == x
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert (x + y).conj() == x.conj() + y.conj()
+    # lifting changes the field, not the value or the operations
+    m = math.lcm(x.order, k)
+    assert lift(x, m).order == m and lift(x, m) == x
+    assert lift(x, 72) * lift(y, 72) == lift(x * y, 72)
+    assert lift(x, 72) + lift(y, 72) == lift(x + y, 72)
+    assert lift(x, 72).conj() == lift(x.conj(), 72)
 
 
 def test_approx_is_consistent_with_exact_arithmetic():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgp.chars import family_table, restrict, subgroup_table, trivial_character
+from sgp.chars import family_table, subgroup_table
 from sgp.errors import InvalidParameterError, SizeLimitError, UnsupportedFamilyError
 from sgp.groups import (
     FiniteGroup,
@@ -18,7 +18,6 @@ from sgp.groups import (
     dicyclic_group,
     dihedral_group,
     generated_subgroup,
-    product_group,
     subgroup_structure,
     trivial_subgroup,
 )
@@ -149,15 +148,6 @@ def test_dicyclic_degenerate_is_cyclic_of_order_four():
     assert g.element_order(b) == 4
 
 
-def test_product_of_two_cyclic_groups_is_klein_four():
-    v4 = product_group(cyclic_group(2), cyclic_group(2))
-    assert v4.order == 4
-    assert set(v4.labels) == {"1", "a", "b", "ab"}
-    assert v4.is_abelian()
-    for e in range(4):
-        assert v4.mul[e][e] == v4.identity
-
-
 def test_invalid_parameters_are_rejected():
     for ctor in (cyclic_group, dihedral_group, dicyclic_group):
         with pytest.raises(InvalidParameterError):
@@ -180,9 +170,32 @@ def test_broken_multiplication_table_is_rejected():
         FiniteGroup(bad, list("1wxyz"), "cyclic")
 
 
+def test_swapped_intercalate_above_order_64_is_rejected():
+    # For an involution t, rows x, xt and columns ty, y of a group table
+    # form a 2x2 Latin subsquare.  Swapping its two values keeps the
+    # Latin-square, identity and inverse laws but breaks associativity.
+    g = dihedral_group(36)
+    x, t, y = g.element("a"), g.element("b"), g.element("a")
+    u, v = g.mul[x][g.mul[t][y]], g.mul[x][y]
+    assert g.identity not in (u, v)
+    mul = [list(row) for row in g.mul]
+    for r in (x, g.mul[x][t]):
+        for c in (g.mul[t][y], y):
+            mul[r][c] = {u: v, v: u}[mul[r][c]]
+    assert g.order > 64 and mul != [list(row) for row in g.mul]
+    for gens in (g.gens, None):
+        with pytest.raises(InvalidParameterError, match="associativity"):
+            FiniteGroup(mul, g.labels, "dihedral", n=36, gens=gens)
+
+
+def test_generators_must_generate_the_table():
+    g = dihedral_group(5)
+    with pytest.raises(InvalidParameterError, match="generate"):
+        FiniteGroup(g.mul, g.labels, "dihedral", n=5, gens={"a": g.gens["a"]})
+
+
 def test_labels_round_trip_through_parser():
-    for g in (cyclic_group(7), dihedral_group(6), dicyclic_group(4),
-              product_group(cyclic_group(3), cyclic_group(2))):
+    for g in (cyclic_group(7), dihedral_group(6), dicyclic_group(4)):
         for idx, label in enumerate(g.labels):
             assert g.element(label) == idx
     g = dicyclic_group(3)
@@ -448,14 +461,15 @@ def test_subgroup_group_reindexes_consistently():
             assert subgroup_table(h) is family_table(hg)
 
 
-def test_unclassified_product_subgroup_has_no_family_group():
-    g = product_group(cyclic_group(2), cyclic_group(4))
-    h = generated_subgroup(g, ["a", "b^2"])
-    assert h.order == 4 and subgroup_structure(h) == ("unclassified", None)
+def test_non_cyclic_subgroup_of_unknown_family_is_refused():
+    d4 = dihedral_group(2)
+    g = FiniteGroup(d4.mul, d4.labels, "mystery")
+    assert subgroup_structure(Subgroup(g, (0, 1))) == ("cyclic", 1)
+    whole = Subgroup(g, tuple(range(4)))
     with pytest.raises(UnsupportedFamilyError):
-        h.group
+        subgroup_structure(whole)
     with pytest.raises(UnsupportedFamilyError):
-        restrict(trivial_character(g), h)
+        describe_subgroup(whole)
 
 
 def test_full_subgroup_group_is_parent():

@@ -1,5 +1,6 @@
 """Every name a package module imports is read there or re-exported in `__all__`,
-and every module-level private name is read by some package module."""
+every name in a module's `__all__` is bound there, and every module-level
+private name is read by some package module."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,34 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names listed in `__all__` that no top-level statement of the module binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
+def test_unbound_exports_are_found():
+    source = ("from x import a\nimport y.z\nB = 1\ndef c():\n    pass\n"
+              "__all__ = ['a', 'y', 'B', 'c', 'gone', 'z']\n")
+    assert unbound_exports(source) == ["gone", "z"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
 
 
 def private_definitions(source: str) -> set[str]:
