@@ -124,6 +124,14 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text + "\n", encoding="utf-8")
 
 
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write `data` to `<path>.partial` and rename it into place, so a run
+    that stops partway never leaves `path` half written."""
+    partial = path.with_name(path.name + ".partial")
+    partial.write_bytes(data)
+    os.replace(partial, path)
+
+
 def _json_dumps(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, indent=2)
 
@@ -283,12 +291,10 @@ def _cmd_atlas(args) -> int:
     for doc in groups.map_family(args.family, ns, lambda g: _atlas_document(g, bound), bound):
         payload = (_json_dumps(doc) + "\n").encode("utf-8")
         filename = f"{args.family}_{doc['n']}.json"
-        (out_dir / filename).write_bytes(payload)
+        _write_atomically(out_dir / filename, payload)
         manifest.append({"file": filename, "sha256": hashlib.sha256(payload).hexdigest()})
     manifest_text = _json_dumps(manifest) + "\n"
-    partial = out_dir / "manifest.json.partial"
-    partial.write_text(manifest_text, encoding="utf-8")
-    os.replace(partial, manifest_path)
+    _write_atomically(manifest_path, manifest_text.encode("utf-8"))
     print(manifest_text, end="")
     return EXIT_OK
 

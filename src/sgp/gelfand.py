@@ -11,7 +11,7 @@ arithmetic:
   row of each Galois orbit of Irr(H) is computed.
 * Conjugacy.  A conjugate x H x^-1 has the matrix of H with its rows
   permuted through the class bijection h -> x h x^-1; `classify_subgroups`
-  computes one subgroup per conjugacy class.
+  computes the first subgroup of each class (`class_representative`).
 
 Each computed row goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
@@ -23,7 +23,7 @@ Called without a row subset, `multiplicity_by_induction` and
 the transported rows.
 
 `predict` encodes the closed-form classification rules for which
-subgroups of the dihedral and dicyclic families are strong Gelfand;
+subgroups of each family are strong Gelfand;
 `audit` diffs the brute-force classification against those rules and
 reports discrepancies as data, each carrying a witness re-verified through
 both paths on its own subgroup.  The audit asserts nothing about which
@@ -55,6 +55,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
+    class_representative,
     conjugacy_classes,
     describe_subgroup,
     map_family,
@@ -159,15 +160,9 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple
 # the row it becomes, or no row at all.
 
 
-@dataclass(frozen=True)
-class _RowKeys:
-    ids: dict  # exact value key -> id
-    rows: tuple[tuple[int, ...], ...]  # one id per class, per table row
-    index: dict  # row of ids -> its table row
-
-
 @memoized
-def _row_keys(group: FiniteGroup) -> _RowKeys:
+def _row_keys(group: FiniteGroup) -> dict[tuple[int, ...], int]:
+    """Each row of the table of `group`, in table order, as one id per class -> its index."""
     e = group.exponent()
     ids: dict = {}
     rows = tuple(
@@ -177,17 +172,17 @@ def _row_keys(group: FiniteGroup) -> _RowKeys:
     index = {row: i for i, row in enumerate(rows)}
     if len(index) != len(rows):
         raise InternalConsistencyError(f"two rows of the table of {group.name} are equal")
-    return _RowKeys(ids, rows, index)
+    return index
 
 
-def _row_permutation(dst: _RowKeys, rows, cmap) -> tuple[int, ...]:
-    """The row of `dst` that each row of ids in `rows` equals when read through `cmap`.
+def _row_permutation(keys: dict[tuple[int, ...], int], cmap) -> tuple[int, ...]:
+    """The row that each row of the table equals when read through `cmap`.
 
-    Row j of `dst` matches row i when dst row j takes at class c the value
-    row i takes at class cmap[c].  Every row must match a different row.
+    Row j matches row i when row j takes at class c the value row i takes
+    at class cmap[c].  Every row must match a different row.
     """
-    perm = tuple(dst.index.get(tuple(row[c] for c in cmap)) for row in rows)
-    if None in perm or len(set(perm)) != len(dst.rows):
+    perm = tuple(keys.get(tuple(row[c] for c in cmap)) for row in keys)
+    if None in perm or len(set(perm)) != len(keys):
         raise InternalConsistencyError("a class map does not permute the table rows")
     return perm
 
@@ -208,7 +203,7 @@ def _galois_row_perms(group: FiniteGroup) -> dict[int, tuple[int, ...]]:
     """
     keys = _row_keys(group)
     e = group.exponent()
-    return {t: _row_permutation(keys, keys.rows, _class_power_map(group, t))
+    return {t: _row_permutation(keys, _class_power_map(group, t))
             for t in range(e) if math.gcd(t, e) == 1}
 
 
@@ -220,7 +215,7 @@ def _galois_sources(h: Subgroup) -> list[tuple[int, int] | None]:
     e_h = h.group.exponent()
     perms = _galois_row_perms(h.group)
     sources: dict = {}
-    for r in range(len(_row_keys(h.group).rows)):
+    for r in range(len(_row_keys(h.group))):
         if r not in sources:
             sources[r] = None
             for t in _galois_row_perms(h.parent):  # t mod e_h covers every unit mod e_h
@@ -272,50 +267,23 @@ def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
     )
 
 
-def _conjugacy_orbits(g: FiniteGroup, subgroups: list[Subgroup]) -> list[tuple[int, int]]:
-    """For each subgroup K, (i, x) with K = x H x^-1 for H = subgroups[i],
-    the first subgroup of K's conjugacy class (x is the identity for H).
-
-    A breadth-first search over conjugation by the generators of g, which
-    tracks the conjugator; `subgroups` must hold every subgroup it reaches.
-    """
-    index = {h.members: i for i, h in enumerate(subgroups)}
-    gens = sorted(set(g.gens.values()))
-    orbits: list = [None] * len(subgroups)
-    for i, h in enumerate(subgroups):
-        if orbits[i] is not None:
-            continue
-        orbits[i] = (i, g.identity)
-        queue = [(h.members, g.identity)]
-        for members, x in queue:  # the queue grows while it is read
-            for s in gens:
-                j = index.get(tuple(sorted(g.conjugate(y, s) for y in members)))
-                if j is None:
-                    raise InternalConsistencyError("a conjugate subgroup is not in the list")
-                if orbits[j] is None:
-                    orbits[j] = (i, g.mul[s][x])
-                    queue.append((subgroups[j].members, orbits[j][1]))
-    return orbits
-
-
 def _conjugate_matrix(m: MultiplicityMatrix, k: Subgroup, x: int) -> MultiplicityMatrix:
     """The matrix of k = x h x^-1, h = m.subgroup: the rows of m, permuted.
 
     psi on k and psi(x . x^-1) on h induce to the same character, so their
-    rows agree; the classes of h and k correspond through x and the two
-    embeddings.
+    rows agree.  h and k share one family group, whose classes correspond
+    through x and the two embeddings.
     """
     g, h = m.group, m.subgroup
+    if k.group is not h.group:
+        raise InternalConsistencyError(f"two conjugate subgroups of {g.name} have different groups")
     if {g.conjugate(y, x) for y in h.members} != set(k.members):
         raise InternalConsistencyError(f"the conjugator does not carry one subgroup of {g.name} "
                                        f"onto the other")
     emb, loc = h.embedding(), k.local_index()
-    cls_k = conjugacy_classes(k.group)
-    cmap = [cls_k.class_of[loc[g.conjugate(emb[rep], x)]]
-            for rep in conjugacy_classes(h.group).reps]
-    h_keys, k_keys = _row_keys(h.group), _row_keys(k.group)
-    to_h = {i: h_keys.ids.get(value) for value, i in k_keys.ids.items()}
-    perm = _row_permutation(h_keys, [tuple(to_h[v] for v in row) for row in k_keys.rows], cmap)
+    cls = conjugacy_classes(h.group)
+    cmap = [cls.class_of[loc[g.conjugate(emb[rep], x)]] for rep in cls.reps]
+    perm = _row_permutation(_row_keys(h.group), cmap)
     return MultiplicityMatrix(
         group=g,
         subgroup=k,
@@ -369,10 +337,10 @@ def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Cl
     each of its conjugates gets that matrix with its rows permuted.
     """
     subgroups = all_subgroups(g, max_order)
-    for k, (i, x) in zip(subgroups, _conjugacy_orbits(g, subgroups)):
-        if subgroups[i] is not k:
-            _multiplicity_matrix.remember(
-                k, _conjugate_matrix(multiplicity_matrix(g, subgroups[i]), k, x))
+    for k in subgroups:
+        h, x = class_representative(k)
+        if h is not k:
+            _multiplicity_matrix.remember(k, _conjugate_matrix(multiplicity_matrix(g, h), k, x))
     records = []
     for h in subgroups:
         strong, witness = is_strong_gelfand(g, h)
@@ -415,26 +383,20 @@ class ClassificationRule:
 
 
 def predict(family: str, n: int) -> ClassificationRule:
-    """Prediction for a dihedral or dicyclic group of parameter n.
+    """Prediction for the family group of parameter n.
 
     Dihedral: strong Gelfand subgroups are those containing a reflection
     (reflection and dihedral subgroups), the maximal rotation subgroup,
     and for even n the index-four rotation subgroup.  Dicyclic (n >= 2):
     the <ba^i>-type subgroups, the dicyclic subgroups, and the rotation
-    subgroups of order n and 2n.  Degenerate abelian cases (dihedral
-    n <= 2, dicyclic n = 1) predict every subgroup.
+    subgroups of order n and 2n.  Abelian groups (cyclic, dihedral n <= 2,
+    dicyclic n = 1) predict every subgroup.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if family not in ("dihedral", "dicyclic"):
+    if family not in ("cyclic", "dihedral", "dicyclic"):
         raise UnsupportedFamilyError(f"no classification rule for family {family!r}")
     return ClassificationRule(family, n)
-
-
-def _prediction_for(family: str, n: int) -> ClassificationRule:
-    if family == "cyclic":
-        return ClassificationRule(family, n)
-    return predict(family, n)
 
 
 @dataclass(frozen=True)
@@ -504,7 +466,7 @@ def _reverify_witness(g: FiniteGroup, h: Subgroup, witness: Witness) -> None:
 
 def audit_group(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> GroupAudit:
     """Diff the brute-force classification of one family group against the rules."""
-    prediction = _prediction_for(g.family, g.n)
+    prediction = predict(g.family, g.n)
     report = classify_subgroups(g, max_order)
     entries = []
     discrepancies = []

@@ -18,6 +18,8 @@ once by `memoized` and kept on that object.
 Every subgroup of a cyclic, dihedral or dicyclic group is again one of
 these.  `Subgroup.group` is that family group (the parent when full) and
 `Subgroup.embedding()` the parent element each of its elements stands for.
+`all_subgroups` finds each conjugacy class of subgroups once, as
+`class_representative` records, and conjugates share one family group.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "trivial_subgroup",
     "full_subgroup",
     "all_subgroups",
+    "class_representative",
     "describe_subgroup",
     "subgroup_structure",
     "are_conjugate_subgroups",
@@ -289,14 +292,13 @@ def check_order(order: int, max_order: int) -> None:
         raise SizeLimitError(f"group order {order} exceeds the bound {max_order}")
 
 
+_CONSTRUCTORS = {"cyclic": cyclic_group, "dihedral": dihedral_group, "dicyclic": dicyclic_group}
+
+
 def build_group(family: str, n: int) -> FiniteGroup:
-    if family == "cyclic":
-        return cyclic_group(n)
-    if family == "dihedral":
-        return dihedral_group(n)
-    if family == "dicyclic":
-        return dicyclic_group(n)
-    raise UnsupportedFamilyError(f"unknown family {family!r}")
+    if family not in _CONSTRUCTORS:
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
+    return _CONSTRUCTORS[family](n)
 
 
 def map_family(family: str, ns: Iterable[int], fn: Callable[[FiniteGroup], object],
@@ -395,6 +397,8 @@ class Subgroup:
         Element r of a cyclic model is gen^r and element j*rot + i of a
         dihedral or dicyclic one is b1^j a1^i (generators from
         `subgroup_structure`), checked to be an isomorphism onto `members`.
+        A conjugate shares the group of the first subgroup of its class
+        (`class_representative`) but keeps its own embedding.
         """
         p = self.parent
         if self.is_full():
@@ -408,15 +412,14 @@ class Subgroup:
 
         kind, data = subgroup_structure(self)
         if kind in ("trivial", "cyclic"):
-            model = cyclic_group(self.order)
-            emb = powers(data, self.order)  # the trivial generator None is never read
+            family, emb = "cyclic", powers(data, self.order)  # the trivial generator None is never read
         else:
             a1, b1 = data
-            model = dihedral_group(self.order // 2) if kind == "dihedral" \
-                else dicyclic_group(self.order // 4)
-            rotations = powers(a1, model.order // 2)
-            emb = rotations + [p.mul[b1][x] for x in rotations]
-        emb = tuple(emb)
+            rotations = powers(a1, self.order // 2)
+            family, emb = kind, rotations + [p.mul[b1][x] for x in rotations]
+        first = class_representative(self)[0]
+        model = first.group if first is not self else \
+            _CONSTRUCTORS[family](self.order // _FAMILY_ORDER_FACTOR[family])
         if tuple(sorted(emb)) != self.members or any(
             emb[model.mul[x][s]] != p.mul[emb[x]][emb[s]]
             for x in range(model.order)
@@ -425,7 +428,7 @@ class Subgroup:
             raise InternalConsistencyError(
                 f"embedding of {model.name} in {p.name} is not an isomorphism onto the subgroup"
             )
-        return model, emb
+        return model, tuple(emb)
 
     @property
     def group(self) -> FiniteGroup:
@@ -481,33 +484,59 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
+@memoized
+def class_representative(h: Subgroup) -> tuple[Subgroup, int]:
+    """(first, x) with h = x first x^-1, first the subgroup of h's conjugacy
+    class that `all_subgroups` found first; (h, identity) for a subgroup
+    made any other way."""
+    return h, h.parent.identity
+
+
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Subgroup]:
     """Every subgroup of g, each exactly once, sorted by (order, members).
 
-    Cyclic extension (Neubüser 1960): each subgroup found carries one
-    generating tuple, and is extended only by the distinct cyclic subgroups
-    <x> with x outside it, <H, x> being the closure of its tuple plus x.
-    Every subgroup is the join of its cyclic subgroups, one at a time, so
-    the search is complete.
+    Cyclic extension up to conjugacy (Neubüser 1960): the first subgroup
+    found in each conjugacy class carries one generating tuple, and is
+    extended only by the distinct cyclic subgroups <x> with x outside it,
+    <H, x> being the closure of its tuple plus x.  The rest of its class is
+    reached by a breadth-first search over conjugation by the generators
+    of g, which records each conjugator for `class_representative`.  Every
+    subgroup is the join of its cyclic subgroups, one at a time, and a
+    conjugate of a join is the join of the conjugates, so the search is
+    complete.
     """
     check_order(g.order, max_order)
     cyclic: dict[frozenset[int], int] = {}
     for x in range(g.order):
         cyclic.setdefault(_closure(g, (x,)), x)
-    found = {h: (x,) for h, x in cyclic.items()}
-    work = list(found)
+    found: dict[frozenset[int], tuple[frozenset[int], int]] = {}  # -> (first, x)
+    work: list[tuple[frozenset[int], tuple[int, ...]]] = []  # (first, its generators)
+
+    def add_class(h, gens):
+        if h in found:
+            return
+        work.append((h, gens))
+        found[h] = (h, g.identity)
+        queue = [(h, g.identity)]
+        for members, x in queue:  # the queue grows while it is read
+            for s in g.gens.values():
+                j = frozenset(g.conjugate(y, s) for y in members)
+                if j not in found:
+                    found[j] = (h, g.mul[s][x])
+                    queue.append((j, g.mul[s][x]))
+
+    for h, x in cyclic.items():
+        add_class(h, (x,))
     while work:
-        h = work.pop()
+        h, gens = work.pop()
         for x in cyclic.values():
-            if x in h:
-                continue
-            gens = found[h] + (x,)
-            j = _closure(g, gens)
-            if j not in found:
-                found[j] = gens
-                work.append(j)
+            if x not in h:
+                add_class(_closure(g, gens + (x,)), gens + (x,))
     ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    return [Subgroup(g, tuple(sorted(s))) for s in ordered]
+    subgroups = {s: Subgroup(g, tuple(sorted(s))) for s in ordered}
+    for s, (first, x) in found.items():
+        class_representative.remember(subgroups[s], (subgroups[first], x))
+    return list(subgroups.values())
 
 
 def _rotation_bound(g: FiniteGroup) -> int | None:

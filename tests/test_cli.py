@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import pathlib
 import subprocess
 import sys
 import time
@@ -272,6 +273,28 @@ def test_failed_atlas_rerun_leaves_no_old_manifest(tmp_path, capsys, monkeypatch
     assert "table validation failed: forced failure" in err
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "dihedral_3.json", "dihedral_4.json", "dihedral_5.json"]
+
+
+def test_a_data_write_cut_short_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "atlas"
+    rc, _, _ = run(capsys, "atlas", "dihedral", "3..5", "--out", str(out_dir))
+    assert rc == 0
+    before = (out_dir / "dihedral_4.json").read_bytes()
+    write_bytes = pathlib.Path.write_bytes
+    calls = []
+
+    def cut_second_write_short(path, data):
+        calls.append(path.name)
+        if len(calls) == 2:
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", cut_second_write_short)
+    rc, _, err = run(capsys, "atlas", "dihedral", "3..5", "--out", str(out_dir))
+    assert rc == 1 and "no space left on device" in err
+    assert not (out_dir / "manifest.json").exists()
+    assert (out_dir / "dihedral_4.json").read_bytes() == before
 
 
 def test_atlas_rerun_is_byte_identical(tmp_path, capsys):

@@ -10,7 +10,6 @@ import sgp.gelfand
 from sgp.cli import main
 from sgp.errors import InternalConsistencyError, UnsupportedFamilyError
 from sgp.gelfand import (
-    _conjugacy_orbits,
     Witness,
     audit,
     classify_subgroups,
@@ -28,6 +27,7 @@ from sgp.groups import (
     all_subgroups,
     are_conjugate_subgroups,
     build_group,
+    class_representative,
     conjugacy_classes,
     cyclic_group,
     dicyclic_group,
@@ -87,10 +87,10 @@ def _assert_matrices_equal_the_reference(g):
         entries = multiplicity_matrix(g, h).entries
         assert entries == multiplicity_by_induction(g, h), (g.name, h.members)
         assert entries == multiplicity_by_restriction(g, h), (g.name, h.members)
-    subs = report.subgroups
     return sum(
-        1 for k, (i, _) in zip(subs, _conjugacy_orbits(g, subs))
-        if multiplicity_matrix(g, k).entries != multiplicity_matrix(g, subs[i]).entries
+        1 for k in report.subgroups
+        if multiplicity_matrix(g, k).entries
+        != multiplicity_matrix(g, class_representative(k)[0]).entries
     )
 
 
@@ -117,13 +117,14 @@ def test_orbit_matrix_of_a_random_subgroup_equals_the_reference(family, n, pick)
                          + [dicyclic_group(n) for n in range(1, 7)], ids=lambda g: g.name)
 def test_subgroup_orbits_are_the_conjugacy_classes(g):
     subs = all_subgroups(g)
-    orbits = _conjugacy_orbits(g, subs)
-    for k, (i, x) in zip(subs, orbits):
-        assert {g.conjugate(y, x) for y in subs[i].members} == set(k.members)
-        assert orbits[i] == (i, g.identity)
+    firsts = [class_representative(k)[0] for k in subs]
+    for k in subs:
+        first, x = class_representative(k)
+        assert {g.conjugate(y, x) for y in first.members} == set(k.members)
+        assert class_representative(first) == (first, g.identity)
     for a in range(len(subs)):
         for b in range(a + 1, len(subs)):
-            same = orbits[a][0] == orbits[b][0]
+            same = firsts[a] is firsts[b]
             assert same == are_conjugate_subgroups(g, subs[a], subs[b])
 
 
@@ -132,11 +133,11 @@ def _wrong_power_map(original):
 
 
 def _wrong_conjugator(original):
-    return lambda g, subgroups: [(i, g.identity) for i, _ in original(g, subgroups)]
+    return lambda k: (original(k)[0], k.parent.identity)
 
 
 @pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
-                                         ("_conjugacy_orbits", _wrong_conjugator)])
+                                         ("class_representative", _wrong_conjugator)])
 def test_a_wrong_transport_is_an_internal_consistency_error(name, wrong, monkeypatch, capsys):
     monkeypatch.setattr(sgp.gelfand, name, wrong(getattr(sgp.gelfand, name)))
     with pytest.raises(InternalConsistencyError):
@@ -303,6 +304,7 @@ def test_predict_degenerate_cases_are_all_strong():
     assert predict("dihedral", 1).predicate("trivial")
     assert predict("dihedral", 2).predicate("C2")
     assert predict("dicyclic", 1).predicate("trivial")
+    assert all(predict("cyclic", 12).predicate(d) for d in ("trivial", "C2", "C6", "C12"))
 
 
 def test_predict_unknown_family():

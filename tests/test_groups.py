@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgp.groups
 from sgp.chars import family_table, subgroup_table
 from sgp.errors import InvalidParameterError, SizeLimitError, UnsupportedFamilyError
 from sgp.groups import (
@@ -12,6 +13,7 @@ from sgp.groups import (
     all_subgroups,
     are_conjugate_subgroups,
     build_group,
+    class_representative,
     conjugacy_classes,
     cyclic_group,
     describe_subgroup,
@@ -360,6 +362,27 @@ def test_all_subgroups_match_pairwise_join_reference(family, hi):
         assert [h.members for h in all_subgroups(g)] == all_subgroups_by_pairwise_joins(g), n
 
 
+@pytest.mark.parametrize("g, budget", [(dihedral_group(36), 1152), (dicyclic_group(14), 296)],
+                         ids=["D72", "Dic56"])
+def test_all_subgroups_extends_one_subgroup_per_conjugacy_class(g, budget, monkeypatch):
+    # one closure per element for the cyclic subgroups, then one per
+    # (class, cyclic subgroup) pair; extending every conjugate costs more
+    closure = sgp.groups._closure
+    calls = []
+
+    def counted(group, gens):
+        calls.append(gens)
+        return closure(group, gens)
+
+    monkeypatch.setattr(sgp.groups, "_closure", counted)
+    subs = all_subgroups(g)
+    monkeypatch.undo()
+    classes = len({id(class_representative(h)[0]) for h in subs})
+    cyclic = sum(1 for h in subs if any(g.element_order(x) == h.order for x in h.members))
+    assert g.order + classes * cyclic == budget
+    assert len(calls) <= budget
+
+
 def test_all_subgroups_respects_size_bound():
     g = dihedral_group(10)
     with pytest.raises(SizeLimitError):
@@ -470,6 +493,20 @@ def test_non_cyclic_subgroup_of_unknown_family_is_refused():
         subgroup_structure(whole)
     with pytest.raises(UnsupportedFamilyError):
         describe_subgroup(whole)
+
+
+def test_conjugates_share_one_family_group():
+    for g in (dihedral_group(6), dihedral_group(8), dicyclic_group(3), dicyclic_group(4)):
+        subs = all_subgroups(g)
+        for k in subs:
+            first, _ = class_representative(k)
+            assert k.group is first.group
+        classes = {id(class_representative(k)[0]) for k in subs}
+        assert len({id(k.group) for k in subs}) == len(classes)
+        for k in subs:
+            h = Subgroup(g, k.members)
+            first, x = class_representative(h)
+            assert first is h and x == g.identity
 
 
 def test_full_subgroup_group_is_parent():
