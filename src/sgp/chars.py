@@ -10,17 +10,22 @@ brute-forced linear characters plus inductions from the maximal rotation
 subgroup and is used as an oracle against the closed forms.
 
 A subgroup's table is the family table of `h.group`; `restrict` and
-`induce` reach the parent through `h.embedding()` and `h.local_index()`.
+`induce` reach the parent through `h.embedding()`.  Induction reads the
+class fusion of H in G, one pass over the members of H.
 
-Induction uses the raw Frobenius sum over the whole parent group; at the
-orders this package targets (<= 256) the quadratic sum is cheap and
-avoids coset-transversal bookkeeping.
+`validate_table` checks both orthogonality relations exactly, computing
+one sum per orbit of row pairs and of column pairs under the table's
+Galois maps sigma_t (class power maps and the row permutations they
+induce).  Every map is checked first, and one that fails its check is not
+used, so a bad table is reported, never raised on.  The same memoized
+maps move the multiplicity-matrix rows in `gelfand`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +34,7 @@ from .errors import (
     DomainMismatchError,
     IntegralityError,
     InternalConsistencyError,
+    InvalidLiftError,
     OracleFailureError,
     UnsupportedFamilyError,
 )
@@ -157,7 +163,9 @@ def induce(f: ClassFunction, h: Subgroup) -> ClassFunction:
     """Frobenius induction of f from the subgroup h to its parent.
 
     (f^G)(g) = (1/|H|) * sum over x in G of f0(x g x^-1), with f0 zero
-    outside H; the sum is grouped by the H-class each conjugate lands in.
+    outside H.  Each element of the class c of g is some x g x^-1 for
+    |G|/|c| values of x, so (f^G)(g) = |G|/(|H| |c|) times the sum of f
+    over the members of H in c, read from the class fusion of H in G.
     """
     hg = h.group
     if f.group is not hg:
@@ -165,21 +173,16 @@ def induce(f: ClassFunction, h: Subgroup) -> ClassFunction:
     g = h.parent
     cls_g = conjugacy_classes(g)
     cls_h = conjugacy_classes(hg)
-    loc = h.local_index()
-    mul, inv = g.mul, g.inv
+    counts = [[0] * len(cls_h.reps) for _ in cls_g.reps]
+    for y, x in enumerate(h.embedding()):
+        counts[cls_g.class_of[x]][cls_h.class_of[y]] += 1
     values = []
-    for rep in cls_g.reps:
-        counts = [0] * len(cls_h.reps)
-        for x in range(g.order):
-            y = mul[mul[x][rep]][inv[x]]
-            li = loc.get(y)
-            if li is not None:
-                counts[cls_h.class_of[li]] += 1
+    for row, size in zip(counts, cls_g.sizes):
         acc = _ZERO
-        for c, v in zip(counts, f.values):
+        for c, v in zip(row, f.values):
             if c:
                 acc = acc + v * c
-        values.append(acc * Fraction(1, h.order))
+        values.append(acc * Fraction(g.order, h.order * size))
     name = f"{f.name}↑{g.name}" if f.name else ""
     return ClassFunction(g, tuple(values), name)
 
@@ -292,6 +295,116 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
     return family_table(h.group)
 
 
+# -- Galois symmetry of a table ------------------------------------------------
+#
+# A row of a table is keyed by the exact values it takes, each lifted to
+# Q(zeta_e) for e the exponent of its group, with equal values sharing one
+# small integer id.  A map c -> cmap[c] of classes then carries a row to
+# the tuple of ids it reads through the map, and that tuple names the row
+# it becomes, or no row at all.  For t a unit mod e, sigma_t: zeta -> zeta^t
+# sends a character psi to x -> psi(x^t): it reads every row through the
+# class power map c -> class(rep_c^t).
+
+
+@memoized
+def _row_keys(table: CharacterTable) -> dict[tuple[int, ...], int] | None:
+    """Each row of the table, in table order, as one id per class -> its index.
+
+    None when two rows are equal or a value lies outside Q(zeta_e).
+    """
+    e = table.group.exponent()
+    ids: dict = {}
+    try:
+        rows = tuple(tuple(ids.setdefault(v.key(e), len(ids)) for v in psi.values)
+                     for psi in table.irreducibles)
+    except InvalidLiftError:
+        return None
+    index = {row: i for i, row in enumerate(rows)}
+    return index if len(index) == len(rows) else None
+
+
+def _row_permutation(keys, cmap) -> tuple[int, ...] | None:
+    """The row that each row of the table equals when read through `cmap`.
+
+    Row j matches row i when row j takes at class c the value row i takes
+    at class cmap[c].  None unless every row matches a different row.
+    """
+    if keys is None:
+        return None
+    perm = tuple(keys.get(tuple(map(row.__getitem__, cmap))) for row in keys)
+    return None if None in perm or len(set(perm)) != len(keys) else perm
+
+
+def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
+    """The class of rep^t, for the representative rep of each class."""
+    cls = conjugacy_classes(group)
+    return tuple(cls.class_of[group.power(rep, t % group.element_order(rep))]
+                 for rep in cls.reps)
+
+
+@memoized
+def _galois_maps(table: CharacterTable) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """For each unit t mod the exponent: sigma_t as (class power map, row permutation).
+
+    The class map must be a bijection that keeps class sizes and the row
+    map a bijection by exact value keys; a t whose maps fail either check
+    maps to None.
+    """
+    group = table.group
+    sizes = conjugacy_classes(group).sizes
+    keys = _row_keys(table)
+    e = group.exponent()
+    maps = {}
+    for t in range(e):
+        if math.gcd(t, e) == 1:
+            cmap = _class_power_map(group, t)
+            perm = None
+            if sorted(cmap) == list(range(len(sizes))) and all(
+                    sizes[d] == size for d, size in zip(cmap, sizes)):
+                perm = _row_permutation(keys, cmap)
+            maps[t] = None if perm is None else (cmap, perm)
+    return maps
+
+
+@memoized
+def _galois_row_perms(table: CharacterTable) -> dict[int, tuple[int, ...]]:
+    """For each unit t mod the exponent, the row permutation of sigma_t.
+
+    Raises `InternalConsistencyError` when a map fails its check.
+    """
+    maps = _galois_maps(table)
+    if None in maps.values():
+        raise InternalConsistencyError(
+            f"a Galois map does not permute the rows of the table of {table.group.name}")
+    return {t: perm for t, (_, perm) in maps.items()}
+
+
+def _orbit_totals(n: int, perms, total) -> dict[tuple[int, int], Cyclotomic]:
+    """total(i, j) for every i <= j < n, computed once per orbit of pairs.
+
+    Each map p in `perms` must fix the totals, total(p[i], p[j]) =
+    total(i, j), and total(j, i) must be the conjugate of total(i, j).
+    The maps are applied once to each computed pair; a pair they do not
+    reach is computed itself.
+    """
+    totals: dict[tuple[int, int], Cyclotomic] = {}
+    for i in range(n):
+        for j in range(i, n):
+            if (i, j) in totals:
+                continue
+            value = totals[i, j] = total(i, j)
+            swapped = None
+            for p in perms:
+                a, b = p[i], p[j]
+                if a <= b:
+                    totals.setdefault((a, b), value)
+                elif (b, a) not in totals:
+                    if swapped is None:
+                        swapped = value.conj()
+                    totals[b, a] = swapped
+    return totals
+
+
 # -- validation and decomposition --------------------------------------------
 
 
@@ -302,7 +415,15 @@ class TableValidation:
 
 
 def validate_table(t: CharacterTable) -> TableValidation:
-    """Check row count, degree sum, and both orthogonality relations exactly."""
+    """Check row count, degree sum, and both orthogonality relations exactly.
+
+    Each sum is computed once per orbit of its pair under the Galois maps
+    of `t` that pass their checks (`_galois_maps`): if row r_i read through
+    the class map cmap is row r_p[i], and cmap keeps class sizes, then
+    re-indexing gives <r_p[i], r_p[j]> = <r_i, r_j>, and the column sums at
+    (cmap[c], cmap[c']) and (c, c') agree.  A table whose maps fail their
+    checks has every pair computed; validation never raises on a bad table.
+    """
     failures: list[str] = []
     g = t.group
     cls = conjugacy_classes(g)
@@ -321,10 +442,13 @@ def validate_table(t: CharacterTable) -> TableValidation:
         failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
     sizes = cls.sizes
     order = g.order
+    maps = [m for m in _galois_maps(t).values() if m is not None]
+    row_totals = _orbit_totals(
+        len(rows), [perm for _, perm in maps],
+        lambda i, j: weighted_product_sum(rows[i].values, rows[j].conj_values, sizes))
     for i, ri in enumerate(rows):
-        vi = ri.values
         for j in range(i, len(rows)):
-            total = weighted_product_sum(vi, rows[j].conj_values, sizes)
+            total = row_totals[i, j]
             want = order if i == j else 0
             if total != want:
                 failures.append(
@@ -333,9 +457,12 @@ def validate_table(t: CharacterTable) -> TableValidation:
                 )
     columns = [tuple(r.values[c] for r in rows) for c in range(k)]
     conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
+    column_totals = _orbit_totals(
+        k, [cmap for cmap, _ in maps],
+        lambda c, cp: weighted_product_sum(columns[c], conj_columns[cp]))
     for c in range(k):
         for cp in range(c, k):
-            total = weighted_product_sum(columns[c], conj_columns[cp])
+            total = column_totals[c, cp]
             want = Fraction(order, sizes[c]) if c == cp else Fraction(0)
             if total != want:
                 failures.append(

@@ -126,10 +126,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def _write_atomically(path: Path, data: bytes) -> None:
     """Write `data` to `<path>.partial` and rename it into place, so a run
-    that stops partway never leaves `path` half written."""
+    that stops partway never leaves `path` half written.  A failed write or
+    rename removes the partial file and re-raises."""
     partial = path.with_name(path.name + ".partial")
-    partial.write_bytes(data)
-    os.replace(partial, path)
+    try:
+        partial.write_bytes(data)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _json_dumps(obj) -> str:

@@ -16,8 +16,10 @@ arithmetic:
 Each computed row goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
 and every entry is certified a nonnegative integer.  Rows are matched by
-exact keys of their values, and a failed match or a map that is not a
-bijection raises `InternalConsistencyError`, as does a path disagreement.
+exact keys of their values through the symmetry helpers of `chars`, which
+memoize each table's Galois maps and check every map before it is used;
+here a map that fails its check, like a path disagreement, raises
+`InternalConsistencyError`.
 Called without a row subset, `multiplicity_by_induction` and
 `multiplicity_by_restriction` compute the whole matrix, the reference for
 the transported rows.
@@ -32,10 +34,12 @@ side is right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .chars import (
+    _galois_row_perms,
+    _row_keys,
+    _row_permutation,
     decompose,
     induce,
     inner_product,
@@ -152,59 +156,6 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple
 
 
 # -- symmetry orbits -----------------------------------------------------------
-#
-# A row of a character table is keyed by the exact values it takes, each
-# lifted to Q(zeta_e) for e the exponent of its group, with equal values
-# sharing one small integer id.  A map c -> cmap[c] of classes then carries
-# a row to the tuple of ids it reads through the map, and that tuple names
-# the row it becomes, or no row at all.
-
-
-@memoized
-def _row_keys(group: FiniteGroup) -> dict[tuple[int, ...], int]:
-    """Each row of the table of `group`, in table order, as one id per class -> its index."""
-    e = group.exponent()
-    ids: dict = {}
-    rows = tuple(
-        tuple(ids.setdefault(v.key(e), len(ids)) for v in psi.values)
-        for psi in family_table(group).irreducibles
-    )
-    index = {row: i for i, row in enumerate(rows)}
-    if len(index) != len(rows):
-        raise InternalConsistencyError(f"two rows of the table of {group.name} are equal")
-    return index
-
-
-def _row_permutation(keys: dict[tuple[int, ...], int], cmap) -> tuple[int, ...]:
-    """The row that each row of the table equals when read through `cmap`.
-
-    Row j matches row i when row j takes at class c the value row i takes
-    at class cmap[c].  Every row must match a different row.
-    """
-    perm = tuple(keys.get(tuple(row[c] for c in cmap)) for row in keys)
-    if None in perm or len(set(perm)) != len(keys):
-        raise InternalConsistencyError("a class map does not permute the table rows")
-    return perm
-
-
-def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
-    """The class of rep^t, for the representative rep of each class."""
-    cls = conjugacy_classes(group)
-    return tuple(cls.class_of[group.power(rep, t % group.element_order(rep))]
-                 for rep in cls.reps)
-
-
-@memoized
-def _galois_row_perms(group: FiniteGroup) -> dict[int, tuple[int, ...]]:
-    """For each unit t mod the exponent, the row permutation of sigma_t: zeta -> zeta^t.
-
-    sigma_t sends a character psi to the character x -> psi(x^t), so it
-    permutes the rows of the table as the class power map permutes values.
-    """
-    keys = _row_keys(group)
-    e = group.exponent()
-    return {t: _row_permutation(keys, _class_power_map(group, t))
-            for t in range(e) if math.gcd(t, e) == 1}
 
 
 def _galois_sources(h: Subgroup) -> list[tuple[int, int] | None]:
@@ -212,13 +163,14 @@ def _galois_sources(h: Subgroup) -> list[tuple[int, int] | None]:
     Galois orbit, else (r, t) with the row sigma_t of row r, t a unit mod
     the exponent of the parent.
     """
+    th = subgroup_table(h)
     e_h = h.group.exponent()
-    perms = _galois_row_perms(h.group)
+    perms = _galois_row_perms(th)
     sources: dict = {}
-    for r in range(len(_row_keys(h.group))):
+    for r in range(len(th.irreducibles)):
         if r not in sources:
             sources[r] = None
-            for t in _galois_row_perms(h.parent):  # t mod e_h covers every unit mod e_h
+            for t in _galois_row_perms(family_table(h.parent)):  # t mod e_h covers every unit mod e_h
                 sources.setdefault(perms[t % e_h][r], (r, t))
     return [sources[i] for i in range(len(sources))]
 
@@ -247,7 +199,7 @@ def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
             f"({g.name}, subgroup of order {h.order})"
         )
     rows = dict(zip(reps, via_induction))
-    col_perms = _galois_row_perms(g)
+    col_perms = _galois_row_perms(family_table(g))
     entries = []
     for i, source in enumerate(sources):
         if source is None:
@@ -283,7 +235,9 @@ def _conjugate_matrix(m: MultiplicityMatrix, k: Subgroup, x: int) -> Multiplicit
     emb, loc = h.embedding(), k.local_index()
     cls = conjugacy_classes(h.group)
     cmap = [cls.class_of[loc[g.conjugate(emb[rep], x)]] for rep in cls.reps]
-    perm = _row_permutation(_row_keys(h.group), cmap)
+    perm = _row_permutation(_row_keys(subgroup_table(h)), cmap)
+    if perm is None:
+        raise InternalConsistencyError("a class map does not permute the table rows")
     return MultiplicityMatrix(
         group=g,
         subgroup=k,

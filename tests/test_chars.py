@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgp.chars
 from sgp.chars import (
+    CharacterTable,
     ClassFunction,
+    TableValidation,
+    _galois_maps,
     constructive_family_table,
     decompose,
     family_table,
@@ -22,11 +26,12 @@ from sgp.chars import (
     trivial_character,
     validate_table,
 )
-from sgp.cyclo import rational, zeta
+from sgp.cyclo import rational, weighted_product_sum, zeta
 from sgp.errors import DomainMismatchError, IntegralityError, UnsupportedFamilyError
 from sgp.groups import (
     FiniteGroup,
     all_subgroups,
+    build_group,
     conjugacy_classes,
     cyclic_group,
     dicyclic_group,
@@ -239,6 +244,55 @@ def test_frobenius_reciprocity_exact():
                     assert inner_product(up, chi) == inner_product(psi, restrict(chi, h))
 
 
+def induce_over_whole_group(f, h):
+    """The seed's induction: conjugate each class representative by all of G."""
+    g = h.parent
+    cls_g, cls_h = conjugacy_classes(g), conjugacy_classes(h.group)
+    loc = h.local_index()
+    values = []
+    for rep in cls_g.reps:
+        counts = [0] * len(cls_h.reps)
+        for x in range(g.order):
+            li = loc.get(g.mul[g.mul[x][rep]][g.inv[x]])
+            if li is not None:
+                counts[cls_h.class_of[li]] += 1
+        acc = rational(0)
+        for c, v in zip(counts, f.values):
+            if c:
+                acc = acc + v * c
+        values.append(acc * Fraction(1, h.order))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("family, top", [("cyclic", 30), ("dihedral", 16), ("dicyclic", 8)])
+def test_induce_from_the_class_fusion_equals_the_whole_group_sum(family, top):
+    for n in range(1, top + 1):
+        g = build_group(family, n)
+        for h in all_subgroups(g):
+            for psi in subgroup_table(h).irreducibles:
+                fast, slow = induce(psi, h).values, induce_over_whole_group(psi, h)
+                assert fast == slow
+                assert [v.order for v in fast] == [v.order for v in slow]
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.sampled_from(["cyclic", "dihedral", "dicyclic"]), st.integers(1, 24),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_frobenius_reciprocity_and_integrality_on_random_draws(family, n, pick, row):
+    g = build_group(family, n)
+    subs = all_subgroups(g)
+    h = subs[pick % len(subs)]
+    rows = subgroup_table(h).irreducibles
+    psi = rows[row % len(rows)]
+    up = induce(psi, h)
+    for chi in family_table(g).irreducibles:
+        via_induction = inner_product(up, chi)
+        via_restriction = inner_product(psi, restrict(chi, h))
+        assert via_induction == via_restriction
+        q = via_induction.as_rational_integer()
+        assert q is not None and q >= 0
+
+
 def test_induction_is_transitive_along_chains():
     for g in (dihedral_group(6), dicyclic_group(3)):
         subs = all_subgroups(g)
@@ -336,7 +390,6 @@ def test_validate_family_tables():
 def test_validate_catches_duplicated_row():
     g = dihedral_group(5)
     t = family_table(g)
-    from sgp.chars import CharacterTable
     broken = CharacterTable(g, (t.irreducibles[0], t.irreducibles[0],
                                 t.irreducibles[2], t.irreducibles[3]), "closed-form")
     report = validate_table(broken)
@@ -347,11 +400,162 @@ def test_validate_catches_duplicated_row():
 def test_validate_catches_wrong_row_count():
     g = dihedral_group(5)
     t = family_table(g)
-    from sgp.chars import CharacterTable
     broken = CharacterTable(g, t.irreducibles[:3], "closed-form")
     report = validate_table(broken)
     assert not report.passed
     assert any("row count" in f for f in report.failures)
+
+
+def validate_pairwise(t):
+    """The validation that computed every row pair and column pair."""
+    failures = []
+    g = t.group
+    cls = conjugacy_classes(g)
+    k = len(cls.reps)
+    rows = t.irreducibles
+    if len(rows) != k:
+        failures.append(f"row count {len(rows)} != class count {k}")
+    deg_sum = 0
+    for r in rows:
+        d = r.degree.as_rational_integer()
+        if d is None or d < 1:
+            failures.append(f"row {r.name}: degree {r.degree} is not a positive integer")
+        else:
+            deg_sum += d * d
+    if deg_sum != g.order:
+        failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
+    sizes = cls.sizes
+    order = g.order
+    for i, ri in enumerate(rows):
+        vi = ri.values
+        for j in range(i, len(rows)):
+            total = weighted_product_sum(vi, rows[j].conj_values, sizes)
+            want = order if i == j else 0
+            if total != want:
+                failures.append(
+                    f"row orthogonality <{ri.name},{rows[j].name}> = "
+                    f"{total * Fraction(1, order)}, expected {1 if i == j else 0}"
+                )
+    columns = [tuple(r.values[c] for r in rows) for c in range(k)]
+    conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
+    for c in range(k):
+        for cp in range(c, k):
+            total = weighted_product_sum(columns[c], conj_columns[cp])
+            want = Fraction(order, sizes[c]) if c == cp else Fraction(0)
+            if total != want:
+                failures.append(
+                    f"column orthogonality at classes {c},{cp} = {total}, expected {want}"
+                )
+    return TableValidation(not failures, tuple(failures))
+
+
+@pytest.mark.parametrize("family, top", [("cyclic", 40), ("dihedral", 24), ("dicyclic", 24)])
+def test_orbit_validation_equals_the_pairwise_reference(family, top):
+    for n in range(1, top + 1):
+        t = family_table(build_group(family, n))
+        assert validate_table(t) == validate_pairwise(t) == TableValidation(True, ())
+
+
+def _replace_row(t, i, values, name=None):
+    rows = list(t.irreducibles)
+    rows[i] = ClassFunction(t.group, tuple(values), name or rows[i].name)
+    return CharacterTable(t.group, tuple(rows), "closed-form")
+
+
+def _d10_table():
+    return family_table(dihedral_group(5))
+
+
+def _duplicated_row():
+    t = _d10_table()
+    return CharacterTable(t.group, (t.irreducibles[0], t.irreducibles[0],
+                                    t.irreducibles[2], t.irreducibles[3]), "closed-form")
+
+
+def _two_values_swapped():
+    t = family_table(dicyclic_group(5))  # Dic20: its gamma rows stay distinct when swapped
+    v = list(t.irreducibles[-1].values)
+    v[1], v[2] = v[2], v[1]
+    return _replace_row(t, len(t.irreducibles) - 1, v)
+
+
+def _row_doubled():
+    t = _d10_table()
+    return _replace_row(t, 2, [v * 2 for v in t.irreducibles[2].values])
+
+
+def _zeta7_value():
+    t = _d10_table()
+    v = list(t.irreducibles[2].values)
+    v[1] = zeta(7, 1)
+    return _replace_row(t, 2, v)
+
+
+def _one_row_short():
+    t = _d10_table()
+    return CharacterTable(t.group, t.irreducibles[:-1], "closed-form")
+
+
+def _galois_stable_nonreal_sums():
+    # Three rows of C7 that sigma_2 cycles, v(k) = v(-k), with sums 1 + 2 z7:
+    # every unit's maps pass their checks, so only transport fills the pairs.
+    g = cyclic_group(7)
+    cls = conjugacy_classes(g)
+    dlog = {g.power(g.gens["a"], r): r for r in range(7)}
+    v = [rational(1), zeta(7, 1), rational(1), rational(0), rational(0), rational(1), zeta(7, 1)]
+    rows = [ClassFunction(g, tuple(v[(dlog[rep] * s) % 7] for rep in cls.reps), f"r_{s}")
+            for s in (1, 2, 4)]
+    return CharacterTable(g, tuple(rows), "closed-form")
+
+
+_BROKEN_TABLES = [_duplicated_row, _two_values_swapped, _row_doubled, _zeta7_value,
+                  _one_row_short, _galois_stable_nonreal_sums]
+
+
+@pytest.mark.parametrize("make", _BROKEN_TABLES, ids=lambda f: f.__name__.strip("_"))
+def test_orbit_validation_of_a_broken_table_equals_the_pairwise_reference(make):
+    t = make()
+    report = validate_table(t)
+    assert not report.passed
+    assert report == validate_pairwise(t)
+
+
+def test_the_galois_stable_broken_table_reaches_swapped_pairs():
+    t = _galois_stable_nonreal_sums()
+    assert None not in _galois_maps(t).values()
+    assert any("z7" in f for f in validate_table(t).failures)
+
+
+def test_a_class_map_that_does_not_keep_class_sizes_is_not_used(monkeypatch):
+    # Swapping the classes of a^2 (size 2) and b (size 5) of D10 permutes
+    # these rows, but moves the sums; the map must fail its check.
+    g = dihedral_group(5)
+    rows = [(1, 1, 1, 1), (2, 0, 1, -1), (2, 0, -1, 1), (1, 1, -1, -1)]
+    t = CharacterTable(g, tuple(ClassFunction(g, tuple(map(rational, r)), f"r_{i}")
+                                for i, r in enumerate(rows)), "closed-form")
+    monkeypatch.setattr(sgp.chars, "_class_power_map", lambda group, s: (0, 1, 3, 2))
+    assert set(_galois_maps(t).values()) == {None}
+    assert validate_table(t) == validate_pairwise(t)
+
+
+def test_validation_computes_one_sum_per_orbit(monkeypatch):
+    calls = []
+    counted = sgp.chars.weighted_product_sum
+
+    def counting(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(sgp.chars, "weighted_product_sum", counting)
+    t = family_table(cyclic_group(37))  # 37 * 38 pairs, in orbits of up to 36
+    assert validate_table(t).passed
+    assert len(calls) < 37 * 38 // 6
+
+
+@pytest.mark.parametrize("family, n", [("dihedral", 128), ("dicyclic", 64), ("cyclic", 128)])
+def test_order_256_family_tables_validate(family, n):
+    g = build_group(family, n)
+    assert validate_table(family_table(g)) == TableValidation(True, ())
 
 
 # -- decomposition --------------------------------------------------------------------------

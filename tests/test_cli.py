@@ -76,6 +76,22 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert "Character table of D10" in target.read_text()
 
 
+def test_a_table_with_equal_rows_fails_validation_and_exits_3(capsys, monkeypatch, tmp_path):
+    family_table = sgp.chars.family_table
+
+    def first_row_twice(g):
+        rows = family_table(g).irreducibles
+        return sgp.chars.CharacterTable(g, rows[:1] + rows[:-1])
+
+    monkeypatch.setattr(sgp.chars, "family_table", first_row_twice)
+    rc, _, err = run(capsys, "table", "dihedral", "5")
+    assert rc == 3
+    assert "table validation failed: row orthogonality <χ_1,χ_1> = 1, expected 0" in err
+    rc, _, err = run(capsys, "atlas", "dihedral", "5", "--out", str(tmp_path))
+    assert rc == 3 and "table validation failed" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_table_validation_failure_exits_3(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sgp.chars, "validate_table",
                         lambda t: TableValidation(False, ("forced failure",)))
@@ -295,6 +311,7 @@ def test_a_data_write_cut_short_leaves_the_old_file_whole(tmp_path, capsys, monk
     assert rc == 1 and "no space left on device" in err
     assert not (out_dir / "manifest.json").exists()
     assert (out_dir / "dihedral_4.json").read_bytes() == before
+    assert not list(out_dir.glob("*.partial"))
 
 
 def test_atlas_rerun_is_byte_identical(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgp.chars
 import sgp.gelfand
 from sgp.cli import main
 from sgp.errors import InternalConsistencyError, UnsupportedFamilyError
@@ -136,10 +137,14 @@ def _wrong_conjugator(original):
     return lambda k: (original(k)[0], k.parent.identity)
 
 
+_PATCH_HOMES = {"_class_power_map": sgp.chars, "class_representative": sgp.gelfand}
+
+
 @pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
                                          ("class_representative", _wrong_conjugator)])
 def test_a_wrong_transport_is_an_internal_consistency_error(name, wrong, monkeypatch, capsys):
-    monkeypatch.setattr(sgp.gelfand, name, wrong(getattr(sgp.gelfand, name)))
+    home = _PATCH_HOMES[name]
+    monkeypatch.setattr(home, name, wrong(getattr(home, name)))
     with pytest.raises(InternalConsistencyError):
         classify_subgroups(dihedral_group(6))
     assert main(["classify", "dihedral", "6"]) == 2
