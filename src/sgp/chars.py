@@ -17,8 +17,10 @@ class fusion of H in G, one pass over the members of H.
 one sum per orbit of row pairs and of column pairs under the table's
 Galois maps sigma_t (class power maps and the row permutations they
 induce).  Every map is checked first, and one that fails its check is not
-used, so a bad table is reported, never raised on.  The same memoized
-maps move the multiplicity-matrix rows in `gelfand`.
+used, so a bad table is reported, never raised on.  One orbit routine,
+`_pair_orbits`, groups those pairs and also the (psi, chi) pairs of a
+multiplicity matrix in `gelfand`, which acts on them by the same memoized
+maps of both tables and computes one entry per orbit.
 """
 
 from __future__ import annotations
@@ -335,11 +337,23 @@ def _row_permutation(keys, cmap) -> tuple[int, ...] | None:
     return None if None in perm or len(set(perm)) != len(keys) else perm
 
 
+@memoized
+def _class_powers(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """For each class representative rep, the class of rep^k for k below its order."""
+    cls = conjugacy_classes(group)
+    walks = []
+    for rep in cls.reps:
+        walk, acc = [], group.identity
+        for _ in range(group.element_order(rep)):
+            walk.append(cls.class_of[acc])
+            acc = group.mul[acc][rep]
+        walks.append(tuple(walk))
+    return tuple(walks)
+
+
 def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
     """The class of rep^t, for the representative rep of each class."""
-    cls = conjugacy_classes(group)
-    return tuple(cls.class_of[group.power(rep, t % group.element_order(rep))]
-                 for rep in cls.reps)
+    return tuple(walk[t % len(walk)] for walk in _class_powers(group))
 
 
 @memoized
@@ -379,29 +393,48 @@ def _galois_row_perms(table: CharacterTable) -> dict[int, tuple[int, ...]]:
     return {t: perm for t, (_, perm) in maps.items()}
 
 
-def _orbit_totals(n: int, perms, total) -> dict[tuple[int, int], Cyclotomic]:
-    """total(i, j) for every i <= j < n, computed once per orbit of pairs.
+def _pair_orbits(n_rows: int, n_cols: int, maps, symmetric: bool = False
+                 ) -> dict[tuple[int, int], tuple[tuple[int, int], bool]]:
+    """Each pair (i, j), i < n_rows, j < n_cols, -> (its orbit's first pair, conjugated).
 
-    Each map p in `perms` must fix the totals, total(p[i], p[j]) =
-    total(i, j), and total(j, i) must be the conjugate of total(i, j).
-    The maps are applied once to each computed pair; a pair they do not
-    reach is computed itself.
+    A map (p, q) sends the pair (i, j) to (p[i], q[j]), and each map must
+    fix the quantity the pairs stand for.  With `symmetric`, only the pairs
+    i <= j are kept and the pair (j, i) stands for the conjugate of (i, j).
+    Pairs are taken in row-major order and the maps are applied once to the
+    first pair of each orbit, which is its own representative; a pair they
+    do not reach from an earlier one is a representative too.  `conjugated`
+    tells whether a pair stands for the conjugate of its representative.
     """
-    totals: dict[tuple[int, int], Cyclotomic] = {}
-    for i in range(n):
-        for j in range(i, n):
-            if (i, j) in totals:
+    orbits: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
+    for i in range(n_rows):
+        for j in range(i if symmetric else 0, n_cols):
+            if (i, j) in orbits:
                 continue
-            value = totals[i, j] = total(i, j)
-            swapped = None
-            for p in perms:
-                a, b = p[i], p[j]
-                if a <= b:
-                    totals.setdefault((a, b), value)
-                elif (b, a) not in totals:
-                    if swapped is None:
-                        swapped = value.conj()
-                    totals[b, a] = swapped
+            rep = (i, j)
+            same, swapped = (rep, False), (rep, True)
+            orbits[rep] = same
+            for p, q in maps:
+                a, b = p[i], q[j]
+                if symmetric and a > b:
+                    orbits.setdefault((b, a), swapped)
+                else:
+                    orbits.setdefault((a, b), same)
+    return orbits
+
+
+def _orbit_totals(orbits, total) -> dict[tuple[int, int], Cyclotomic]:
+    """total(i, j) for every pair of `orbits` (`_pair_orbits`), one call per orbit."""
+    totals: dict[tuple[int, int], Cyclotomic] = {}
+    swapped: dict[tuple[int, int], Cyclotomic] = {}
+    for pair, (rep, conjugated) in orbits.items():
+        if rep == pair:
+            totals[pair] = total(*pair)
+        elif not conjugated:
+            totals[pair] = totals[rep]
+        else:
+            if rep not in swapped:
+                swapped[rep] = totals[rep].conj()
+            totals[pair] = swapped[rep]
     return totals
 
 
@@ -444,7 +477,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
     order = g.order
     maps = [m for m in _galois_maps(t).values() if m is not None]
     row_totals = _orbit_totals(
-        len(rows), [perm for _, perm in maps],
+        _pair_orbits(len(rows), len(rows), [(perm, perm) for _, perm in maps], symmetric=True),
         lambda i, j: weighted_product_sum(rows[i].values, rows[j].conj_values, sizes))
     for i, ri in enumerate(rows):
         for j in range(i, len(rows)):
@@ -458,7 +491,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
     columns = [tuple(r.values[c] for r in rows) for c in range(k)]
     conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
     column_totals = _orbit_totals(
-        k, [cmap for cmap, _ in maps],
+        _pair_orbits(k, k, [(cmap, cmap) for cmap, _ in maps], symmetric=True),
         lambda c, cp: weighted_product_sum(columns[c], conj_columns[cp]))
     for c in range(k):
         for cp in range(c, k):
@@ -471,12 +504,18 @@ def validate_table(t: CharacterTable) -> TableValidation:
     return TableValidation(not failures, tuple(failures))
 
 
-def decompose(f: ClassFunction, t: CharacterTable) -> tuple[int, ...]:
-    """Multiplicities <f, chi> for each row chi, certified nonnegative integers."""
+def decompose(f: ClassFunction, t: CharacterTable, rows=None) -> tuple[int, ...]:
+    """Multiplicities <f, chi> for each row chi, certified nonnegative integers.
+
+    `rows` lists the indices of the rows chi to compute, in that order; by
+    default every row is computed, and then the multiplicities must account
+    for the degree of f.
+    """
     if f.group is not t.group:
         raise DomainMismatchError("function and table must live on the same group")
+    chosen = t.irreducibles if rows is None else [t.irreducibles[c] for c in rows]
     mults = []
-    for r in t.irreducibles:
+    for r in chosen:
         q = inner_product(f, r).as_rational_integer()
         if q is None or q < 0:
             raise IntegralityError(
@@ -484,7 +523,7 @@ def decompose(f: ClassFunction, t: CharacterTable) -> tuple[int, ...]:
             )
         mults.append(q)
     deg_f = f.degree.as_rational_integer()
-    if deg_f is not None:
+    if rows is None and deg_f is not None:
         total = sum(m * r.degree.as_rational_integer() for m, r in zip(mults, t.irreducibles))
         if total != deg_f:
             raise IntegralityError(

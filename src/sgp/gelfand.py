@@ -8,21 +8,24 @@ arithmetic:
   sends a character psi to x -> psi(x^t), so it permutes Irr(H) and
   Irr(G) as the class power maps permute values; a multiplicity is
   rational, so M[sigma_t psi][sigma_t chi] = M[psi][chi].  Only the first
-  row of each Galois orbit of Irr(H) is computed.
+  entry of each orbit of (psi, chi) pairs is computed (`chars._pair_orbits`,
+  the orbit routine of table validation), and every other entry is read
+  from it.
 * Conjugacy.  A conjugate x H x^-1 has the matrix of H with its rows
   permuted through the class bijection h -> x h x^-1; `classify_subgroups`
   computes the first subgroup of each class (`class_representative`).
 
-Each computed row goes through both paths, induction and restriction,
+Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
-and every entry is certified a nonnegative integer.  Rows are matched by
+and is certified a nonnegative integer; every row of the filled matrix
+must account for the degree |G:H| psi(1).  Rows are matched by
 exact keys of their values through the symmetry helpers of `chars`, which
 memoize each table's Galois maps and check every map before it is used;
 here a map that fails its check, like a path disagreement, raises
 `InternalConsistencyError`.
-Called without a row subset, `multiplicity_by_induction` and
+Called without a subset of entries, `multiplicity_by_induction` and
 `multiplicity_by_restriction` compute the whole matrix, the reference for
-the transported rows.
+the transported entries.
 
 `predict` encodes the closed-form classification rules for which
 subgroups of each family are strong Gelfand;
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 
 from .chars import (
     _galois_row_perms,
+    _pair_orbits,
     _row_keys,
     _row_permutation,
     decompose,
@@ -120,35 +124,49 @@ def _check_pair(g: FiniteGroup, h: Subgroup) -> None:
         raise DomainMismatchError("subgroup does not belong to the given group")
 
 
-def _rows(h: Subgroup, rows):
+def _requested(g: FiniteGroup, h: Subgroup, rows) -> list:
+    """(psi, column indices) for each requested row; `rows` None requests every entry."""
     irreducibles = subgroup_table(h).irreducibles
-    return irreducibles if rows is None else [irreducibles[i] for i in rows]
+    if rows is None:
+        every = range(len(family_table(g).irreducibles))
+        rows = dict.fromkeys(range(len(irreducibles)), every)
+    return [(irreducibles[i], columns) for i, columns in rows.items()]
 
 
 def multiplicity_by_induction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
-    """Rows <psi induced to G, chi> computed by decomposing each induction.
+    """Entries <psi induced to G, chi> computed by decomposing each induction.
 
-    `rows` lists the indices of the subgroup-table rows to compute, in that
-    order; by default every row is computed.
+    `rows` maps the index of each subgroup-table row psi to compute to the
+    indices of the columns chi (rows of the table of G) to compute in it,
+    both in that order; by default every entry is computed.  Each row of the
+    result holds the requested entries of one requested row.
     """
     _check_pair(g, h)
     tg = family_table(g)
-    return tuple(decompose(induce(psi, h), tg) for psi in _rows(h, rows))
+    return tuple(decompose(induce(psi, h), tg, None if rows is None else columns)
+                 for psi, columns in _requested(g, h, rows))
 
 
 def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
-    """The same rows computed as <psi, chi restricted to H>."""
+    """The same entries computed as <chi restricted to H, psi>.
+
+    A multiplicity is rational, so this equals <psi, chi restricted to H>,
+    and it reads only the conjugate values of the subgroup-table rows.  Only
+    the columns chi that some requested entry needs are restricted.
+    """
     _check_pair(g, h)
-    tg = family_table(g)
-    restricted = [restrict(chi, h) for chi in tg.irreducibles]
+    chis = family_table(g).irreducibles
+    requested = _requested(g, h, rows)
+    needed = {c for _, columns in requested for c in columns}
+    restricted = {c: restrict(chis[c], h) for c in needed}
     out = []
-    for psi in _rows(h, rows):
+    for psi, columns in requested:
         row = []
-        for chi_down, chi in zip(restricted, tg.irreducibles):
-            q = inner_product(psi, chi_down).as_rational_integer()
+        for c in columns:
+            q = inner_product(restricted[c], psi).as_rational_integer()
             if q is None or q < 0:
                 raise IntegralityError(
-                    f"<{psi.name}, {chi.name} restricted> is not a nonnegative integer"
+                    f"<{chis[c].name} restricted, {psi.name}> is not a nonnegative integer"
                 )
             row.append(q)
         out.append(tuple(row))
@@ -158,29 +176,12 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple
 # -- symmetry orbits -----------------------------------------------------------
 
 
-def _galois_sources(h: Subgroup) -> list[tuple[int, int] | None]:
-    """For each row of the subgroup table: None for the first row of its
-    Galois orbit, else (r, t) with the row sigma_t of row r, t a unit mod
-    the exponent of the parent.
-    """
-    th = subgroup_table(h)
-    e_h = h.group.exponent()
-    perms = _galois_row_perms(th)
-    sources: dict = {}
-    for r in range(len(th.irreducibles)):
-        if r not in sources:
-            sources[r] = None
-            for t in _galois_row_perms(family_table(h.parent)):  # t mod e_h covers every unit mod e_h
-                sources.setdefault(perms[t % e_h][r], (r, t))
-    return [sources[i] for i in range(len(sources))]
-
-
 def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
     """Multiplicity matrix for the pair (g, h), computed once per h.
 
-    The first row of each Galois orbit of Irr(h) is computed by both paths;
-    a multiplicity is rational, so sigma_t fixes it, and each other row is
-    M[sigma_t psi][sigma_t chi] = M[psi][chi].
+    One entry per orbit of (psi, chi) pairs is computed by both paths; a
+    multiplicity is rational, so sigma_t fixes it, and every other entry is
+    M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its orbit's first.
     """
     _check_pair(g, h)
     return _multiplicity_matrix(h)
@@ -189,33 +190,42 @@ def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
 @memoized
 def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
     g = h.parent
-    sources = _galois_sources(h)
-    reps = [i for i, s in enumerate(sources) if s is None]
-    via_induction = multiplicity_by_induction(g, h, reps)
-    via_restriction = multiplicity_by_restriction(g, h, reps)
+    th, tg = subgroup_table(h), family_table(g)
+    e_h = h.group.exponent()
+    perms = _galois_row_perms(th)
+    # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g
+    orbits = _pair_orbits(len(th.irreducibles), len(tg.irreducibles),
+                          [(perms[t % e_h], perm) for t, perm in _galois_row_perms(tg).items()])
+    wanted: dict[int, list[int]] = {}
+    for pair, (rep, _) in orbits.items():
+        if rep == pair:
+            wanted.setdefault(pair[0], []).append(pair[1])
+    via_induction = multiplicity_by_induction(g, h, wanted)
+    via_restriction = multiplicity_by_restriction(g, h, wanted)
     if via_induction != via_restriction:
         raise InternalConsistencyError(
             f"induce-path and restrict-path matrices disagree for "
             f"({g.name}, subgroup of order {h.order})"
         )
-    rows = dict(zip(reps, via_induction))
-    col_perms = _galois_row_perms(family_table(g))
-    entries = []
-    for i, source in enumerate(sources):
-        if source is None:
-            entries.append(rows[i])
-        else:
-            r, t = source
-            moved = [0] * len(col_perms[t])
-            for c, j in enumerate(col_perms[t]):
-                moved[j] = rows[r][c]
-            entries.append(tuple(moved))
+    computed = {(i, j): q for (i, columns), row in zip(wanted.items(), via_induction)
+                for j, q in zip(columns, row)}
+    entries = tuple(tuple(computed[orbits[i, j][0]] for j in range(len(tg.irreducibles)))
+                    for i in range(len(th.irreducibles)))
+    degrees = [chi.degree.as_rational_integer() for chi in tg.irreducibles]
+    for psi, row in zip(th.irreducibles, entries):
+        total = sum(m * d for m, d in zip(row, degrees))
+        want = h.index * psi.degree.as_rational_integer()
+        if total != want:
+            raise IntegralityError(
+                f"row {psi.name} of the matrix for ({g.name}, subgroup of order {h.order}) "
+                f"accounts for degree {total}, not {want}"
+            )
     return MultiplicityMatrix(
         group=g,
         subgroup=h,
-        row_names=subgroup_table(h).names,
-        col_names=family_table(g).names,
-        entries=tuple(entries),
+        row_names=th.names,
+        col_names=tg.names,
+        entries=entries,
     )
 
 

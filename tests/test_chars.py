@@ -11,6 +11,7 @@ from sgp.chars import (
     CharacterTable,
     ClassFunction,
     TableValidation,
+    _class_power_map,
     _galois_maps,
     constructive_family_table,
     decompose,
@@ -538,6 +539,14 @@ def test_a_class_map_that_does_not_keep_class_sizes_is_not_used(monkeypatch):
     assert validate_table(t) == validate_pairwise(t)
 
 
+@pytest.mark.parametrize("g", [cyclic_group(36), dihedral_group(15), dicyclic_group(12)],
+                         ids=lambda g: g.name)
+def test_class_power_map_equals_repeated_multiplication(g):
+    cls = conjugacy_classes(g)
+    for t in range(2 * g.exponent() + 1):
+        assert _class_power_map(g, t) == tuple(cls.class_of[g.power(rep, t)] for rep in cls.reps)
+
+
 def test_validation_computes_one_sum_per_orbit(monkeypatch):
     calls = []
     counted = sgp.chars.weighted_product_sum
@@ -587,6 +596,20 @@ def test_decompose_rejects_non_integer_multiplicities():
     half = ClassFunction(g, tuple(v * Fraction(1, 2) for v in t.row("ψ_1").values))
     with pytest.raises(IntegralityError):
         decompose(half, t)
+
+
+def test_decompose_a_subset_of_rows():
+    g = dihedral_group(6)
+    t = family_table(g)
+    h = generated_subgroup(g, ["b"])
+    f = induce(subgroup_table(h).irreducibles[0], h)
+    full = decompose(f, t)
+    assert decompose(f, t, [5, 0, 2]) == (full[5], full[0], full[2])
+    assert decompose(f, t, []) == ()
+    half = ClassFunction(g, tuple(v * Fraction(1, 2) for v in t.row("ψ_1").values))
+    assert decompose(half, t, [0]) == (0,)
+    with pytest.raises(IntegralityError):
+        decompose(half, t, [4])
 
 
 # -- brute-force linear characters and the constructive oracle --------------------------------

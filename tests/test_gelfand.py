@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import sgp.chars
 import sgp.gelfand
 from sgp.cli import main
-from sgp.errors import InternalConsistencyError, UnsupportedFamilyError
+from sgp.errors import IntegralityError, InternalConsistencyError, UnsupportedFamilyError
 from sgp.gelfand import (
     Witness,
     audit,
@@ -112,6 +112,46 @@ def test_orbit_matrix_of_a_random_subgroup_equals_the_reference(family, n, pick)
     h = subs[pick % len(subs)]
     entries = multiplicity_matrix(g, h).entries
     assert entries == multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
+
+
+def test_matrices_compute_one_entry_per_orbit_of_pairs(monkeypatch):
+    # D72: the first subgroup of each of its conjugacy classes has 1 360
+    # orbits of (psi, chi) pairs; one row per Galois orbit of Irr(H) would
+    # take 2 394 entries per path.
+    calls = {"induction": 0, "restriction": 0}
+
+    def counting(path, original):
+        def counted(*args):
+            calls[path] += 1
+            return original(*args)
+        return counted
+
+    # decompose reads chars.inner_product; the restriction path reads gelfand's
+    monkeypatch.setattr(sgp.chars, "inner_product",
+                        counting("induction", sgp.chars.inner_product))
+    monkeypatch.setattr(sgp.gelfand, "inner_product",
+                        counting("restriction", sgp.gelfand.inner_product))
+    classify_subgroups(dihedral_group(36))
+    assert calls == {"induction": 1360, "restriction": 1360}
+
+
+def _corrupt_first_entry(original):
+    def corrupted(g, h, rows=None):
+        entries = [list(row) for row in original(g, h, rows)]
+        entries[0][0] += 1
+        return tuple(map(tuple, entries))
+    return corrupted
+
+
+def test_a_corrupted_entry_trips_the_row_degree_check(monkeypatch, capsys):
+    # both paths agree on the wrong entry, so only the degree check sees it
+    for name in ("multiplicity_by_induction", "multiplicity_by_restriction"):
+        monkeypatch.setattr(sgp.gelfand, name, _corrupt_first_entry(getattr(sgp.gelfand, name)))
+    g = dihedral_group(6)
+    with pytest.raises(IntegralityError, match="accounts for degree"):
+        multiplicity_matrix(g, generated_subgroup(g, ["b"]))
+    assert main(["classify", "dihedral", "6"]) == 2
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("g", [dihedral_group(n) for n in range(1, 13)]
