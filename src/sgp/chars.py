@@ -195,15 +195,10 @@ def induce(f: ClassFunction, h: Subgroup) -> ClassFunction:
 def _cyclic_rows(g: FiniteGroup, gen: int) -> list[ClassFunction]:
     """Rows mu_k(gen^r) = zeta_d^(k*r) for a cyclic group of order d."""
     d = g.order
-    dlog = [0] * d
-    seen = {g.identity}
-    acc = g.identity
-    for r in range(1, d):
-        acc = g.mul[acc][gen]
-        dlog[acc] = r
-        seen.add(acc)
-    if len(seen) != d or g.mul[acc][gen] != g.identity:
+    walk = g.powers(gen)
+    if len(walk) != d:
         raise InternalConsistencyError("chosen generator does not generate the cyclic group")
+    dlog = {x: r for r, x in enumerate(walk)}
     cls = conjugacy_classes(g)
     rows = []
     for k in range(d):
@@ -337,23 +332,10 @@ def _row_permutation(keys, cmap) -> tuple[int, ...] | None:
     return None if None in perm or len(set(perm)) != len(keys) else perm
 
 
-@memoized
-def _class_powers(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """For each class representative rep, the class of rep^k for k below its order."""
-    cls = conjugacy_classes(group)
-    walks = []
-    for rep in cls.reps:
-        walk, acc = [], group.identity
-        for _ in range(group.element_order(rep)):
-            walk.append(cls.class_of[acc])
-            acc = group.mul[acc][rep]
-        walks.append(tuple(walk))
-    return tuple(walks)
-
-
 def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
     """The class of rep^t, for the representative rep of each class."""
-    return tuple(walk[t % len(walk)] for walk in _class_powers(group))
+    cls = conjugacy_classes(group)
+    return tuple(cls.class_of[group.power(rep, t)] for rep in cls.reps)
 
 
 @memoized

@@ -121,7 +121,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write_atomically(Path(out), (text + "\n").encode("utf-8"))
 
 
 def _write_atomically(path: Path, data: bytes) -> None:

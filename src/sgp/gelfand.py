@@ -11,9 +11,10 @@ arithmetic:
   entry of each orbit of (psi, chi) pairs is computed (`chars._pair_orbits`,
   the orbit routine of table validation), and every other entry is read
   from it.
-* Conjugacy.  A conjugate x H x^-1 has the matrix of H with its rows
-  permuted through the class bijection h -> x h x^-1; `classify_subgroups`
-  computes the first subgroup of each class (`class_representative`).
+* Conjugacy.  A conjugate x H x^-1 of the first subgroup H of its class
+  (`class_representative`) embeds H's family group through H's embedding
+  conjugated by x, so psi induces to the same character from either
+  subgroup, and the conjugate reads H's matrix unchanged.
 
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
@@ -37,13 +38,11 @@ side is right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .chars import (
     _galois_row_perms,
     _pair_orbits,
-    _row_keys,
-    _row_permutation,
     decompose,
     induce,
     inner_product,
@@ -64,7 +63,6 @@ from .groups import (
     Subgroup,
     all_subgroups,
     class_representative,
-    conjugacy_classes,
     describe_subgroup,
     map_family,
     memoized,
@@ -177,11 +175,13 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple
 
 
 def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
-    """Multiplicity matrix for the pair (g, h), computed once per h.
+    """Multiplicity matrix for the pair (g, h), computed once per conjugacy class.
 
     One entry per orbit of (psi, chi) pairs is computed by both paths; a
     multiplicity is rational, so sigma_t fixes it, and every other entry is
     M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its orbit's first.
+    A conjugate of the first subgroup of its class (`class_representative`)
+    gets the first's matrix.
     """
     _check_pair(g, h)
     return _multiplicity_matrix(h)
@@ -189,6 +189,9 @@ def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
 
 @memoized
 def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
+    first, x = class_representative(h)
+    if first is not h:
+        return _conjugate_matrix(_multiplicity_matrix(first), h, x)
     g = h.parent
     th, tg = subgroup_table(h), family_table(g)
     e_h = h.group.exponent()
@@ -230,31 +233,19 @@ def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
 
 
 def _conjugate_matrix(m: MultiplicityMatrix, k: Subgroup, x: int) -> MultiplicityMatrix:
-    """The matrix of k = x h x^-1, h = m.subgroup: the rows of m, permuted.
+    """The matrix of k = x h x^-1, h = m.subgroup: the matrix of h itself.
 
-    psi on k and psi(x . x^-1) on h induce to the same character, so their
-    rows agree.  h and k share one family group, whose classes correspond
-    through x and the two embeddings.
+    k takes h's family group and the embedding y -> x emb_h(y) x^-1, so psi
+    on k and psi on h induce to the same character of G, and each row of
+    k's matrix is the same row of h's.
     """
     g, h = m.group, m.subgroup
     if k.group is not h.group:
         raise InternalConsistencyError(f"two conjugate subgroups of {g.name} have different groups")
-    if {g.conjugate(y, x) for y in h.members} != set(k.members):
-        raise InternalConsistencyError(f"the conjugator does not carry one subgroup of {g.name} "
-                                       f"onto the other")
-    emb, loc = h.embedding(), k.local_index()
-    cls = conjugacy_classes(h.group)
-    cmap = [cls.class_of[loc[g.conjugate(emb[rep], x)]] for rep in cls.reps]
-    perm = _row_permutation(_row_keys(subgroup_table(h)), cmap)
-    if perm is None:
-        raise InternalConsistencyError("a class map does not permute the table rows")
-    return MultiplicityMatrix(
-        group=g,
-        subgroup=k,
-        row_names=subgroup_table(k).names,
-        col_names=m.col_names,
-        entries=tuple(m.entries[j] for j in perm),
-    )
+    if k.embedding() != tuple(g.conjugate(y, x) for y in h.embedding()):
+        raise InternalConsistencyError(f"the embedding of a conjugate subgroup of {g.name} is not "
+                                       f"its first's conjugated by the recorded element")
+    return replace(m, subgroup=k)
 
 
 def _trivial_row_index(h: Subgroup) -> int:
@@ -297,14 +288,10 @@ class ClassificationReport:
 def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> ClassificationReport:
     """One record per subgroup, in the deterministic all_subgroups order.
 
-    The first subgroup of each conjugacy class gets `multiplicity_matrix`;
-    each of its conjugates gets that matrix with its rows permuted.
+    Each matrix is computed once per conjugacy class of subgroups, on its
+    first subgroup; every conjugate reads it (`multiplicity_matrix`).
     """
     subgroups = all_subgroups(g, max_order)
-    for k in subgroups:
-        h, x = class_representative(k)
-        if h is not k:
-            _multiplicity_matrix.remember(k, _conjugate_matrix(multiplicity_matrix(g, h), k, x))
     records = []
     for h in subgroups:
         strong, witness = is_strong_gelfand(g, h)

@@ -15,11 +15,17 @@ over different groups can run in parallel with no shared state.  What is
 derived from a group or subgroup (classes, tables, matrices) is computed
 once by `memoized` and kept on that object.
 
+Each group walks the powers of every element once (`FiniteGroup.powers`),
+and element orders, powers, the exponent and cyclic subgroups are read
+off those walks.
+
 Every subgroup of a cyclic, dihedral or dicyclic group is again one of
 these.  `Subgroup.group` is that family group (the parent when full) and
 `Subgroup.embedding()` the parent element each of its elements stands for.
 `all_subgroups` finds each conjugacy class of subgroups once, as
-`class_representative` records, and conjugates share one family group.
+`class_representative` records.  A conjugate x H x^-1 shares the family
+group of H, the first subgroup of its class, and its embedding is that of
+H conjugated by x.
 """
 
 from __future__ import annotations
@@ -164,31 +170,31 @@ class FiniteGroup:
         """x g x^-1."""
         return self.mul[self.mul[x][g]][self.inv[x]]
 
-    def power(self, i: int, k: int) -> int:
-        if k < 0:
-            i, k = self.inv[i], -k
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul[acc][i]
-        return acc
-
     @memoized
-    def _element_orders(self) -> tuple[int, ...]:
-        orders = []
-        for g in range(self.order):
-            k, acc = 1, g
+    def _power_walks(self) -> tuple[tuple[int, ...], ...]:
+        walks = []
+        for x in range(self.order):
+            walk, acc = [self.identity], x
             while acc != self.identity:
-                acc = self.mul[acc][g]
-                k += 1
-            orders.append(k)
-        return tuple(orders)
+                walk.append(acc)
+                acc = self.mul[acc][x]
+            walks.append(tuple(walk))
+        return tuple(walks)
+
+    def powers(self, i: int) -> tuple[int, ...]:
+        """(i^0, i^1, ..., i^(o-1)) for o the order of i, walked once per group."""
+        return self._power_walks()[i]
+
+    def power(self, i: int, k: int) -> int:
+        walk = self.powers(i)
+        return walk[k % len(walk)]
 
     def element_order(self, i: int) -> int:
-        return self._element_orders()[i]
+        return len(self.powers(i))
 
     def exponent(self) -> int:
         """The least common multiple of the element orders."""
-        return math.lcm(*self._element_orders())
+        return math.lcm(*map(len, self._power_walks()))
 
     def element(self, word: str) -> int:
         """Parse a normal-form word such as '1', 'a^3', 'ba^2' or 'b^2'."""
@@ -396,39 +402,38 @@ class Subgroup:
 
         Element r of a cyclic model is gen^r and element j*rot + i of a
         dihedral or dicyclic one is b1^j a1^i (generators from
-        `subgroup_structure`), checked to be an isomorphism onto `members`.
-        A conjugate shares the group of the first subgroup of its class
-        (`class_representative`) but keeps its own embedding.
+        `subgroup_structure`).  A conjugate k = x first x^-1 of the first
+        subgroup of its class (`class_representative`) takes the first's
+        group and the embedding y -> x emb_first(y) x^-1.  Either way the
+        embedding is checked to be an isomorphism onto `members`.
         """
         p = self.parent
         if self.is_full():
             return p, tuple(range(p.order))
-
-        def powers(x, k):
-            out = [p.identity]
-            for _ in range(1, k):
-                out.append(p.mul[out[-1]][x])
-            return out
-
-        kind, data = subgroup_structure(self)
-        if kind in ("trivial", "cyclic"):
-            family, emb = "cyclic", powers(data, self.order)  # the trivial generator None is never read
+        first, x = class_representative(self)
+        if first is not self:
+            model = first.group
+            emb = tuple(p.conjugate(y, x) for y in first.embedding())
         else:
-            a1, b1 = data
-            rotations = powers(a1, self.order // 2)
-            family, emb = kind, rotations + [p.mul[b1][x] for x in rotations]
-        first = class_representative(self)[0]
-        model = first.group if first is not self else \
-            _CONSTRUCTORS[family](self.order // _FAMILY_ORDER_FACTOR[family])
+            kind, data = subgroup_structure(self)
+            if kind == "trivial":
+                family, emb = "cyclic", (p.identity,)
+            elif kind == "cyclic":
+                family, emb = kind, p.powers(data)
+            else:
+                a1, b1 = data
+                rotations = p.powers(a1)
+                family, emb = kind, rotations + tuple(p.mul[b1][r] for r in rotations)
+            model = _CONSTRUCTORS[family](self.order // _FAMILY_ORDER_FACTOR[family])
         if tuple(sorted(emb)) != self.members or any(
-            emb[model.mul[x][s]] != p.mul[emb[x]][emb[s]]
-            for x in range(model.order)
+            emb[model.mul[y][s]] != p.mul[emb[y]][emb[s]]
+            for y in range(model.order)
             for s in model.gens.values()
         ):
             raise InternalConsistencyError(
                 f"embedding of {model.name} in {p.name} is not an isomorphism onto the subgroup"
             )
-        return model, tuple(emb)
+        return model, emb
 
     @property
     def group(self) -> FiniteGroup:
@@ -438,11 +443,6 @@ class Subgroup:
     def embedding(self) -> tuple[int, ...]:
         """The parent element that each element of `group` stands for."""
         return self._model()[1]
-
-    @memoized
-    def local_index(self) -> dict[int, int]:
-        """Map parent element index -> the element of `group` standing for it."""
-        return {x: i for i, x in enumerate(self.embedding())}
 
 
 def _closure(g: FiniteGroup, gens) -> frozenset[int]:
@@ -508,7 +508,7 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     check_order(g.order, max_order)
     cyclic: dict[frozenset[int], int] = {}
     for x in range(g.order):
-        cyclic.setdefault(_closure(g, (x,)), x)
+        cyclic.setdefault(frozenset(g.powers(x)), x)
     found: dict[frozenset[int], tuple[frozenset[int], int]] = {}  # -> (first, x)
     work: list[tuple[frozenset[int], tuple[int, ...]]] = []  # (first, its generators)
 

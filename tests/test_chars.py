@@ -12,6 +12,7 @@ from sgp.chars import (
     ClassFunction,
     TableValidation,
     _class_power_map,
+    _cyclic_rows,
     _galois_maps,
     constructive_family_table,
     decompose,
@@ -28,7 +29,12 @@ from sgp.chars import (
     validate_table,
 )
 from sgp.cyclo import rational, weighted_product_sum, zeta
-from sgp.errors import DomainMismatchError, IntegralityError, UnsupportedFamilyError
+from sgp.errors import (
+    DomainMismatchError,
+    IntegralityError,
+    InternalConsistencyError,
+    UnsupportedFamilyError,
+)
 from sgp.groups import (
     FiniteGroup,
     all_subgroups,
@@ -249,7 +255,7 @@ def induce_over_whole_group(f, h):
     """The seed's induction: conjugate each class representative by all of G."""
     g = h.parent
     cls_g, cls_h = conjugacy_classes(g), conjugacy_classes(h.group)
-    loc = h.local_index()
+    loc = {x: i for i, x in enumerate(h.embedding())}
     values = []
     for rep in cls_g.reps:
         counts = [0] * len(cls_h.reps)
@@ -298,14 +304,16 @@ def test_induction_is_transitive_along_chains():
     for g in (dihedral_group(6), dicyclic_group(3)):
         subs = all_subgroups(g)
         for h in subs:
-            loc_h, emb_h = h.local_index(), h.embedding()
+            emb_h = h.embedding()
+            loc_h = {x: i for i, x in enumerate(emb_h)}
             for k in subs:
                 if k.order >= h.order or not set(k.members) <= set(h.members):
                     continue
                 k_in_h = Subgroup(h.group, tuple(loc_h[x] for x in k.members))
                 # carry psi across: element x of k_in_h.group is the parent
                 # element emb_h[emb[x]], which k.group numbers loc_k[...]
-                loc_k, emb = k.local_index(), k_in_h.embedding()
+                loc_k = {x: i for i, x in enumerate(k.embedding())}
+                emb = k_in_h.embedding()
                 reps = conjugacy_classes(k_in_h.group).reps
                 for psi in subgroup_table(k).irreducibles:
                     values = tuple(psi.value_on_element(loc_k[emb_h[emb[rep]]]) for rep in reps)
@@ -324,6 +332,14 @@ def test_cyclic_table_powers_of_i():
     for k in range(4):
         for r in range(4):
             assert t.irreducibles[k].value_on_element(r) == zeta(4, k * r)
+
+
+def test_cyclic_rows_refuse_a_generator_of_a_proper_subgroup():
+    g = cyclic_group(6)
+    for gen in (0, 2, 3, 4):
+        with pytest.raises(InternalConsistencyError, match="does not generate"):
+            _cyclic_rows(g, gen)
+    assert len(_cyclic_rows(g, 5)) == 6
 
 
 def test_d10_table_shape():
@@ -543,8 +559,10 @@ def test_a_class_map_that_does_not_keep_class_sizes_is_not_used(monkeypatch):
                          ids=lambda g: g.name)
 def test_class_power_map_equals_repeated_multiplication(g):
     cls = conjugacy_classes(g)
+    powers = [g.identity] * len(cls.reps)  # rep^t for each representative rep
     for t in range(2 * g.exponent() + 1):
-        assert _class_power_map(g, t) == tuple(cls.class_of[g.power(rep, t)] for rep in cls.reps)
+        assert _class_power_map(g, t) == tuple(cls.class_of[x] for x in powers)
+        powers = [g.mul[x][rep] for x, rep in zip(powers, cls.reps)]
 
 
 def test_validation_computes_one_sum_per_orbit(monkeypatch):

@@ -1,6 +1,7 @@
 """CLI surface: commands, formats, exit codes, atlas persistence."""
 
 import csv
+import hashlib
 import gc
 import io
 import json
@@ -314,6 +315,26 @@ def test_a_data_write_cut_short_leaves_the_old_file_whole(tmp_path, capsys, monk
     assert not list(out_dir.glob("*.partial"))
 
 
+def test_an_out_file_write_cut_short_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "d12.txt"
+    rc, _, _ = run(capsys, "classify", "dihedral", "6", "--out", str(target))
+    assert rc == 0
+    before = target.read_bytes()
+
+    def cut_short(write):
+        def written(path, data, *args, **kwargs):
+            write(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return written
+
+    for name in ("write_bytes", "write_text"):
+        monkeypatch.setattr(pathlib.Path, name, cut_short(getattr(pathlib.Path, name)))
+    rc, _, err = run(capsys, "classify", "dihedral", "6", "--out", str(target))
+    assert rc == 1 and "no space left on device" in err
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d12.txt"]
+
+
 def test_atlas_rerun_is_byte_identical(tmp_path, capsys):
     out_dir = tmp_path / "atlas"
     run(capsys, "atlas", "dicyclic", "2..4", "--out", str(out_dir))
@@ -394,3 +415,107 @@ def test_console_entry_point_via_module():
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
+
+
+# -- byte contract -------------------------------------------------------------------
+
+_CONTRACT_RANGES = {"cyclic": "1..10", "dihedral": "1..8", "dicyclic": "1..4"}
+
+# sha256 of argv, exit code, stdout, stderr and every atlas file (name and
+# bytes) for each command over `_CONTRACT_RANGES`, one digest per
+# (command, family, format)
+_CONTRACT_DIGESTS = {
+    ("table", "cyclic", "text"):
+        "3193d723248fa85a30c133e0a9c909e925fe51aee468b7464b4de4c3ed31a23a",
+    ("table", "cyclic", "json"):
+        "896b81953cecf2047591cd1b66c6522391de017ea4055a1a3d96e371c301a600",
+    ("table", "cyclic", "csv"):
+        "cfb5a841057d0f7c1d08f2410818362a00325884822d4deab5b6f65fd474c2d5",
+    ("table", "dihedral", "text"):
+        "c8faf9312861fe9c6bec057b15ae3f1b03b1bc44976412e38f54c3c272ea970c",
+    ("table", "dihedral", "json"):
+        "fb1214895313844cbe27b92ddb45c02f22cbd9aad9e40070a0192365ae012074",
+    ("table", "dihedral", "csv"):
+        "acba380de202ca8912ac82744d24cb7d3d9847529c3c6db8f93501ef41817906",
+    ("table", "dicyclic", "text"):
+        "68f79a26fda666585ad2b014f97b25a0d4352fb4a8004d195307f503441250dd",
+    ("table", "dicyclic", "json"):
+        "4a6ec73915dc373687742a588d1148389ce31cebeb57561f97282eb34b7e4618",
+    ("table", "dicyclic", "csv"):
+        "da3a5239b8419562ac127bee8b24ce281c0f77021904b5584784076ae395a50e",
+    ("classify", "cyclic", "text"):
+        "8b6032e706a879447b302f783d5f7eb6559b539f8911a34b728682fd70864384",
+    ("classify", "cyclic", "json"):
+        "3834e4ffe78b3d9479ebe1a63ae56d9bcff9081d685083adf84f2e7dcd10d2fa",
+    ("classify", "cyclic", "csv"):
+        "3fa3f71a3659a52ec5c8b96210ca6abaec1d91123d34d47689940a9a2cedd5b7",
+    ("classify", "dihedral", "text"):
+        "120406c0f31a0a5b48159efa7c4f2f9537407a3968aa628c25489565448158ae",
+    ("classify", "dihedral", "json"):
+        "bfa92fc06789e93468b95742bd121e120f8569e4c4edbe3563b9a4322f4986f5",
+    ("classify", "dihedral", "csv"):
+        "c893e60b85ae8ba2c7e3df3334ee0cd7dc91a1069764f91b80ad0bf5de450ded",
+    ("classify", "dicyclic", "text"):
+        "bb669fb56279a3934ec48f027e9906eb3fc806c9ede86ce866a1cbd3796efa0e",
+    ("classify", "dicyclic", "json"):
+        "99fc76244b168baf88a929782bd6d4a839971b2f739eee95dfd3ac5498956f65",
+    ("classify", "dicyclic", "csv"):
+        "d7e17a347111e6779feb522be99e75964d17422e34325d66a868f91180f2568b",
+    ("audit", "cyclic", "text"):
+        "0f38a8153369605f1e17e2f825a98a4f8d989326ce7a8877e40cb11056976270",
+    ("audit", "cyclic", "json"):
+        "1278289692f1af952f15d00ebaaab759bde4dc564724b79f785bdebe3ea446de",
+    ("audit", "cyclic", "csv"):
+        "07c4c914510703006b640c045d7527d2c4c770c1405da112f16c89ea0e9c41c8",
+    ("audit", "dihedral", "text"):
+        "b626a7f62528b3c57c0a4e6d4318d77b0b177431fed2aabad52141ca7bdc06d4",
+    ("audit", "dihedral", "json"):
+        "f4278c6fdf9324aab757de1887d880feb44d8ec56517bcbec5a1deb058ccda5f",
+    ("audit", "dihedral", "csv"):
+        "224a9eddd6ff7cffb3d536d9e5570f3f2788ad82aaa6fbd2ac0d2b244b67c006",
+    ("audit", "dicyclic", "text"):
+        "7c1525e1609c6f61924f344ae6e3ba972e058c5612cc5e5f2b02f2dc77a66768",
+    ("audit", "dicyclic", "json"):
+        "bcd142cf4eeb1f230438bcb8791d3ce7e9167d324ef73a2fb4929a0724e4648a",
+    ("audit", "dicyclic", "csv"):
+        "c9c195c970b8a47860e646f4a33f7a85a21e1d0c9253862f4717733388574ecf",
+    ("atlas", "cyclic", "text"):
+        "772eaa86d8317e8f513f7f88b99a7cce7ab81bdb7040f3d301a5c76c6b47ddcf",
+    ("atlas", "cyclic", "json"):
+        "ac6a67c3324cacb1fae44fd1d60a48d9adfddddad969b8d47d96bd2f8422640a",
+    ("atlas", "cyclic", "csv"):
+        "8e0d2c6895ac9db5df3e3adf33fc073300579685da3e23f31e429fb57c262e97",
+    ("atlas", "dihedral", "text"):
+        "e456f83882f1e08e33b87ed332a2ec6e92d95a76a3b50a4c3c025ad35d7782c2",
+    ("atlas", "dihedral", "json"):
+        "28fa2196be320a29e6eafb37c21b37a617b3b8e2dcb83dcac87f92480a8d0d2a",
+    ("atlas", "dihedral", "csv"):
+        "f516c5957049babc8b956fa98e55662cfbcd3ccbcec14c19a05738b52a85457c",
+    ("atlas", "dicyclic", "text"):
+        "2165e9dab30aa3a6fd15ecaec9e7b42778c3a10c2ce50a104647ffe7bee37d60",
+    ("atlas", "dicyclic", "json"):
+        "527a559240b2489f475c9afbd7272ab82be918c7b377c52dee1a61e4453c2e24",
+    ("atlas", "dicyclic", "csv"):
+        "cdb9f326d3ff2aaa316935d978c3204101afdc1ec97ee043ba55f1ef33c93b9f",
+}
+
+
+def _transcript_digest(capsys, tmp_path, command, family, fmt):
+    argv = [command, family, _CONTRACT_RANGES[family], "--format", fmt]
+    out_dir = tmp_path / "out"
+    extra = ["--out", str(out_dir)] if command == "atlas" else []
+    rc, out, err = run(capsys, *argv, *extra)
+    digest = hashlib.sha256()
+    shown = argv + (["--out", "OUT"] if extra else [])
+    for part in (" ".join(shown), str(rc), out, err):
+        digest.update(part.encode("utf-8") + b"\0")
+    for path in sorted(out_dir.iterdir()) if extra else ():
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("command, family, fmt", list(_CONTRACT_DIGESTS))
+def test_cli_bytes_match_the_pinned_digests(command, family, fmt, capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("SGP_MAX_ORDER", raising=False)
+    digest = _transcript_digest(capsys, tmp_path, command, family, fmt)
+    assert digest == _CONTRACT_DIGESTS[command, family, fmt]

@@ -82,7 +82,7 @@ def test_both_computation_paths_agree():
 
 def _assert_matrices_equal_the_reference(g):
     """Every classified subgroup's matrix equals both full paths; return how
-    many conjugates got their class representative's matrix with rows moved."""
+    many conjugates have a matrix other than their class representative's."""
     report = classify_subgroups(g)
     for h in report.subgroups:
         entries = multiplicity_matrix(g, h).entries
@@ -100,7 +100,8 @@ def test_orbit_matrices_equal_the_two_path_reference():
     for family, top in (("cyclic", 30), ("dihedral", 16), ("dicyclic", 8)):
         for n in range(1, top + 1):
             permuted += _assert_matrices_equal_the_reference(build_group(family, n))
-    assert permuted > 0
+    # a conjugate's embedding is its first's conjugated, so no row moves
+    assert permuted == 0
 
 
 @settings(max_examples=15, deadline=None, database=None)
@@ -133,6 +134,31 @@ def test_matrices_compute_one_entry_per_orbit_of_pairs(monkeypatch):
                         counting("restriction", sgp.gelfand.inner_product))
     classify_subgroups(dihedral_group(36))
     assert calls == {"induction": 1360, "restriction": 1360}
+
+
+def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
+    g = dihedral_group(36)
+    subs = all_subgroups(g)
+    for k in subs:
+        multiplicity_matrix(g, class_representative(k)[0])
+    calls = []
+
+    def counted(original):
+        def inner_product(*args):
+            calls.append(args)
+            return original(*args)
+        return inner_product
+
+    # decompose reads chars.inner_product; the restriction path reads gelfand's
+    for home in (sgp.chars, sgp.gelfand):
+        monkeypatch.setattr(home, "inner_product", counted(home.inner_product))
+    conjugates = [k for k in subs if class_representative(k)[0] is not k]
+    for k in conjugates:
+        first = class_representative(k)[0]
+        m = multiplicity_matrix(g, k)
+        assert m.subgroup is k
+        assert m.entries == multiplicity_matrix(g, first).entries
+    assert conjugates and calls == []
 
 
 def _corrupt_first_entry(original):

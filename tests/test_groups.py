@@ -1,5 +1,7 @@
 """Group construction, conjugacy classes, subgroup enumeration, descriptors."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,31 @@ def test_dicyclic_degenerate_is_cyclic_of_order_four():
     assert g.family == "dicyclic"
     b = g.element("b")
     assert g.element_order(b) == 4
+
+
+@pytest.mark.parametrize("g", [cyclic_group(1), cyclic_group(12), dihedral_group(1),
+                               dihedral_group(9), dicyclic_group(1), dicyclic_group(6)],
+                         ids=lambda g: g.name)
+def test_power_walks_equal_repeated_multiplication(g):
+    orders = []
+    for i in range(g.order):  # the identity included
+        order, acc = 1, i
+        while acc != g.identity:
+            acc = g.mul[acc][i]
+            order += 1
+        orders.append(order)
+        assert g.element_order(i) == order
+        walk, acc = [], g.identity
+        for _ in range(order):
+            walk.append(acc)
+            acc = g.mul[acc][i]
+        assert g.powers(i) == tuple(walk)
+        for k in range(-2 * order, 2 * order + 1):
+            acc, step = g.identity, i if k >= 0 else g.inv[i]
+            for _ in range(abs(k)):
+                acc = g.mul[acc][step]
+            assert g.power(i, k) == acc, (i, k)
+    assert g.exponent() == math.lcm(*orders)
 
 
 def test_invalid_parameters_are_rejected():
@@ -365,8 +392,9 @@ def test_all_subgroups_match_pairwise_join_reference(family, hi):
 @pytest.mark.parametrize("g, budget", [(dihedral_group(36), 1152), (dicyclic_group(14), 296)],
                          ids=["D72", "Dic56"])
 def test_all_subgroups_extends_one_subgroup_per_conjugacy_class(g, budget, monkeypatch):
-    # one closure per element for the cyclic subgroups, then one per
-    # (class, cyclic subgroup) pair; extending every conjugate costs more
+    # the cyclic subgroups are read off the power walks, so each closure
+    # extends the first subgroup of a class by one cyclic subgroup: at most
+    # one per (class, cyclic subgroup) pair; extending every conjugate costs more
     closure = sgp.groups._closure
     calls = []
 
@@ -381,6 +409,8 @@ def test_all_subgroups_extends_one_subgroup_per_conjugacy_class(g, budget, monke
     cyclic = sum(1 for h in subs if any(g.element_order(x) == h.order for x in h.members))
     assert g.order + classes * cyclic == budget
     assert len(calls) <= budget
+    assert len(calls) <= classes * cyclic
+    assert all(len(gens) >= 2 for gens in calls)
 
 
 def test_all_subgroups_respects_size_bound():
@@ -480,7 +510,6 @@ def test_subgroup_group_reindexes_consistently():
             for x in range(hg.order):
                 for y in range(hg.order):
                     assert emb[hg.mul[x][y]] == g.mul[emb[x]][emb[y]]
-            assert h.local_index() == {p: x for x, p in enumerate(emb)}
             assert subgroup_table(h) is family_table(hg)
 
 
@@ -507,6 +536,16 @@ def test_conjugates_share_one_family_group():
             h = Subgroup(g, k.members)
             first, x = class_representative(h)
             assert first is h and x == g.identity
+
+
+@pytest.mark.parametrize("g", [dihedral_group(36), dicyclic_group(14)], ids=lambda g: g.name)
+def test_a_conjugate_embeds_its_first_group_through_the_conjugator(g):
+    conjugates = 0
+    for k in all_subgroups(g):
+        first, x = class_representative(k)
+        assert k.embedding() == tuple(g.conjugate(y, x) for y in first.embedding())
+        conjugates += first is not k
+    assert conjugates > 0
 
 
 def test_full_subgroup_group_is_parent():
