@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -51,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args keeps no state on the parser, so every main call shares one
     parser = _Parser(prog="sgp", description="Exact character tables and "
                      "strong-Gelfand classification for cyclic, dihedral and "
                      "dicyclic groups.")

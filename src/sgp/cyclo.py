@@ -1,19 +1,25 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-A value of order N is stored in the reduced power basis
+A value of order N is expressed in the reduced power basis
 {1, z, ..., z^(phi(N)-1)} of Q(zeta_N) = Q[x]/Phi_N(x), where z = zeta_N
 denotes the primitive root e^(2*pi*i/N) and Phi_N is the N-th cyclotomic
-polynomial.  Coefficients are rationals; internally each value keeps an
-integer numerator vector plus a single positive denominator with
-gcd(content, denominator) = 1, so the representation is canonical: two
-values of the same order are equal exactly when their stored vectors
-coincide.  Values of different orders are compared after lifting both to
-the lcm order; no automatic order minimization is performed.
+polynomial.  Coefficients are rationals, and only the nonzero ones are
+stored: each value keeps a tuple of (exponent, numerator) pairs, sorted by
+exponent, every exponent below phi(N) and every numerator a nonzero
+integer, plus a single positive denominator coprime to the gcd of the
+numerators; zero is no pairs over 1.  The representation is canonical: two
+values of the same order are equal exactly when their pairs and
+denominators coincide.  Values of different orders are compared after
+lifting both to the lcm order; no automatic order minimization is
+performed.  Character values of the cyclic, dihedral and dicyclic families
+are one or two roots of unity, so a value holds a term or two however
+large phi(N) is.
 
 Every operation that makes a value from exponents (lifting, conjugation,
-products and `weighted_product_sum`) fills an integer buffer indexed by
+products and `weighted_product_sum`) adds its terms into a dict keyed by
 raw exponents of zeta_m and ends in the one reduction routine `_reduce`,
-which folds the exponents at or above phi(m) back into the power basis.
+which folds the nonzero exponents at or above phi(m) back into the power
+basis through the sparse rows of `_power_rows`.
 
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across workers.  The cached cyclotomic
@@ -109,52 +115,52 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of x^k mod Phi_n for 0 <= k < 2n.
+def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse coordinates of x^k mod Phi_n for 0 <= k < 2n.
 
-    Row k is the reduced power-basis vector of zeta_n^k; exponents up to
-    2n - 2 are all that products, conjugation, and lifting ever need.
+    Row k is zeta_n^k as its sorted nonzero (exponent, numerator) pairs in
+    the power basis; exponents up to 2n - 2 are all that products,
+    conjugation and lifting ever need.  Each row is the one before it times
+    x, with x^phi replaced by -(Phi_n - x^phi) since Phi_n is monic.
     """
     phi = euler_phi(n)
-    mod = cyclotomic_polynomial(n)
-    rows = []
-    for k in range(phi):
-        row = [0] * phi
-        row[k] = 1
-        rows.append(tuple(row))
-    cur = list(rows[-1])
+    mod = [(i, c) for i, c in enumerate(cyclotomic_polynomial(n)[:phi]) if c]
+    rows = [((k, 1),) for k in range(phi)]
     for _ in range(phi, 2 * n):
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
+        acc = {t + 1: c for t, c in rows[-1]}
+        lead = acc.pop(phi, 0)
         if lead:
-            # x^phi == -(Phi_n - x^phi) since Phi_n is monic
-            for i in range(phi):
-                cur[i] -= lead * mod[i]
-        rows.append(tuple(cur))
+            for i, c in mod:
+                acc[i] = acc.get(i, 0) - lead * c
+        rows.append(tuple(sorted(p for p in acc.items() if p[1])))
     return tuple(rows)
 
 
-def _reduce(m: int, buf: list[int], den: int) -> "Cyclotomic":
-    """The value sum(buf[e] * zeta_m^e) / den in canonical form, for e < 2m.
+def _reduce(m: int, acc: dict[int, int], den: int) -> "Cyclotomic":
+    """The value sum(acc[e] * zeta_m^e) / den in canonical form, for e < 2m.
 
-    Every exponent at or above phi(m) is folded back into the power basis
-    through its `_power_rows` row; `buf` is consumed.
+    `acc` maps raw exponents of zeta_m to integer numerators, zeros allowed.
+    Only the nonzero exponents at or above phi(m) are folded back into the
+    power basis, through their `_power_rows` row.
     """
     phi = euler_phi(m)
     rows = _power_rows(m)
-    for e in range(phi, len(buf)):
-        c = buf[e]
-        if c:
-            for t, r in enumerate(rows[e]):
-                if r:
-                    buf[t] += c * r
-    return Cyclotomic._make(m, buf[:phi], den)
+    out: dict[int, int] = {}
+    for e, c in acc.items():
+        if not c:
+            continue
+        if e < phi:
+            out[e] = out.get(e, 0) + c
+        else:
+            for t, r in rows[e]:
+                out[t] = out.get(t, 0) + c * r
+    return Cyclotomic._make(m, sorted([p for p in out.items() if p[1]]), den)
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_order) in canonical power-basis form."""
+    """An exact element of Q(zeta_order) in canonical sparse power-basis form."""
 
-    __slots__ = ("order", "_num", "_den")
+    __slots__ = ("order", "_terms", "_den")
 
     order: int
 
@@ -167,35 +173,35 @@ class Cyclotomic:
             raise ValueError(
                 f"expected {euler_phi(order)} coefficients for order {order}, got {len(fracs)}"
             )
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        made = Cyclotomic._make(order, [int(f * den) for f in fracs], den)
-        object.__setattr__(self, "order", made.order)
-        object.__setattr__(self, "_num", made._num)
-        object.__setattr__(self, "_den", made._den)
+        den = math.lcm(*(f.denominator for f in fracs))
+        made = Cyclotomic._make(order, [(e, int(f * den)) for e, f in enumerate(fracs) if f], den)
+        _set_order(self, made.order)
+        _set_terms(self, made._terms)
+        _set_den(self, made._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
 
     @staticmethod
-    def _make(order: int, num, den: int) -> "Cyclotomic":
+    def _make(order: int, pairs, den: int) -> "Cyclotomic":
+        """The canonical value sum(a * zeta_order^e for e, a in pairs) / den.
+
+        `pairs` must already be sorted by exponent, with every exponent below
+        phi(order) and every numerator nonzero; this divides out the common
+        factor of the numerators and the denominator and makes den positive.
+        """
         if den < 0:
             den = -den
-            num = [-a for a in num]
-        g = den
-        for a in num:
-            if a:
-                g = math.gcd(g, a)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            num = [a // g for a in num]
-        self = object.__new__(Cyclotomic)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_num", tuple(num))
-        object.__setattr__(self, "_den", den)
+            pairs = [(e, -a) for e, a in pairs]
+        if den != 1:
+            g = math.gcd(den, *[a for _, a in pairs])
+            if g != 1:
+                den //= g
+                pairs = [(e, a // g) for e, a in pairs]
+        self = _new(Cyclotomic)
+        _set_order(self, order)
+        _set_terms(self, tuple(pairs))
+        _set_den(self, den)
         return self
 
     # -- representation ----------------------------------------------------
@@ -203,47 +209,50 @@ class Cyclotomic:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Power-basis coefficients as rationals, length phi(order)."""
-        den = self._den
-        return tuple(Fraction(a, den) for a in self._num)
+        out = [Fraction(0)] * euler_phi(self.order)
+        for e, a in self._terms:
+            out[e] = Fraction(a, self._den)
+        return tuple(out)
 
-    def key(self, m: int) -> tuple[tuple[int, ...], int]:
-        """The value lifted to Q(zeta_m) as (numerators, denominator).
+    def key(self, m: int) -> tuple[tuple[tuple[int, int], ...], int]:
+        """The value lifted to Q(zeta_m) as ((exponent, numerator) pairs, denominator).
 
         Two values are equal exactly when their keys at one m are equal, so
         the key can index a dict where `Cyclotomic` itself cannot.
         """
         v = self.lift(m)
-        return v._num, v._den
+        return v._terms, v._den
 
     def as_rational(self) -> Fraction | None:
         """The value as a rational, or None when it is irrational."""
-        if any(self._num[1:]):
-            return None
-        return Fraction(self._num[0], self._den)
+        terms = self._terms
+        if not terms:
+            return Fraction(0)
+        if len(terms) == 1 and terms[0][0] == 0:
+            return Fraction(terms[0][1], self._den)
+        return None
 
     def as_rational_integer(self) -> int | None:
         """The value as an int, or None: a refusal distinct from any integer."""
-        q = self.as_rational()
-        if q is None or q.denominator != 1:
+        if self._den != 1 or len(self._terms) > 1:
             return None
-        return int(q)
+        if not self._terms:
+            return 0
+        e, a = self._terms[0]
+        return None if e else a
 
     def approx(self) -> complex:
         """Float embedding zeta_N -> e^(2*pi*i/N); for validation only."""
         z = cmath.exp(2j * cmath.pi / self.order)
-        acc = 0j
-        for a in reversed(self._num):
-            acc = acc * z + a
-        return acc / self._den
+        return sum(a * z ** e for e, a in self._terms) / self._den
 
     def __str__(self) -> str:
-        if not any(self._num):
+        if not self._terms:
             return "0"
+        den = self._den
         parts: list[str] = []
-        for k, a in enumerate(self._num):
-            if not a:
-                continue
-            q = Fraction(a, self._den)
+        for k, a in self._terms:
+            q = a if den == 1 else Fraction(a, den)
             mag = abs(q)
             if k == 0:
                 term = str(mag)
@@ -271,18 +280,14 @@ class Cyclotomic:
         if m == self.order:
             return self
         ratio = m // self.order
-        buf = [0] * m
-        for i, a in enumerate(self._num):
-            buf[i * ratio] = a
-        return _reduce(m, buf, self._den)
+        return _reduce(m, {e * ratio: a for e, a in self._terms}, self._den)
 
     @staticmethod
     def _coerce(value) -> "Cyclotomic | None":
         if isinstance(value, Cyclotomic):
             return value
         if isinstance(value, (int, Fraction)):
-            f = Fraction(value)
-            return Cyclotomic._make(1, [f.numerator], f.denominator)
+            return rational(value)
         return None
 
     # -- arithmetic --------------------------------------------------------
@@ -298,10 +303,12 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        if a._den == b._den:
-            return Cyclotomic._make(a.order, [x + y for x, y in zip(a._num, b._num)], a._den)
         da, db = a._den, b._den
-        return Cyclotomic._make(a.order, [x * db + y * da for x, y in zip(a._num, b._num)], da * db)
+        sa, sb = (1, 1) if da == db else (db, da)
+        acc = {e: x * sa for e, x in a._terms}
+        for e, y in b._terms:
+            acc[e] = acc.get(e, 0) + y * sb
+        return Cyclotomic._make(a.order, sorted([p for p in acc.items() if p[1]]), da * sa)
 
     __radd__ = __add__
 
@@ -318,28 +325,25 @@ class Cyclotomic:
         return o.__sub__(self)
 
     def __neg__(self):
-        return Cyclotomic._make(self.order, [-a for a in self._num], self._den)
+        return Cyclotomic._make(self.order, [(e, -a) for e, a in self._terms], self._den)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Cyclotomic._make(self.order, [a * other for a in self._num], self._den)
+            terms = [(e, a * other) for e, a in self._terms] if other else []
+            return Cyclotomic._make(self.order, terms, self._den)
         if isinstance(other, Fraction):
-            return Cyclotomic._make(
-                self.order,
-                [a * other.numerator for a in self._num],
-                self._den * other.denominator,
-            )
+            terms = [(e, a * other.numerator) for e, a in self._terms] if other else []
+            return Cyclotomic._make(self.order, terms, self._den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(other)
-        buf = [0] * (2 * len(a._num) - 1)
-        bn = b._num
-        for i, x in enumerate(a._num):
-            if x:
-                for j, y in enumerate(bn):
-                    if y:
-                        buf[i + j] += x * y
-        return _reduce(a.order, buf, a._den * b._den)
+        acc: dict[int, int] = {}
+        bt = b._terms
+        for i, x in a._terms:
+            for j, y in bt:
+                k = i + j
+                acc[k] = acc.get(k, 0) + x * y
+        return _reduce(a.order, acc, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -354,7 +358,7 @@ class Cyclotomic:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers of cyclotomic values are not supported")
-        result = Cyclotomic._make(self.order, [1] + [0] * (len(self._num) - 1), 1)
+        result = Cyclotomic._make(self.order, ((0, 1),), 1)
         base = self
         while k:
             if k & 1:
@@ -366,38 +370,42 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: zeta^k -> zeta^(N-k) applied before reduction."""
         n = self.order
-        buf = [0] * n
-        for i, a in enumerate(self._num):
-            buf[(n - i) % n] = a
-        return _reduce(n, buf, self._den)
+        return _reduce(n, {(n - e) % n: a for e, a in self._terms}, self._den)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self._den == 1 and not any(self._num[1:]) and self._num[0] == other
+            return self._den == 1 and self._terms == (((0, other),) if other else ())
         o = Cyclotomic._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self._common(o)
-        return a._den == b._den and a._num == b._num
+        return a._den == b._den and a._terms == b._terms
 
     def __bool__(self):
-        return any(self._num)
+        return bool(self._terms)
+
+
+# Every value is built by `_make`; writing the slots through their
+# descriptors takes about half the time of object.__setattr__ by name.
+_new = object.__new__
+_set_order = Cyclotomic.order.__set__
+_set_terms = Cyclotomic._terms.__set__
+_set_den = Cyclotomic._den.__set__
 
 
 def zeta(order: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_order^k in canonical form (k reduced mod order)."""
     if order < 1:
         raise InvalidOrderError(f"order must be a positive integer, got {order}")
-    rows = _power_rows(order)
-    return Cyclotomic._make(order, list(rows[k % order]), 1)
+    return Cyclotomic._make(order, _power_rows(order)[k % order], 1)
 
 
 def rational(value) -> Cyclotomic:
     """Embed an integer or Fraction as a cyclotomic value of order 1."""
     f = Fraction(value)
-    return Cyclotomic._make(1, [f.numerator], f.denominator)
+    return Cyclotomic._make(1, ((0, f.numerator),) if f else (), f.denominator)
 
 
 def lift(x: Cyclotomic, m: int) -> Cyclotomic:
@@ -418,19 +426,19 @@ def as_rational_integer(x: Cyclotomic) -> int | None:
 def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:
     """Exact sum of w * f * g over aligned triples, with integer weights.
 
-    Equivalent to `sum(w * f * g)` but adds every term into one buffer at
-    its raw exponent in zeta_m, m the lcm of all orders, and reduces modulo
-    the cyclotomic polynomial once at the end; no lifted value is built.
-    Orthogonality validation calls this with thousands of terms.
+    Equivalent to `sum(w * f * g)` but adds every product of a term of f and
+    a term of g into one accumulator at its raw exponent in zeta_m, m the lcm
+    of all orders, and reduces modulo the cyclotomic polynomial once at the
+    end; no lifted value is built.  Orthogonality validation calls this with
+    thousands of terms.
     """
     fs = list(fs)
     gs = list(gs)
     if weights is None:
         weights = [1] * len(fs)
-    m = 1
-    for f, g in zip(fs, gs):
-        m = math.lcm(m, f.order, g.order)
-    buf = [0] * (2 * m - 1)
+    m = math.lcm(*{f.order for f in fs}, *{g.order for g in gs})
+    acc: dict[int, int] = {}
+    get = acc.get
     den = 1
     for f, g, w in zip(fs, gs, weights):
         if not w:
@@ -440,19 +448,17 @@ def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:
             new_den = math.lcm(den, d)
             if new_den != den:
                 scale = new_den // den
-                for t, v in enumerate(buf):
-                    if v:
-                        buf[t] = v * scale
+                for e in acc:
+                    acc[e] *= scale
                 den = new_den
             w = w * (den // d)
         fr = m // f.order
         gr = m // g.order
-        gn = g._num
-        for i, a in enumerate(f._num):
-            if a:
-                wa = w * a
-                fi = i * fr
-                for j, b in enumerate(gn):
-                    if b:
-                        buf[fi + j * gr] += wa * b
-    return _reduce(m, buf, den)
+        gt = g._terms
+        for i, a in f._terms:
+            wa = w * a
+            fi = i * fr
+            for j, b in gt:
+                k = fi + j * gr
+                acc[k] = get(k, 0) + wa * b
+    return _reduce(m, acc, den)

@@ -13,6 +13,7 @@ import time
 import pytest
 
 import sgp.chars
+import sgp.cli
 import sgp.gelfand
 import sgp.groups
 from sgp.chars import TableValidation
@@ -415,6 +416,21 @@ def test_console_entry_point_via_module():
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
+
+
+def test_main_calls_share_one_parser_but_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("SGP_MAX_ORDER", raising=False)
+    sgp.cli._build_parser.cache_clear()
+    rc, out, err = run(capsys, "table", "cyclic", "5", "--max-order", "3")
+    assert rc == 1 and out == ""
+    assert "group order 5 exceeds the bound 3" in err
+    rc, out, err = run(capsys, "table", "cyclic", "5")
+    fresh = subprocess.run([sys.executable, "-m", "sgp", "table", "cyclic", "5"],
+                           capture_output=True, text=True)
+    assert rc == 0 and fresh.returncode == 0
+    assert (out, err) == (fresh.stdout, fresh.stderr)
+    info = sgp.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # -- byte contract -------------------------------------------------------------------
