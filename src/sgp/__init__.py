@@ -44,8 +44,6 @@ from .chars import (
     regular_character,
     restrict,
     subgroup_table,
-    table_to_json,
-    table_to_text,
     trivial_character,
     validate_table,
 )
@@ -78,8 +76,7 @@ __all__ = [
     "CharacterTable", "ClassFunction", "constructive_family_table",
     "decompose", "family_table", "induce", "inner_product",
     "linear_characters_bruteforce", "regular_character", "restrict",
-    "subgroup_table", "table_to_json", "table_to_text",
-    "trivial_character", "validate_table",
+    "subgroup_table", "trivial_character", "validate_table",
     "AuditReport", "ClassificationReport", "ClassificationRule", "GroupAudit",
     "MultiplicityMatrix", "Witness", "audit", "classify_subgroups",
     "is_gelfand", "is_strong_gelfand", "multiplicity_by_induction",

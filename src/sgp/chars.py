@@ -63,8 +63,6 @@ __all__ = [
     "constructive_family_table",
     "trivial_character",
     "regular_character",
-    "table_to_json",
-    "table_to_text",
 ]
 
 _ONE = rational(1)
@@ -207,27 +205,26 @@ def _cyclic_rows(g: FiniteGroup, gen: int) -> list[ClassFunction]:
     return rows
 
 
+def _row(g: FiniteGroup, fn, name: str) -> ClassFunction:
+    """The class function taking the value fn(rep) on the class of each representative."""
+    return ClassFunction(g, tuple(fn(e) for e in conjugacy_classes(g).reps), name)
+
+
+def _pair_row(g: FiniteGroup, m: int, s: int, rot: int, name: str) -> ClassFunction:
+    """zeta_m^(s e) + zeta_m^(-s e) on the rotations e < rot, 0 elsewhere."""
+    return _row(g, lambda e: zeta(m, s * e) + zeta(m, -s * e) if e < rot else _ZERO, name)
+
+
 def _dihedral_rows(g: FiniteGroup, n: int) -> list[ClassFunction]:
     """Rows chi/psi of a group whose rotations are the elements below n."""
-    cls = conjugacy_classes(g)
-    reps = cls.reps
-
-    def row(fn, name):
-        return ClassFunction(g, tuple(fn(e) for e in reps), name)
-
-    def psi(j):
-        return row(lambda e: (zeta(n, j * e) + zeta(n, -j * e)) if e < n else _ZERO, f"ψ_{j}")
-
     rows = [
-        row(lambda e: _ONE, "χ_1"),
-        row(lambda e: _ONE if e < n else -_ONE, "χ_2"),
+        _row(g, lambda e: _ONE, "χ_1"),
+        _row(g, lambda e: _ONE if e < n else -_ONE, "χ_2"),
     ]
     if n % 2 == 0:
-        rows.append(row(lambda e: _sign(e) if e < n else _sign(e - n), "χ_3"))
-        rows.append(row(lambda e: _sign(e) if e < n else -_sign(e - n), "χ_4"))
-        rows.extend(psi(j) for j in range(1, n // 2))
-    else:
-        rows.extend(psi(j) for j in range(1, (n - 1) // 2 + 1))
+        rows.append(_row(g, lambda e: _sign(e) if e < n else _sign(e - n), "χ_3"))
+        rows.append(_row(g, lambda e: _sign(e) if e < n else -_sign(e - n), "χ_4"))
+    rows.extend(_pair_row(g, n, j, n, f"ψ_{j}") for j in range(1, (n - 1) // 2 + 1))
     return rows
 
 
@@ -238,31 +235,18 @@ def _dicyclic_rows(g: FiniteGroup) -> list[ClassFunction]:
         # dihedral-shaped table with rotation order 2n; the class of
         # b^2 = a^n plays the central column.
         return _dihedral_rows(g, m)
-    cls = conjugacy_classes(g)
-    reps = cls.reps
     z4 = zeta(4, 1)
-
-    def row(fn, name):
-        return ClassFunction(g, tuple(fn(e) for e in reps), name)
-
     # 1 <= j, k <= (n-1)/2; pi_j comes from even rotation exponents 2j,
     # gamma_k from odd exponents 2k-1 (the central value -2 forces odd).
-    rows = [
-        row(lambda e: _ONE, "θ_1"),
-        row(lambda e: _ONE if e < m else -_ONE, "θ_2"),
-        row(lambda e: _sign(e) if e < m else z4 * _sign(e - m), "θ_3"),
-        row(lambda e: _sign(e) if e < m else -z4 * _sign(e - m), "θ_4"),
+    half = range(1, (n - 1) // 2 + 1)
+    return [
+        _row(g, lambda e: _ONE, "θ_1"),
+        _row(g, lambda e: _ONE if e < m else -_ONE, "θ_2"),
+        _row(g, lambda e: _sign(e) if e < m else z4 * _sign(e - m), "θ_3"),
+        _row(g, lambda e: _sign(e) if e < m else -z4 * _sign(e - m), "θ_4"),
+        *(_pair_row(g, n, j, m, f"π_{j}") for j in half),
+        *(_pair_row(g, m, 2 * k - 1, m, f"γ_{k}") for k in half),
     ]
-    for j in range(1, (n - 1) // 2 + 1):
-        rows.append(row(
-            lambda e, j=j: (zeta(n, j * e) + zeta(n, -j * e)) if e < m else _ZERO,
-            f"π_{j}"))
-    for k in range(1, (n - 1) // 2 + 1):
-        s = 2 * k - 1
-        rows.append(row(
-            lambda e, s=s: (zeta(m, s * e) + zeta(m, -s * e)) if e < m else _ZERO,
-            f"γ_{k}"))
-    return rows
 
 
 @memoized
@@ -587,35 +571,3 @@ def constructive_family_table(g: FiniteGroup) -> CharacterTable:
             "constructive table failed validation: " + "; ".join(check.failures)
         )
     return table
-
-
-# -- rendering ----------------------------------------------------------------
-
-
-def table_to_json(t: CharacterTable) -> dict:
-    cls = conjugacy_classes(t.group)
-    return {
-        "group": t.group.name,
-        "classes": [t.group.labels[rep] for rep in cls.reps],
-        "rows": [
-            {"name": r.name, "values": [str(v) for v in r.values]}
-            for r in t.irreducibles
-        ],
-    }
-
-
-def _grid(header: list[str], body: list[list[str]], title: str | None = None) -> str:
-    widths = [max(len(row[c]) for row in [header] + body) for c in range(len(header))]
-    lines = [] if title is None else [title]
-    for row in [header] + body:
-        first = row[0].ljust(widths[0])
-        rest = [v.rjust(w) for v, w in zip(row[1:], widths[1:])]
-        lines.append("  ".join([first] + rest).rstrip())
-    return "\n".join(lines)
-
-
-def table_to_text(t: CharacterTable) -> str:
-    cls = conjugacy_classes(t.group)
-    header = [""] + [t.group.labels[rep] for rep in cls.reps]
-    body = [[r.name] + [str(v) for v in r.values] for r in t.irreducibles]
-    return _grid(header, body, title=f"Character table of {t.group.name}")

@@ -152,137 +152,189 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-# -- table ----------------------------------------------------------------------
+# -- report documents -------------------------------------------------------------
+#
+# Each report is built once as its JSON document; the text and CSV outputs
+# are formatted from that document, so every format shows the same fields.
 
 
-def _cmd_table(args) -> int:
-    bound = _max_order(args)
-
-    def render(g):
-        table = _validated_table(g)
-        if args.format == "text":
-            return chars.table_to_text(table)
-        doc = chars.table_to_json(table)
-        if args.format == "json":
-            return _json_dumps(doc)
-        rows = [[r["name"], *r["values"]] for r in doc["rows"]]
-        return _csv_text(["name", *doc["classes"]], rows)
-
-    ns = _parse_range(args.n, args.family, bound)
-    _emit("\n\n".join(groups.map_family(args.family, ns, render, bound)), args.out)
-    return EXIT_OK
+def _table_document(table: chars.CharacterTable) -> dict:
+    g = table.group
+    return {
+        "group": g.name,
+        "classes": [g.labels[rep] for rep in groups.conjugacy_classes(g).reps],
+        "rows": [{"name": r.name, "values": [str(v) for v in r.values]}
+                 for r in table.irreducibles],
+    }
 
 
-# -- classify ---------------------------------------------------------------------
+def _record_document(record: gelfand.SubgroupRecord) -> dict:
+    doc = {
+        "desc": record.descriptor,
+        "order": record.order,
+        "index": record.index,
+        "gelfand": record.gelfand,
+        "strong_gelfand": record.strong_gelfand,
+    }
+    w = record.witness
+    if w is not None:
+        doc["witness"] = {"psi": w.psi, "chi": w.chi, "mult": w.mult}
+    return doc
 
 
-def _classification_text(report) -> str:
+def _classification_document(report: gelfand.ClassificationReport) -> dict:
     g = report.group
-    lines = [f"Subgroups of {g.name}: {len(report.records)} total"]
-    for r in report.records:
-        line = (f"  {r.descriptor:<12} order={r.order:<4} index={r.index:<4} "
-                f"gelfand={'yes' if r.gelfand else 'no':<4} "
-                f"strong_gelfand={'yes' if r.strong_gelfand else 'no'}")
-        if r.witness is not None:
-            line += f"  witness <{r.witness.psi}, {r.witness.chi}> = {r.witness.mult}"
+    return {"group": g.name, "order": g.order,
+            "subgroups": [_record_document(r) for r in report.records],
+            "family": g.family, "n": g.n}
+
+
+def _audit_document(ga: gelfand.GroupAudit) -> dict:
+    subgroups = []
+    discrepancies = []
+    for e in ga.entries:
+        doc = _record_document(e.record)
+        doc["predicted_strong_gelfand"] = e.predicted
+        subgroups.append(doc)
+        if not e.agrees:
+            discrepancy = {"desc": doc["desc"], "order": doc["order"],
+                           "predicted": e.predicted, "computed": doc["strong_gelfand"]}
+            if "witness" in doc:
+                discrepancy["witness"] = doc["witness"]
+            discrepancies.append(discrepancy)
+    return {
+        "family": ga.family,
+        "n": ga.n,
+        "group": ga.group_name,
+        "subgroups": subgroups,
+        "discrepancies": discrepancies,
+        "summary": {"total": ga.total, "agree": ga.agree, "disagree": ga.disagree},
+    }
+
+
+# -- text and CSV, read from the documents ------------------------------------------
+
+
+_WITNESS_COLUMNS = ["witness_psi", "witness_chi", "witness_mult"]
+
+
+def _witness_cells(doc: dict) -> list:
+    w = doc.get("witness")
+    return [w["psi"], w["chi"], w["mult"]] if w else ["", "", ""]
+
+
+def _witness_text(w: dict) -> str:
+    return f"witness <{w['psi']}, {w['chi']}> = {w['mult']}"
+
+
+def _table_text(doc: dict) -> str:
+    grid = [["", *doc["classes"]]] + [[r["name"], *r["values"]] for r in doc["rows"]]
+    widths = [max(len(row[c]) for row in grid) for c in range(len(grid[0]))]
+    lines = [f"Character table of {doc['group']}"]
+    for first, *rest in grid:
+        cells = [first.ljust(widths[0])] + [v.rjust(w) for v, w in zip(rest, widths[1:])]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)
+
+
+def _table_csv(doc: dict) -> str:
+    return _csv_text(["name", *doc["classes"]],
+                     [[r["name"], *r["values"]] for r in doc["rows"]])
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _classification_text(doc: dict) -> str:
+    lines = [f"Subgroups of {doc['group']}: {len(doc['subgroups'])} total"]
+    for s in doc["subgroups"]:
+        line = (f"  {s['desc']:<12} order={s['order']:<4} index={s['index']:<4} "
+                f"gelfand={_yes_no(s['gelfand']):<4} "
+                f"strong_gelfand={_yes_no(s['strong_gelfand'])}")
+        if "witness" in s:
+            line += "  " + _witness_text(s["witness"])
         lines.append(line)
     return "\n".join(lines)
 
 
-def _classification_csv(report) -> str:
-    rows = []
-    for r in report.records:
-        w = r.witness
-        rows.append([
-            report.group.name, r.descriptor, r.order, r.index,
-            r.gelfand, r.strong_gelfand,
-            w.psi if w else "", w.chi if w else "", w.mult if w else "",
-        ])
+def _classification_csv(doc: dict) -> str:
     return _csv_text(
-        ["group", "desc", "order", "index", "gelfand", "strong_gelfand",
-         "witness_psi", "witness_chi", "witness_mult"],
-        rows,
+        ["group", "desc", "order", "index", "gelfand", "strong_gelfand", *_WITNESS_COLUMNS],
+        [[doc["group"], s["desc"], s["order"], s["index"], s["gelfand"],
+          s["strong_gelfand"], *_witness_cells(s)] for s in doc["subgroups"]],
     )
 
 
-def _cmd_classify(args) -> int:
-    bound = _max_order(args)
-
-    def render(g):
-        report = gelfand.classify_subgroups(g, bound)
-        if args.format == "text":
-            return _classification_text(report)
-        if args.format == "json":
-            return _json_dumps(gelfand.classification_to_json(report))
-        return _classification_csv(report)
-
-    ns = _parse_range(args.n, args.family, bound)
-    _emit("\n\n".join(groups.map_family(args.family, ns, render, bound)), args.out)
-    return EXIT_OK
-
-
-# -- audit ------------------------------------------------------------------------
-
-
-def _audit_text(report) -> str:
+def _audit_text(docs: list[dict]) -> str:
     lines = []
-    for ga in report.audits:
-        lines.append(f"{ga.family} n={ga.n} ({ga.group_name}): subgroups={ga.total} "
-                     f"agree={ga.agree} disagree={ga.disagree}")
-        for d in ga.discrepancies:
-            line = (f"  {d.descriptor} (order {d.order}): predicted_strong_gelfand="
-                    f"{d.predicted} computed={d.computed}")
-            if d.witness is not None:
-                line += f" witness <{d.witness.psi}, {d.witness.chi}> = {d.witness.mult}"
+    for doc in docs:
+        summary = doc["summary"]
+        lines.append(f"{doc['family']} n={doc['n']} ({doc['group']}): "
+                     f"subgroups={summary['total']} agree={summary['agree']} "
+                     f"disagree={summary['disagree']}")
+        for d in doc["discrepancies"]:
+            line = (f"  {d['desc']} (order {d['order']}): predicted_strong_gelfand="
+                    f"{d['predicted']} computed={d['computed']}")
+            if "witness" in d:
+                line += " " + _witness_text(d["witness"])
             lines.append(line)
     return "\n".join(lines)
 
 
-def _audit_csv(report) -> str:
-    rows = []
-    for ga in report.audits:
-        for e in ga.entries:
-            r, w = e.record, e.record.witness
-            rows.append([
-                ga.family, ga.n, r.descriptor, r.order, r.gelfand,
-                r.strong_gelfand, e.predicted, e.agrees,
-                w.psi if w else "", w.chi if w else "", w.mult if w else "",
-            ])
+def _audit_csv(docs: list[dict]) -> str:
     return _csv_text(
         ["family", "n", "desc", "order", "gelfand", "strong_gelfand",
-         "predicted_strong_gelfand", "agree",
-         "witness_psi", "witness_chi", "witness_mult"],
-        rows,
+         "predicted_strong_gelfand", "agree", *_WITNESS_COLUMNS],
+        [[doc["family"], doc["n"], s["desc"], s["order"], s["gelfand"],
+          s["strong_gelfand"], s["predicted_strong_gelfand"],
+          s["predicted_strong_gelfand"] == s["strong_gelfand"], *_witness_cells(s)]
+         for doc in docs for s in doc["subgroups"]],
     )
+
+
+# -- commands -----------------------------------------------------------------------
+
+
+def _per_group(args, document, text, csv_text) -> int:
+    """Print `document(g, bound)` for each group of the range in the chosen format,
+    separated by blank lines."""
+    bound = _max_order(args)
+    render = {"text": text, "json": _json_dumps, "csv": csv_text}[args.format]
+    ns = _parse_range(args.n, args.family, bound)
+    outputs = groups.map_family(args.family, ns, lambda g: render(document(g, bound)), bound)
+    _emit("\n\n".join(outputs), args.out)
+    return EXIT_OK
+
+
+def _cmd_table(args) -> int:
+    return _per_group(args, lambda g, bound: _table_document(_validated_table(g)),
+                      _table_text, _table_csv)
+
+
+def _cmd_classify(args) -> int:
+    return _per_group(
+        args, lambda g, bound: _classification_document(gelfand.classify_subgroups(g, bound)),
+        _classification_text, _classification_csv)
 
 
 def _cmd_audit(args) -> int:
     bound = _max_order(args)
     report = gelfand.audit(args.family, _parse_range(args.n, args.family, bound), bound)
-    if args.format == "text":
-        _emit(_audit_text(report), args.out)
-    elif args.format == "json":
-        _emit(_json_dumps([gelfand.group_audit_to_json(a) for a in report.audits]),
-              args.out)
-    else:
-        _emit(_audit_csv(report), args.out)
+    render = {"text": _audit_text, "json": _json_dumps, "csv": _audit_csv}[args.format]
+    _emit(render([_audit_document(ga) for ga in report.audits]), args.out)
     if args.fail_on_discrepancy and report.total_discrepancies:
         print(f"{report.total_discrepancies} discrepancies found", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 
 
-# -- atlas ------------------------------------------------------------------------
-
-
 def _atlas_document(g: groups.FiniteGroup, bound: int) -> dict:
     table = _validated_table(g)
-    ga = gelfand.audit_group(g, bound)
-    doc = {"schema_version": ATLAS_SCHEMA_VERSION}
-    doc.update(gelfand.group_audit_to_json(ga))
-    doc["order"] = g.order
-    doc["table"] = chars.table_to_json(table)
-    return doc
+    return {"schema_version": ATLAS_SCHEMA_VERSION,
+            **_audit_document(gelfand.audit_group(g, bound)),
+            "order": g.order,
+            "table": _table_document(table)}
 
 
 def _cmd_atlas(args) -> int:

@@ -75,7 +75,6 @@ __all__ = [
     "ClassificationReport",
     "ClassificationRule",
     "AuditEntry",
-    "Discrepancy",
     "GroupAudit",
     "AuditReport",
     "multiplicity_by_induction",
@@ -86,8 +85,6 @@ __all__ = [
     "classify_subgroups",
     "predict",
     "audit",
-    "classification_to_json",
-    "group_audit_to_json",
 ]
 
 
@@ -361,21 +358,16 @@ class AuditEntry:
 
 
 @dataclass(frozen=True)
-class Discrepancy:
-    descriptor: str
-    order: int
-    predicted: bool
-    computed: bool
-    witness: Witness | None
-
-
-@dataclass(frozen=True)
 class GroupAudit:
     family: str
     n: int
     group_name: str
     entries: tuple[AuditEntry, ...]
-    discrepancies: tuple[Discrepancy, ...]
+
+    @property
+    def discrepancies(self) -> tuple[AuditEntry, ...]:
+        """The entries whose prediction differs from the computed verdict."""
+        return tuple(e for e in self.entries if not e.agrees)
 
     @property
     def total(self) -> int:
@@ -420,80 +412,14 @@ def audit_group(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> GroupAudi
     prediction = predict(g.family, g.n)
     report = classify_subgroups(g, max_order)
     entries = []
-    discrepancies = []
     for h, record in zip(report.subgroups, report.records):
-        predicted = prediction.predicate(record.descriptor)
-        entries.append(AuditEntry(record, predicted))
         if record.witness is not None:
             _reverify_witness(g, h, record.witness)
-        if predicted != record.strong_gelfand:
-            discrepancies.append(Discrepancy(
-                descriptor=record.descriptor,
-                order=record.order,
-                predicted=predicted,
-                computed=record.strong_gelfand,
-                witness=record.witness,
-            ))
-    return GroupAudit(g.family, g.n, g.name, tuple(entries), tuple(discrepancies))
+        entries.append(AuditEntry(record, prediction.predicate(record.descriptor)))
+    return GroupAudit(g.family, g.n, g.name, tuple(entries))
 
 
 def audit(family: str, ns, max_order: int = DEFAULT_MAX_ORDER) -> AuditReport:
     """Audit a family over a range of n values; discrepancies are data."""
     audits = map_family(family, ns, lambda g: audit_group(g, max_order), max_order)
     return AuditReport(family, tuple(audits))
-
-
-# -- JSON renderings -----------------------------------------------------------
-
-
-def _witness_json(w: Witness | None):
-    if w is None:
-        return None
-    return {"psi": w.psi, "chi": w.chi, "mult": w.mult}
-
-
-def _record_json(record: SubgroupRecord, predicted: bool | None = None) -> dict:
-    out = {
-        "desc": record.descriptor,
-        "order": record.order,
-        "index": record.index,
-        "gelfand": record.gelfand,
-        "strong_gelfand": record.strong_gelfand,
-    }
-    w = _witness_json(record.witness)
-    if w is not None:
-        out["witness"] = w
-    if predicted is not None:
-        out["predicted_strong_gelfand"] = predicted
-    return out
-
-
-def classification_to_json(report: ClassificationReport) -> dict:
-    g = report.group
-    return {"group": g.name, "order": g.order,
-            "subgroups": [_record_json(r) for r in report.records],
-            "family": g.family, "n": g.n}
-
-
-def group_audit_to_json(ga: GroupAudit) -> dict:
-    subgroups = [_record_json(e.record, e.predicted) for e in ga.entries]
-    discrepancies = []
-    for d in ga.discrepancies:
-        entry = {
-            "desc": d.descriptor,
-            "order": d.order,
-            "predicted": d.predicted,
-            "computed": d.computed,
-        }
-        w = _witness_json(d.witness)
-        if w is not None:
-            entry["witness"] = w
-        discrepancies.append(entry)
-    return {
-        "family": ga.family,
-        "n": ga.n,
-        "group": ga.group_name,
-        "subgroups": subgroups,
-        "discrepancies": discrepancies,
-        "summary": {"total": ga.total, "agree": ga.agree, "disagree": ga.disagree},
-    }

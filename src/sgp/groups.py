@@ -311,13 +311,16 @@ def map_family(family: str, ns: Iterable[int], fn: Callable[[FiniteGroup], objec
                max_order: int = DEFAULT_MAX_ORDER) -> Iterator:
     """Yield `fn(build_group(family, n))` for each n, freeing each group before the next.
 
-    Each n is checked against the order bound before its group is built.
-    The values memoized on a group and its subgroups point back at them, so
-    a finished group is freed only by the cycle collector, which runs after
-    each n; `fn`'s result must not hold the group.
+    The largest n is checked against the order bound before the first group
+    is built, so an oversized range builds nothing.  The values memoized on
+    a group and its subgroups point back at them, so a finished group is
+    freed only by the cycle collector, which runs after each n; `fn`'s
+    result must not hold the group.
     """
+    ns = list(ns)
+    if ns:
+        check_order(family_order(family, max(ns)), max_order)
     for n in ns:
-        check_order(family_order(family, n), max_order)
         yield fn(build_group(family, n))
         gc.collect()
 

@@ -198,20 +198,20 @@ def test_criterion_07_even_n_audit_integrity():
         reports = list(audit("dihedral", [4, 6, 8, 10, 12]).audits)
         reports += list(audit("dicyclic", [2, 4, 6, 8]).audits)
         for ga in reports:
-            assert {d.descriptor for d in ga.discrepancies} == expected[(ga.family, ga.n)]
+            assert {d.record.descriptor for d in ga.discrepancies} == expected[(ga.family, ga.n)]
             for d in ga.discrepancies:
-                assert d.witness is not None and d.witness.mult >= 2
+                assert d.record.witness is not None and d.record.witness.mult >= 2
                 # independent re-verification of the witness through both paths
                 g = build_group(ga.family, ga.n)
                 members = next(e.record.members for e in ga.entries
-                               if e.record.descriptor == d.descriptor
-                               and e.record.witness == d.witness)
+                               if e.record.descriptor == d.record.descriptor
+                               and e.record.witness == d.record.witness)
                 h = Subgroup(g, members)
                 tg, th = family_table(g), subgroup_table(h)
-                psi, chi = th.row(d.witness.psi), tg.row(d.witness.chi)
+                psi, chi = th.row(d.record.witness.psi), tg.row(d.record.witness.chi)
                 by_ind = inner_product(induce(psi, h), chi).as_rational_integer()
                 by_res = inner_product(psi, restrict(chi, h)).as_rational_integer()
-                assert by_ind == by_res == d.witness.mult
+                assert by_ind == by_res == d.record.witness.mult
 
 
 def test_criterion_08_monotonicity_over_audited_lattices():

@@ -1,5 +1,6 @@
 """Character tables, induction/restriction calculus, and the constructive oracle."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,11 +24,10 @@ from sgp.chars import (
     regular_character,
     restrict,
     subgroup_table,
-    table_to_json,
-    table_to_text,
     trivial_character,
     validate_table,
 )
+from sgp.cli import main
 from sgp.cyclo import rational, weighted_product_sum, zeta
 from sgp.errors import (
     DomainMismatchError,
@@ -710,8 +710,9 @@ def test_all_subgroup_tables_validate():
 # -- rendering ----------------------------------------------------------------------------------
 
 
-def test_table_json_schema():
-    doc = table_to_json(family_table(dicyclic_group(3)))
+def test_table_json_schema(capsys):
+    assert main(["table", "dicyclic", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"group", "classes", "rows"}
     assert doc["group"] == "Dic12"
     assert doc["classes"][0] == "1"
@@ -719,8 +720,9 @@ def test_table_json_schema():
     assert all(isinstance(v, str) for r in doc["rows"] for v in r["values"])
 
 
-def test_table_text_contains_layout():
-    text = table_to_text(family_table(dihedral_group(5)))
+def test_table_text_contains_layout(capsys):
+    assert main(["table", "dihedral", "5"]) == 0
+    text = capsys.readouterr().out.rstrip("\n")
     lines = text.splitlines()
     assert lines[0] == "Character table of D10"
     assert lines[1].split() == ["1", "a", "a^2", "b"]

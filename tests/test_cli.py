@@ -5,7 +5,9 @@ import hashlib
 import gc
 import io
 import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -26,6 +28,14 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m sgp argv` in a new interpreter that imports the package under test."""
+    src = str(pathlib.Path(sgp.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sgp", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 # -- table ------------------------------------------------------------------------
@@ -132,15 +142,105 @@ def test_classify_dihedral_2_all_strong(capsys):
     assert records and all("strong_gelfand=yes" in ln for ln in records)
 
 
+_CLASSIFY_LINE = re.compile(
+    r"^  (\S+) +order=(\d+) +index=(\d+) +gelfand=(yes|no) +strong_gelfand=(yes|no)"
+    r"(?:  witness <(.+), (.+)> = (\d+))?$")
+
+_AUDIT_LINE = re.compile(
+    r"^  (\S+) \(order (\d+)\): predicted_strong_gelfand=(True|False) computed=(True|False)"
+    r"(?: witness <(.+), (.+)> = (\d+))?$")
+
+
+def _json_witness(doc):
+    w = doc.get("witness")
+    return (w["psi"], w["chi"], w["mult"]) if w else None
+
+
+def _csv_witness(row):
+    if not row["witness_psi"]:
+        assert row["witness_chi"] == row["witness_mult"] == ""
+        return None
+    return (row["witness_psi"], row["witness_chi"], int(row["witness_mult"]))
+
+
+def _text_witness(psi, chi, mult):
+    return None if psi is None else (psi, chi, int(mult))
+
+
 def test_classify_json_and_csv_have_same_records(capsys):
-    rc, out_json, _ = run(capsys, "classify", "dicyclic", "3", "--format", "json")
+    rc, out_json, _ = run(capsys, "classify", "dihedral", "6", "--format", "json")
     assert rc == 0
     doc = json.loads(out_json)
-    rc, out_csv, _ = run(capsys, "classify", "dicyclic", "3", "--format", "csv")
+    rc, out_csv, _ = run(capsys, "classify", "dihedral", "6", "--format", "csv")
     assert rc == 0
+    rc, out_text, _ = run(capsys, "classify", "dihedral", "6")
+    assert rc == 0
+    from_json = [(s["desc"], s["order"], s["index"], s["gelfand"], s["strong_gelfand"],
+                  _json_witness(s)) for s in doc["subgroups"]]
+    assert len(from_json) == 16
+    assert any(w is not None for *_, w in from_json)
+    assert any(w is None for *_, w in from_json)
     rows = list(csv.DictReader(io.StringIO(out_csv)))
-    assert len(rows) == len(doc["subgroups"]) == 8
-    assert {r["desc"] for r in rows} == {s["desc"] for s in doc["subgroups"]}
+    assert {r["group"] for r in rows} == {doc["group"]}
+    from_csv = [(r["desc"], int(r["order"]), int(r["index"]), r["gelfand"] == "True",
+                 r["strong_gelfand"] == "True", _csv_witness(r)) for r in rows]
+    assert all(r[f] in ("True", "False") for r in rows for f in ("gelfand", "strong_gelfand"))
+    header, *lines = out_text.rstrip("\n").splitlines()
+    assert header == f"Subgroups of {doc['group']}: {len(doc['subgroups'])} total"
+    matches = [_CLASSIFY_LINE.match(line) for line in lines]
+    assert all(matches)
+    from_text = [(desc, int(order), int(index), gelfand == "yes", strong == "yes",
+                  _text_witness(psi, chi, mult))
+                 for desc, order, index, gelfand, strong, psi, chi, mult
+                 in (m.groups() for m in matches)]
+    assert from_csv == from_json
+    assert from_text == from_json
+
+
+def test_audit_formats_agree_with_the_json(capsys):
+    outs = {}
+    for fmt in ("json", "csv", "text"):
+        rc, outs[fmt], _ = run(capsys, "audit", "dihedral", "3..8", "--format", fmt)
+        assert rc == 0
+    docs = json.loads(outs["json"])
+    rows = list(csv.DictReader(io.StringIO(outs["csv"])))
+    assert len(rows) == sum(len(doc["subgroups"]) for doc in docs)
+    pairs = iter(rows)
+    for doc in docs:
+        for s in doc["subgroups"]:
+            r = next(pairs)
+            assert (r["family"], int(r["n"])) == (doc["family"], doc["n"])
+            assert (r["desc"], int(r["order"])) == (s["desc"], s["order"])
+            assert r["gelfand"] == str(s["gelfand"])
+            assert r["strong_gelfand"] == str(s["strong_gelfand"])
+            assert r["predicted_strong_gelfand"] == str(s["predicted_strong_gelfand"])
+            assert r["agree"] == str(s["predicted_strong_gelfand"] == s["strong_gelfand"])
+            assert _csv_witness(r) == _json_witness(s)
+    lines = iter(outs["text"].rstrip("\n").splitlines())
+    disagreeing = 0
+    for doc in docs:
+        summary = doc["summary"]
+        assert next(lines) == (f"{doc['family']} n={doc['n']} ({doc['group']}): "
+                               f"subgroups={summary['total']} agree={summary['agree']} "
+                               f"disagree={summary['disagree']}")
+        expected = [{"desc": s["desc"], "order": s["order"],
+                     "predicted": s["predicted_strong_gelfand"],
+                     "computed": s["strong_gelfand"],
+                     **({"witness": s["witness"]} if "witness" in s else {})}
+                    for s in doc["subgroups"]
+                    if s["predicted_strong_gelfand"] != s["strong_gelfand"]]
+        assert doc["discrepancies"] == expected
+        assert summary["disagree"] == len(expected)
+        assert summary["total"] == summary["agree"] + summary["disagree"]
+        for d in doc["discrepancies"]:
+            desc, order, predicted, computed, psi, chi, mult = _AUDIT_LINE.match(
+                next(lines)).groups()
+            assert (desc, int(order), predicted, computed) == (
+                d["desc"], d["order"], str(d["predicted"]), str(d["computed"]))
+            assert _text_witness(psi, chi, mult) == _json_witness(d)
+            disagreeing += 1
+    assert next(lines, None) is None
+    assert disagreeing == 2  # C2 of D8 and C4 of D16
 
 
 def test_classify_respects_max_order_flag(capsys):
@@ -404,17 +504,10 @@ def test_internal_consistency_maps_to_exit_2(capsys, monkeypatch):
 
 
 def test_console_entry_point_via_module():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgp", "table", "dihedral", "3"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("table", "dihedral", "3")
     assert proc.returncode == 0
     assert "Character table of D6" in proc.stdout
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgp", "audit", "dihedral", "4..4",
-         "--fail-on-discrepancy"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("audit", "dihedral", "4..4", "--fail-on-discrepancy")
     assert proc.returncode == 1
 
 
@@ -425,8 +518,7 @@ def test_main_calls_share_one_parser_but_no_state(capsys, monkeypatch):
     assert rc == 1 and out == ""
     assert "group order 5 exceeds the bound 3" in err
     rc, out, err = run(capsys, "table", "cyclic", "5")
-    fresh = subprocess.run([sys.executable, "-m", "sgp", "table", "cyclic", "5"],
-                           capture_output=True, text=True)
+    fresh = run_module("table", "cyclic", "5")
     assert rc == 0 and fresh.returncode == 0
     assert (out, err) == (fresh.stdout, fresh.stderr)
     info = sgp.cli._build_parser.cache_info()

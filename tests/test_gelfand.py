@@ -1,6 +1,7 @@
 """Multiplicity matrices, (strong) Gelfand decisions, prediction, audits."""
 
 import gc
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 
 import sgp.chars
 import sgp.gelfand
+import sgp.groups
 from sgp.cli import main
-from sgp.errors import IntegralityError, InternalConsistencyError, UnsupportedFamilyError
+from sgp.errors import (
+    IntegralityError,
+    InternalConsistencyError,
+    SizeLimitError,
+    UnsupportedFamilyError,
+)
 from sgp.gelfand import (
     Witness,
     audit,
@@ -20,8 +27,6 @@ from sgp.gelfand import (
     multiplicity_by_restriction,
     multiplicity_matrix,
     predict,
-    classification_to_json,
-    group_audit_to_json,
 )
 from sgp.groups import (
     FiniteGroup,
@@ -398,9 +403,9 @@ def test_audit_d8_finds_center_discrepancy():
     (ga,) = report.audits
     assert ga.disagree == 1
     (d,) = ga.discrepancies
-    assert d.descriptor == "C2"
-    assert d.predicted and not d.computed
-    assert d.witness == Witness("μ_1", "ψ_1", 2)
+    assert d.record.descriptor == "C2"
+    assert d.predicted and not d.record.strong_gelfand
+    assert d.record.witness == Witness("μ_1", "ψ_1", 2)
 
 
 def test_audit_dic8_center_conflict():
@@ -408,9 +413,9 @@ def test_audit_dic8_center_conflict():
     (ga,) = report.audits
     assert ga.disagree == 1
     (d,) = ga.discrepancies
-    assert d.descriptor == "C2"
-    assert d.predicted and not d.computed
-    assert d.witness is not None and d.witness.mult == 2
+    assert d.record.descriptor == "C2"
+    assert d.predicted and not d.record.strong_gelfand
+    assert d.record.witness is not None and d.record.witness.mult == 2
 
 
 def _closed_form_discrepancy(family, n):
@@ -423,15 +428,24 @@ def _closed_form_discrepancy(family, n):
 def test_audit_discrepancies_follow_their_closed_form(family, ns):
     for ga in audit(family, ns).audits:
         expected = _closed_form_discrepancy(family, ga.n)
-        assert [d.descriptor for d in ga.discrepancies] == ([expected] if expected else [])
+        assert [d.record.descriptor for d in ga.discrepancies] == ([expected] if expected else [])
         for d in ga.discrepancies:
-            assert d.predicted is True and d.computed is False
-            assert d.witness is not None and d.witness.mult == 2
+            assert d.predicted is True and d.record.strong_gelfand is False
+            assert d.record.witness is not None and d.record.witness.mult == 2
 
 
 def test_audit_degenerate_families():
     assert audit("dihedral", [1, 2]).total_discrepancies == 0
     assert audit("dicyclic", [1]).total_discrepancies == 0
+
+
+def test_oversized_audit_range_is_refused_before_any_group_is_built(monkeypatch):
+    def build_group(family, n):
+        raise AssertionError(f"{family} {n} was built before the range was refused")
+
+    monkeypatch.setattr(sgp.groups, "build_group", build_group)
+    with pytest.raises(SizeLimitError, match="group order 78 exceeds the bound 60"):
+        audit("dihedral", range(3, 40), max_order=60)
 
 
 def test_audit_validates_each_subgroup_once(monkeypatch):
@@ -465,8 +479,9 @@ def test_library_audit_frees_each_group_without_the_cycle_collector():
 # -- report renderings -----------------------------------------------------------------------
 
 
-def test_classification_json_schema():
-    doc = classification_to_json(classify_subgroups(dicyclic_group(3)))
+def test_classification_json_schema(capsys):
+    assert main(["classify", "dicyclic", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["group"] == "Dic12"
     assert doc["family"] == "dicyclic" and doc["n"] == 3
     recs = doc["subgroups"]
@@ -477,9 +492,9 @@ def test_classification_json_schema():
             assert rec["witness"]["mult"] >= 2
 
 
-def test_audit_json_schema():
-    report = audit("dihedral", [4])
-    doc = group_audit_to_json(report.audits[0])
+def test_audit_json_schema(capsys):
+    assert main(["audit", "dihedral", "4", "--format", "json"]) == 0
+    (doc,) = json.loads(capsys.readouterr().out)
     assert doc["family"] == "dihedral" and doc["n"] == 4
     assert doc["summary"] == {"total": 10, "agree": 9, "disagree": 1}
     assert all("predicted_strong_gelfand" in s for s in doc["subgroups"])
