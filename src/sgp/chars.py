@@ -278,42 +278,11 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
 
 # -- Galois symmetry of a table ------------------------------------------------
 #
-# A row of a table is keyed by the exact values it takes, each lifted to
-# Q(zeta_e) for e the exponent of its group, with equal values sharing one
-# small integer id.  A map c -> cmap[c] of classes then carries a row to
-# the tuple of ids it reads through the map, and that tuple names the row
-# it becomes, or no row at all.  For t a unit mod e, sigma_t: zeta -> zeta^t
-# sends a character psi to x -> psi(x^t): it reads every row through the
-# class power map c -> class(rep_c^t).
-
-
-@memoized
-def _row_keys(table: CharacterTable) -> dict[tuple[int, ...], int] | None:
-    """Each row of the table, in table order, as one id per class -> its index.
-
-    None when two rows are equal or a value lies outside Q(zeta_e).
-    """
-    e = table.group.exponent()
-    ids: dict = {}
-    try:
-        rows = tuple(tuple(ids.setdefault(v.key(e), len(ids)) for v in psi.values)
-                     for psi in table.irreducibles)
-    except InvalidLiftError:
-        return None
-    index = {row: i for i, row in enumerate(rows)}
-    return index if len(index) == len(rows) else None
-
-
-def _row_permutation(keys, cmap) -> tuple[int, ...] | None:
-    """The row that each row of the table equals when read through `cmap`.
-
-    Row j matches row i when row j takes at class c the value row i takes
-    at class cmap[c].  None unless every row matches a different row.
-    """
-    if keys is None:
-        return None
-    perm = tuple(keys.get(tuple(map(row.__getitem__, cmap))) for row in keys)
-    return None if None in perm or len(set(perm)) != len(keys) else perm
+# For t a unit mod the exponent e of a group, sigma_t: zeta -> zeta^t sends
+# a character psi to x -> psi(x^t): it reads every row through the class
+# power map c -> class(rep_c^t).  Which row that gives is found by exact
+# keys: each value is lifted to Q(zeta_e), with equal values sharing one
+# small integer id, so a row read through a class map is a tuple of ids.
 
 
 def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
@@ -326,37 +295,35 @@ def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
 def _galois_maps(table: CharacterTable) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """For each unit t mod the exponent: sigma_t as (class power map, row permutation).
 
-    The class map must be a bijection that keeps class sizes and the row
-    map a bijection by exact value keys; a t whose maps fail either check
-    maps to None.
+    Row j goes to row perm[j], the row equal to row j read through the
+    class map (the value row j takes at class cmap[c], at each class c).
+    The class map must be a bijection that keeps class sizes, and the row
+    map a bijection; a t whose maps fail either check maps to None, and so
+    does every t when two rows are equal or a value lies outside Q(zeta_e).
     """
     group = table.group
     sizes = conjugacy_classes(group).sizes
-    keys = _row_keys(table)
     e = group.exponent()
+    ids: dict = {}
+    try:
+        rows = tuple(tuple(ids.setdefault(v.key(e), len(ids)) for v in psi.values)
+                     for psi in table.irreducibles)
+    except InvalidLiftError:
+        rows = ()
+    index = {row: i for i, row in enumerate(rows)}
+    distinct = len(index) == len(table.irreducibles)
     maps = {}
     for t in range(e):
         if math.gcd(t, e) == 1:
             cmap = _class_power_map(group, t)
             perm = None
-            if sorted(cmap) == list(range(len(sizes))) and all(
+            if distinct and sorted(cmap) == list(range(len(sizes))) and all(
                     sizes[d] == size for d, size in zip(cmap, sizes)):
-                perm = _row_permutation(keys, cmap)
+                perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
+                if None in perm or len(set(perm)) != len(rows):
+                    perm = None
             maps[t] = None if perm is None else (cmap, perm)
     return maps
-
-
-@memoized
-def _galois_row_perms(table: CharacterTable) -> dict[int, tuple[int, ...]]:
-    """For each unit t mod the exponent, the row permutation of sigma_t.
-
-    Raises `InternalConsistencyError` when a map fails its check.
-    """
-    maps = _galois_maps(table)
-    if None in maps.values():
-        raise InternalConsistencyError(
-            f"a Galois map does not permute the rows of the table of {table.group.name}")
-    return {t: perm for t, (_, perm) in maps.items()}
 
 
 def _pair_orbits(n_rows: int, n_cols: int, maps, symmetric: bool = False

@@ -5,11 +5,12 @@ Grammar::
     sgp <command> <family> <n|a..b> [--format text|json|csv] [--out PATH]
         [--max-order N] [--fail-on-discrepancy]
 
-Commands: table, classify, audit, atlas.  Exit codes: 0 success, 1 usage
-or failed --fail-on-discrepancy, 2 internal consistency, 3 table
-validation.  The group-order bound defaults to 256 and can be overridden
-with --max-order or the SGP_MAX_ORDER environment variable; every command
-checks it at the largest n of the range before any group is built.
+Commands: table, classify, audit, atlas.  Exit codes: 0 success, 1 usage,
+failed --fail-on-discrepancy or a closed stdout (with nothing on stderr),
+2 internal consistency, 3 table validation.  The group-order bound
+defaults to 256 and can be overridden with --max-order or the
+SGP_MAX_ORDER environment variable; every command checks it at the
+largest n of the range before any group is built.
 All output is deterministic: identical invocations produce identical bytes.
 """
 
@@ -370,11 +371,26 @@ _COMMANDS = {
 }
 
 
+def _silence_stdout() -> None:
+    """Point the descriptor under stdout at os.devnull after its reader has
+    gone, so the flush at exit does not fail again; a stdout without a
+    descriptor (an in-process caller's capture) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        rc = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return rc
     except _UsageError as exc:
         print(f"sgp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -385,6 +401,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except SgpError as exc:
         print(f"sgp: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        _silence_stdout()
         return EXIT_USAGE
     except OSError as exc:
         print(f"sgp: i/o error: {exc}", file=sys.stderr)

@@ -14,15 +14,16 @@ arithmetic:
 * Conjugacy.  A conjugate x H x^-1 of the first subgroup H of its class
   (`class_representative`) embeds H's family group through H's embedding
   conjugated by x, so psi induces to the same character from either
-  subgroup, and the conjugate reads H's matrix unchanged.
+  subgroup, and the conjugate reads H's matrix: the same
+  `MultiplicityMatrix` object, memoized once per conjugacy class.
 
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
 and is certified a nonnegative integer; every row of the filled matrix
 must account for the degree |G:H| psi(1).  Rows are matched by
-exact keys of their values through the symmetry helpers of `chars`, which
-memoize each table's Galois maps and check every map before it is used;
-here a map that fails its check, like a path disagreement, raises
+exact keys of their values by `chars._galois_maps`, the one memo of each
+table's Galois maps, which checks every map before it is used; here a
+map that fails its check, like a path disagreement, raises
 `InternalConsistencyError`.
 Called without a subset of entries, `multiplicity_by_induction` and
 `multiplicity_by_restriction` compute the whole matrix, the reference for
@@ -38,10 +39,10 @@ side is right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .chars import (
-    _galois_row_perms,
+    _galois_maps,
     _pair_orbits,
     decompose,
     induce,
@@ -99,8 +100,6 @@ class Witness:
 
 @dataclass(frozen=True)
 class MultiplicityMatrix:
-    group: FiniteGroup
-    subgroup: Subgroup
     row_names: tuple[str, ...]
     col_names: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
@@ -178,7 +177,7 @@ def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
     multiplicity is rational, so sigma_t fixes it, and every other entry is
     M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its orbit's first.
     A conjugate of the first subgroup of its class (`class_representative`)
-    gets the first's matrix.
+    gets the first's matrix, the same object.
     """
     _check_pair(g, h)
     return _multiplicity_matrix(h)
@@ -188,14 +187,18 @@ def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
 def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
     first, x = class_representative(h)
     if first is not h:
-        return _conjugate_matrix(_multiplicity_matrix(first), h, x)
+        return _conjugate_matrix(first, h, x)
     g = h.parent
     th, tg = subgroup_table(h), family_table(g)
     e_h = h.group.exponent()
-    perms = _galois_row_perms(th)
+    maps_h, maps_g = _galois_maps(th), _galois_maps(tg)
+    for table, maps in ((th, maps_h), (tg, maps_g)):
+        if None in maps.values():
+            raise InternalConsistencyError(
+                f"a Galois map does not permute the rows of the table of {table.group.name}")
     # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g
     orbits = _pair_orbits(len(th.irreducibles), len(tg.irreducibles),
-                          [(perms[t % e_h], perm) for t, perm in _galois_row_perms(tg).items()])
+                          [(maps_h[t % e_h][1], perm) for t, (_, perm) in maps_g.items()])
     wanted: dict[int, list[int]] = {}
     for pair, (rep, _) in orbits.items():
         if rep == pair:
@@ -220,29 +223,23 @@ def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
                 f"row {psi.name} of the matrix for ({g.name}, subgroup of order {h.order}) "
                 f"accounts for degree {total}, not {want}"
             )
-    return MultiplicityMatrix(
-        group=g,
-        subgroup=h,
-        row_names=th.names,
-        col_names=tg.names,
-        entries=entries,
-    )
+    return MultiplicityMatrix(th.names, tg.names, entries)
 
 
-def _conjugate_matrix(m: MultiplicityMatrix, k: Subgroup, x: int) -> MultiplicityMatrix:
-    """The matrix of k = x h x^-1, h = m.subgroup: the matrix of h itself.
+def _conjugate_matrix(first: Subgroup, k: Subgroup, x: int) -> MultiplicityMatrix:
+    """The matrix of k = x first x^-1: the matrix of `first`, the same object.
 
-    k takes h's family group and the embedding y -> x emb_h(y) x^-1, so psi
-    on k and psi on h induce to the same character of G, and each row of
-    k's matrix is the same row of h's.
+    k takes first's family group and the embedding y -> x emb_first(y) x^-1,
+    so psi on k and psi on first induce to the same character of G, and each
+    row of k's matrix is the same row of first's.
     """
-    g, h = m.group, m.subgroup
-    if k.group is not h.group:
+    g = first.parent
+    if k.group is not first.group:
         raise InternalConsistencyError(f"two conjugate subgroups of {g.name} have different groups")
-    if k.embedding() != tuple(g.conjugate(y, x) for y in h.embedding()):
+    if k.embedding() != tuple(g.conjugate(y, x) for y in first.embedding()):
         raise InternalConsistencyError(f"the embedding of a conjugate subgroup of {g.name} is not "
                                        f"its first's conjugated by the recorded element")
-    return replace(m, subgroup=k)
+    return _multiplicity_matrix(first)
 
 
 def _trivial_row_index(h: Subgroup) -> int:

@@ -233,53 +233,41 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(mul, labels, "cyclic", n=n, gens={"a": 1 % n}, name=f"C{n}")
 
 
-def dihedral_group(n: int) -> FiniteGroup:
-    """The dihedral group of order 2n: a^n = b^2 = 1 and bab = a^-1.
+def _extension_group(family: str, n: int, m: int, twist: int, name: str) -> FiniteGroup:
+    """The group of order 2m generated by a of order m and b with bab^-1 = a^-1, b^2 = a^twist.
 
-    Element j*n + i is b^j a^i with 0 <= i < n and j in {0, 1}.
+    Element j*m + i is b^j a^i with 0 <= i < m and j in {0, 1}.
     """
-    if n < 1:
-        raise InvalidParameterError(f"dihedral group needs n >= 1, got {n}")
-    order = 2 * n
+    order = 2 * m
 
     def mul_pair(j1, i1, j2, i2):
-        i = (i2 - i1 if j2 else i1 + i2) % n
-        return ((j1 + j2) % 2) * n + i
-
-    mul = [
-        [mul_pair(e1 // n, e1 % n, e2 // n, e2 % n) for e2 in range(order)]
-        for e1 in range(order)
-    ]
-    labels = [_rotation_label(i) for i in range(n)] + [_reflection_label(i) for i in range(n)]
-    return FiniteGroup(mul, labels, "dihedral", n=n,
-                       gens={"a": 1 % n, "b": n}, name=f"D{order}")
-
-
-def dicyclic_group(n: int) -> FiniteGroup:
-    """The dicyclic group of order 4n: a^n = b^2, b^4 = 1, bab^-1 = a^-1.
-
-    The rotation a has order 2n; element j*2n + i is b^j a^i with
-    0 <= i < 2n and j in {0, 1}.  n = 1 yields the cyclic group of
-    order 4 (generated by b) carrying the dicyclic family tag.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"dicyclic group needs n >= 1, got {n}")
-    m = 2 * n
-    order = 4 * n
-
-    def mul_pair(j1, i1, j2, i2):
-        i = (i2 - i1 if j2 else i1 + i2) % m
-        if j1 and j2:
-            i = (i + n) % m
-        return ((j1 + j2) % 2) * m + i
+        i = (i2 - i1 + twist * j1) if j2 else i1 + i2
+        return ((j1 + j2) % 2) * m + i % m
 
     mul = [
         [mul_pair(e1 // m, e1 % m, e2 // m, e2 % m) for e2 in range(order)]
         for e1 in range(order)
     ]
     labels = [_rotation_label(i) for i in range(m)] + [_reflection_label(i) for i in range(m)]
-    return FiniteGroup(mul, labels, "dicyclic", n=n,
-                       gens={"a": 1, "b": m}, name=f"Dic{order}")
+    return FiniteGroup(mul, labels, family, n=n, gens={"a": 1 % m, "b": m}, name=name)
+
+
+def dihedral_group(n: int) -> FiniteGroup:
+    """The dihedral group of order 2n: a^n = b^2 = 1 and bab = a^-1."""
+    if n < 1:
+        raise InvalidParameterError(f"dihedral group needs n >= 1, got {n}")
+    return _extension_group("dihedral", n, n, 0, f"D{2 * n}")
+
+
+def dicyclic_group(n: int) -> FiniteGroup:
+    """The dicyclic group of order 4n: a^n = b^2, b^4 = 1, bab^-1 = a^-1.
+
+    The rotation a has order 2n.  n = 1 yields the cyclic group of order 4
+    (generated by b) carrying the dicyclic family tag.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"dicyclic group needs n >= 1, got {n}")
+    return _extension_group("dicyclic", n, 2 * n, n, f"Dic{4 * n}")
 
 
 _FAMILY_ORDER_FACTOR = {"cyclic": 1, "dihedral": 2, "dicyclic": 4}

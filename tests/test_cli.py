@@ -30,12 +30,13 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE):
     """`python -m sgp argv` in a new interpreter that imports the package under test."""
     src = str(pathlib.Path(sgp.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "sgp", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "sgp", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # -- table ------------------------------------------------------------------------
@@ -466,6 +467,20 @@ def test_atlas_round_trips_through_json(tmp_path, capsys):
     assert json.dumps(doc, ensure_ascii=False, indent=2) + "\n" == path.read_text()
 
 
+def test_atlas_reads_each_tables_galois_maps_from_one_memo(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = sgp.chars._class_power_map
+
+    def counted(group, t):
+        calls.append((group.name, t))
+        return original(group, t)
+
+    monkeypatch.setattr(sgp.chars, "_class_power_map", counted)
+    assert run(capsys, "atlas", "cyclic", "12", "--out", str(tmp_path))[0] == 0
+    # one map per unit mod the exponent, for the tables of C12, C1, C2, C3, C4 and C6
+    assert len(calls) == len(set(calls)) == 4 + 1 + 1 + 2 + 2 + 2
+
+
 def test_atlas_requires_out(capsys):
     rc, _, err = run(capsys, "atlas", "dihedral", "3..4")
     assert rc == 1
@@ -509,6 +524,22 @@ def test_console_entry_point_via_module():
     assert "Character table of D6" in proc.stdout
     proc = run_module("audit", "dihedral", "4..4", "--fail-on-discrepancy")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(buffered, monkeypatch):
+    # a buffered stdout fails at the flush, an unbuffered one at the first write
+    if buffered:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes a byte
+    try:
+        proc = run_module("classify", "dihedral", "36", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_main_calls_share_one_parser_but_no_state(capsys, monkeypatch):
