@@ -9,9 +9,9 @@ route (`constructive_family_table`) rebuilds the nonabelian tables from
 brute-forced linear characters plus inductions from the maximal rotation
 subgroup and is used as an oracle against the closed forms.
 
-A subgroup's table is the family table of `h.group`; `restrict` and
-`induce` reach the parent through `h.embedding()`.  Induction reads the
-class fusion of H in G, one pass over the members of H.
+A subgroup's table is the family table of `h.group`; `restrict`, `induce`
+and the matrices of `gelfand` reach the parent only through the class
+fusion `_class_fusion(h)`, the parent class of each class of `h.group`.
 
 `validate_table` checks both orthogonality relations exactly, computing
 one sum per orbit of row pairs and of column pairs under the table's
@@ -147,16 +147,21 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     return total * Fraction(1, f.group.order)
 
 
+@memoized
+def _class_fusion(h: Subgroup) -> tuple[int, ...]:
+    """The parent class holding each class of `h.group`, read at its representative."""
+    class_of = conjugacy_classes(h.parent).class_of
+    emb = h.embedding()
+    return tuple(class_of[emb[rep]] for rep in conjugacy_classes(h.group).reps)
+
+
 def restrict(f: ClassFunction, h: Subgroup) -> ClassFunction:
     """Restriction of f to the subgroup h, as a class function on h."""
     if f.group is not h.parent:
         raise DomainMismatchError("can only restrict to a subgroup of the function's group")
     hg = h.group
-    cls_h = conjugacy_classes(hg)
-    emb = h.embedding()
-    values = tuple(f.value_on_element(emb[rep]) for rep in cls_h.reps)
     name = f"{f.name}↓{hg.name}" if f.name else ""
-    return ClassFunction(hg, values, name)
+    return ClassFunction(hg, tuple(map(f.values.__getitem__, _class_fusion(h))), name)
 
 
 def induce(f: ClassFunction, h: Subgroup) -> ClassFunction:
@@ -164,27 +169,20 @@ def induce(f: ClassFunction, h: Subgroup) -> ClassFunction:
 
     (f^G)(g) = (1/|H|) * sum over x in G of f0(x g x^-1), with f0 zero
     outside H.  Each element of the class c of g is some x g x^-1 for
-    |G|/|c| values of x, so (f^G)(g) = |G|/(|H| |c|) times the sum of f
-    over the members of H in c, read from the class fusion of H in G.
+    |G|/|c| values of x, so (f^G)(g) = |G|/(|H| |c|) times the sum of
+    |d| f(d) over the classes d of H that the class fusion sends to c.
     """
     hg = h.group
     if f.group is not hg:
         raise DomainMismatchError("function must live on the subgroup being induced from")
     g = h.parent
     cls_g = conjugacy_classes(g)
-    cls_h = conjugacy_classes(hg)
-    counts = [[0] * len(cls_h.reps) for _ in cls_g.reps]
-    for y, x in enumerate(h.embedding()):
-        counts[cls_g.class_of[x]][cls_h.class_of[y]] += 1
-    values = []
-    for row, size in zip(counts, cls_g.sizes):
-        acc = _ZERO
-        for c, v in zip(row, f.values):
-            if c:
-                acc = acc + v * c
-        values.append(acc * Fraction(g.order, h.order * size))
+    sums = [_ZERO] * len(cls_g.reps)
+    for c, size, v in zip(_class_fusion(h), conjugacy_classes(hg).sizes, f.values):
+        sums[c] = sums[c] + v * size
+    values = tuple(acc * Fraction(g.order, h.order * size) for acc, size in zip(sums, cls_g.sizes))
     name = f"{f.name}↑{g.name}" if f.name else ""
-    return ClassFunction(g, tuple(values), name)
+    return ClassFunction(g, values, name)
 
 
 # -- closed-form family tables ---------------------------------------------
@@ -270,8 +268,8 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
     """Irreducible characters of a subgroup: the closed-form table of `h.group`.
 
     Every subgroup of a cyclic, dihedral or dicyclic group is again cyclic,
-    dihedral or dicyclic, and `h.group` is that family group; `h.embedding()`
-    maps its elements into the parent.
+    dihedral or dicyclic, and `h.group` is that family group;
+    `_class_fusion(h)` maps its classes into the parent.
     """
     return family_table(h.group)
 

@@ -2,10 +2,11 @@
 
 Grammar::
 
-    sgp <command> <family> <n|a..b> [--format text|json|csv] [--out PATH]
-        [--max-order N] [--fail-on-discrepancy]
+    sgp table|classify|audit <family> <n|a..b> [--format text|json|csv]
+        [--out PATH] [--max-order N] [--fail-on-discrepancy (audit only)]
+    sgp atlas <family> <n|a..b> --out DIRECTORY [--max-order N]
 
-Commands: table, classify, audit, atlas.  Exit codes: 0 success, 1 usage,
+Atlas files are always JSON.  Exit codes: 0 success, 1 usage,
 failed --fail-on-discrepancy or a closed stdout (with nothing on stderr),
 2 internal consistency, 3 table validation.  The group-order bound
 defaults to 256 and can be overridden with --max-order or the
@@ -70,7 +71,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("family", choices=["cyclic", "dihedral", "dicyclic"])
         p.add_argument("n", metavar="n|a..b", help="single n or inclusive range a..b")
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        if name != "atlas":
+            p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--out", default=None, help="write output here instead of stdout"
                        if name != "atlas" else "output directory (required)")
         p.add_argument("--max-order", type=int, default=None,

@@ -11,11 +11,12 @@ arithmetic:
   entry of each orbit of (psi, chi) pairs is computed (`chars._pair_orbits`,
   the orbit routine of table validation), and every other entry is read
   from it.
-* Conjugacy.  A conjugate x H x^-1 of the first subgroup H of its class
-  (`class_representative`) embeds H's family group through H's embedding
-  conjugated by x, so psi induces to the same character from either
-  subgroup, and the conjugate reads H's matrix: the same
-  `MultiplicityMatrix` object, memoized once per conjugacy class.
+* Class fusion.  An entry is (1/|H|) * sum over the classes d of H of
+  |d| psi(d) conj(chi(fuse(d))), so it is fixed by the family group of H
+  and its class fusion in G (`chars._class_fusion`).  One matrix is kept
+  on G per key (family, n, fusion), and every subgroup with that key
+  reads the same `MultiplicityMatrix` object.  A conjugate of a subgroup
+  has its family group and a conjugated embedding, so its key too.
 
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
@@ -42,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chars import (
+    _class_fusion,
     _galois_maps,
     _pair_orbits,
     decompose,
@@ -63,7 +65,6 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
-    class_representative,
     describe_subgroup,
     map_family,
     memoized,
@@ -171,24 +172,30 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple
 
 
 def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
-    """Multiplicity matrix for the pair (g, h), computed once per conjugacy class.
+    """Multiplicity matrix for the pair (g, h), computed once per fusion key.
 
-    One entry per orbit of (psi, chi) pairs is computed by both paths; a
-    multiplicity is rational, so sigma_t fixes it, and every other entry is
-    M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its orbit's first.
-    A conjugate of the first subgroup of its class (`class_representative`)
-    gets the first's matrix, the same object.
+    The family group of h and its class fusion in g fix every entry, so g
+    keeps one matrix per key (family, n, `chars._class_fusion(h)`) and every
+    subgroup with that key, each conjugate of h among them, gets it.  One
+    entry per orbit of (psi, chi) pairs is computed by both paths; every
+    other entry is M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its
+    orbit's first.
     """
     _check_pair(g, h)
-    return _multiplicity_matrix(h)
+    matrices = _matrices(g)
+    key = (h.group.family, h.group.n, _class_fusion(h))
+    if key not in matrices:
+        matrices[key] = _orbit_matrix(g, h)
+    return matrices[key]
 
 
 @memoized
-def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
-    first, x = class_representative(h)
-    if first is not h:
-        return _conjugate_matrix(first, h, x)
-    g = h.parent
+def _matrices(g: FiniteGroup) -> dict:
+    """The multiplicity matrices of g's subgroups, by (family, n, class fusion)."""
+    return {}
+
+
+def _orbit_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
     th, tg = subgroup_table(h), family_table(g)
     e_h = h.group.exponent()
     maps_h, maps_g = _galois_maps(th), _galois_maps(tg)
@@ -224,22 +231,6 @@ def _multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
                 f"accounts for degree {total}, not {want}"
             )
     return MultiplicityMatrix(th.names, tg.names, entries)
-
-
-def _conjugate_matrix(first: Subgroup, k: Subgroup, x: int) -> MultiplicityMatrix:
-    """The matrix of k = x first x^-1: the matrix of `first`, the same object.
-
-    k takes first's family group and the embedding y -> x emb_first(y) x^-1,
-    so psi on k and psi on first induce to the same character of G, and each
-    row of k's matrix is the same row of first's.
-    """
-    g = first.parent
-    if k.group is not first.group:
-        raise InternalConsistencyError(f"two conjugate subgroups of {g.name} have different groups")
-    if k.embedding() != tuple(g.conjugate(y, x) for y in first.embedding()):
-        raise InternalConsistencyError(f"the embedding of a conjugate subgroup of {g.name} is not "
-                                       f"its first's conjugated by the recorded element")
-    return _multiplicity_matrix(first)
 
 
 def _trivial_row_index(h: Subgroup) -> int:
@@ -282,8 +273,8 @@ class ClassificationReport:
 def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> ClassificationReport:
     """One record per subgroup, in the deterministic all_subgroups order.
 
-    Each matrix is computed once per conjugacy class of subgroups, on its
-    first subgroup; every conjugate reads it (`multiplicity_matrix`).
+    Each matrix is computed once per fusion key, so once per conjugacy
+    class of subgroups at most (`multiplicity_matrix`).
     """
     subgroups = all_subgroups(g, max_order)
     records = []

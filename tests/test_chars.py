@@ -12,6 +12,7 @@ from sgp.chars import (
     CharacterTable,
     ClassFunction,
     TableValidation,
+    _class_fusion,
     _class_power_map,
     _cyclic_rows,
     _galois_maps,
@@ -280,6 +281,22 @@ def test_induce_from_the_class_fusion_equals_the_whole_group_sum(family, top):
                 fast, slow = induce(psi, h).values, induce_over_whole_group(psi, h)
                 assert fast == slow
                 assert [v.order for v in fast] == [v.order for v in slow]
+
+
+@pytest.mark.parametrize("family, top", [("cyclic", 30), ("dihedral", 16), ("dicyclic", 8)])
+def test_class_fusion_holds_on_every_element_and_restriction_reads_it(family, top):
+    for n in range(1, top + 1):
+        g = build_group(family, n)
+        class_of = conjugacy_classes(g).class_of
+        chis = family_table(g).irreducibles
+        for h in all_subgroups(g):
+            fusion, emb = _class_fusion(h), h.embedding()
+            downs = [restrict(chi, h) for chi in chis]
+            for d, members in enumerate(conjugacy_classes(h.group).classes):
+                for y in members:
+                    assert class_of[emb[y]] == fusion[d], (g.name, h.members, y)
+                    for chi, down in zip(chis, downs):
+                        assert down.value_on_element(y) == chi.value_on_element(emb[y])
 
 
 @settings(max_examples=20, deadline=None, database=None)

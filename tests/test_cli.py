@@ -487,6 +487,15 @@ def test_atlas_requires_out(capsys):
     assert "--out" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_atlas_refuses_format_and_creates_nothing(tmp_path, capsys, fmt):
+    out = tmp_path / "d"
+    rc, stdout, err = run(capsys, "atlas", "cyclic", "2", "--out", str(out), "--format", fmt)
+    assert rc == 1
+    assert stdout == "" and "--format" in err
+    assert not out.exists()
+
+
 # -- usage and exit codes ------------------------------------------------------------------
 
 
@@ -562,7 +571,8 @@ _CONTRACT_RANGES = {"cyclic": "1..10", "dihedral": "1..8", "dicyclic": "1..4"}
 
 # sha256 of argv, exit code, stdout, stderr and every atlas file (name and
 # bytes) for each command over `_CONTRACT_RANGES`, one digest per
-# (command, family, format)
+# (command, family, format).  atlas takes no --format and always writes
+# JSON, so its three digests per family pin one transcript.
 _CONTRACT_DIGESTS = {
     ("table", "cyclic", "text"):
         "3193d723248fa85a30c133e0a9c909e925fe51aee468b7464b4de4c3ed31a23a",
@@ -619,28 +629,29 @@ _CONTRACT_DIGESTS = {
     ("audit", "dicyclic", "csv"):
         "c9c195c970b8a47860e646f4a33f7a85a21e1d0c9253862f4717733388574ecf",
     ("atlas", "cyclic", "text"):
-        "772eaa86d8317e8f513f7f88b99a7cce7ab81bdb7040f3d301a5c76c6b47ddcf",
+        "7a018a7caf82dc6c1b5647fce8efc4e0e72f323e797e91735209509865e87f2b",
     ("atlas", "cyclic", "json"):
-        "ac6a67c3324cacb1fae44fd1d60a48d9adfddddad969b8d47d96bd2f8422640a",
+        "7a018a7caf82dc6c1b5647fce8efc4e0e72f323e797e91735209509865e87f2b",
     ("atlas", "cyclic", "csv"):
-        "8e0d2c6895ac9db5df3e3adf33fc073300579685da3e23f31e429fb57c262e97",
+        "7a018a7caf82dc6c1b5647fce8efc4e0e72f323e797e91735209509865e87f2b",
     ("atlas", "dihedral", "text"):
-        "e456f83882f1e08e33b87ed332a2ec6e92d95a76a3b50a4c3c025ad35d7782c2",
+        "75cc50c340d9407d9543d29defb271105940d9a3c4d5c24f8f149924625cfb3f",
     ("atlas", "dihedral", "json"):
-        "28fa2196be320a29e6eafb37c21b37a617b3b8e2dcb83dcac87f92480a8d0d2a",
+        "75cc50c340d9407d9543d29defb271105940d9a3c4d5c24f8f149924625cfb3f",
     ("atlas", "dihedral", "csv"):
-        "f516c5957049babc8b956fa98e55662cfbcd3ccbcec14c19a05738b52a85457c",
+        "75cc50c340d9407d9543d29defb271105940d9a3c4d5c24f8f149924625cfb3f",
     ("atlas", "dicyclic", "text"):
-        "2165e9dab30aa3a6fd15ecaec9e7b42778c3a10c2ce50a104647ffe7bee37d60",
+        "a805ed20aaaf486cca24edf0c87aee4029d5e527ae124b2912d903a0e071ece0",
     ("atlas", "dicyclic", "json"):
-        "527a559240b2489f475c9afbd7272ab82be918c7b377c52dee1a61e4453c2e24",
+        "a805ed20aaaf486cca24edf0c87aee4029d5e527ae124b2912d903a0e071ece0",
     ("atlas", "dicyclic", "csv"):
-        "cdb9f326d3ff2aaa316935d978c3204101afdc1ec97ee043ba55f1ef33c93b9f",
+        "a805ed20aaaf486cca24edf0c87aee4029d5e527ae124b2912d903a0e071ece0",
 }
 
 
 def _transcript_digest(capsys, tmp_path, command, family, fmt):
-    argv = [command, family, _CONTRACT_RANGES[family], "--format", fmt]
+    argv = [command, family, _CONTRACT_RANGES[family]]
+    argv += ["--format", fmt] if command != "atlas" else []
     out_dir = tmp_path / "out"
     extra = ["--out", str(out_dir)] if command == "atlas" else []
     rc, out, err = run(capsys, *argv, *extra)

@@ -165,6 +165,24 @@ def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
     assert conjugates and calls == []
 
 
+@pytest.mark.parametrize("g", [dihedral_group(36), dicyclic_group(5), dicyclic_group(6)],
+                         ids=lambda g: g.name)
+def test_subgroups_share_a_matrix_exactly_when_their_fusion_keys_are_equal(g):
+    # a Subgroup built again from k's members has its own family group and
+    # embedding, and is the first of its own class
+    subs = all_subgroups(g)
+    rebuilt = [Subgroup(g, k.members) for k in subs]
+    by_key = {}
+    for h in subs + rebuilt:
+        m = multiplicity_matrix(g, h)
+        assert by_key.setdefault((h.group.family, h.group.n, sgp.chars._class_fusion(h)), m) is m
+    for h in rebuilt:
+        assert class_representative(h) == (h, g.identity)
+        entries = multiplicity_matrix(g, h).entries
+        assert entries == multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
+    assert len({id(m) for m in by_key.values()}) == len(by_key)
+
+
 def _corrupt_first_entry(original):
     def corrupted(g, h, rows=None):
         entries = [list(row) for row in original(g, h, rows)]
@@ -204,10 +222,13 @@ def _wrong_power_map(original):
 
 
 def _wrong_conjugator(original):
-    return lambda k: (original(k)[0], k.parent.identity)
+    def wrong(k):
+        return original(k)[0], k.parent.identity
+    wrong.remember = original.remember  # all_subgroups still records the real conjugators
+    return wrong
 
 
-_PATCH_HOMES = {"_class_power_map": sgp.chars, "class_representative": sgp.gelfand}
+_PATCH_HOMES = {"_class_power_map": sgp.chars, "class_representative": sgp.groups}
 
 
 @pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
