@@ -11,9 +11,12 @@ inverse laws, and associativity exhaustively by Light's test over the
 group's generators.  The package makes groups only with `build_group` and
 the three family constructors.  Groups and subgroups are immutable after
 construction and all functions are pure, so enumeration
-over different groups can run in parallel with no shared state.  What is
-derived from a group or subgroup (classes, tables, matrices) is computed
-once by `memoized` and kept on that object.
+over different groups can run in parallel with no shared state other than
+the cycle collector, which is interpreter-wide: `map_family` freezes it
+for the length of a sweep, and a nested or concurrent sweep that
+unfreezes early costs only speed.  What is derived from a group or
+subgroup (classes, tables, matrices) is computed once by `memoized` and
+kept on that object.
 
 Each group walks the powers of every element once (`FiniteGroup.powers`),
 and element orders, powers, the exponent and cyclic subgroups are read
@@ -77,8 +80,7 @@ def memoized(fn):
 
     Each value then lives and dies with the group or subgroup it describes.
     The key is the function's name with a leading underscore, so a memoized
-    method is not shadowed by its own value.  `wrapper.remember(x, value)`
-    stores a value of `fn(x)` found another way.
+    method is not shadowed by its own value.
     """
     key = "_" + fn.__name__
 
@@ -90,10 +92,6 @@ def memoized(fn):
             value = x.__dict__[key] = fn(x)
             return value
 
-    def remember(x, value):
-        x.__dict__[key] = value
-
-    wrapper.remember = remember
     return wrapper
 
 
@@ -303,14 +301,29 @@ def map_family(family: str, ns: Iterable[int], fn: Callable[[FiniteGroup], objec
     is built, so an oversized range builds nothing.  The values memoized on
     a group and its subgroups point back at them, so a finished group is
     freed only by the cycle collector, which runs after each n; `fn`'s
-    result must not hold the group.
+    result must not hold the group.  The collection is a full one because
+    only a full collection also empties the interpreter's free lists;
+    freeing each group without one measured a few percent more peak memory.
+
+    Before the first group, everything already alive (modules, the
+    caller's data) is frozen with `gc.freeze`, so each per-n collection
+    walks only what that n allocated.  The young generations are collected
+    first, so that garbage the caller left since its last collection is
+    freed rather than frozen where no collection reaches it.  Every exit
+    (the last n, `fn` raising, the consumer closing the generator) calls
+    `gc.unfreeze`.
     """
     ns = list(ns)
     if ns:
         check_order(family_order(family, max(ns)), max_order)
-    for n in ns:
-        yield fn(build_group(family, n))
-        gc.collect()
+    gc.collect(1)
+    gc.freeze()
+    try:
+        for n in ns:
+            yield fn(build_group(family, n))
+            gc.collect()
+    finally:
+        gc.unfreeze()
 
 
 @dataclass(frozen=True)
@@ -475,12 +488,22 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
-@memoized
 def class_representative(h: Subgroup) -> tuple[Subgroup, int]:
     """(first, x) with h = x first x^-1, first the subgroup of h's conjugacy
-    class that `all_subgroups` found first; (h, identity) for a subgroup
-    made any other way."""
-    return h, h.parent.identity
+    class that `all_subgroups` found first; (h, identity) for that first
+    subgroup and for a subgroup made any other way.
+
+    Only the other conjugates keep their pair (`class_representative.remember`),
+    so no subgroup holds a reference to itself.
+    """
+    return h.__dict__.get("_class_representative") or (h, h.parent.identity)
+
+
+def _remember_representative(h: Subgroup, pair: tuple[Subgroup, int]) -> None:
+    h.__dict__["_class_representative"] = pair
+
+
+class_representative.remember = _remember_representative
 
 
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Subgroup]:
@@ -526,7 +549,8 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
     subgroups = {s: Subgroup(g, tuple(sorted(s))) for s in ordered}
     for s, (first, x) in found.items():
-        class_representative.remember(subgroups[s], (subgroups[first], x))
+        if s != first:
+            class_representative.remember(subgroups[s], (subgroups[first], x))
     return list(subgroups.values())
 
 

@@ -311,6 +311,21 @@ def test_each_finished_group_is_freed_without_the_cycle_collector(tmp_path, caps
     assert left == 0
 
 
+def test_repeated_atlas_runs_leave_no_growing_garbage(tmp_path, capsys):
+    def garbage_after(runs):
+        for _ in range(runs):
+            assert run(capsys, "atlas", "cyclic", "3", "--out", str(tmp_path))[0] == 0
+        return gc.collect()
+
+    gc.collect()
+    gc.disable()
+    try:
+        counts = garbage_after(2), garbage_after(8)
+    finally:
+        gc.enable()
+    assert counts[0] == counts[1]
+
+
 # -- audit ---------------------------------------------------------------------------
 
 

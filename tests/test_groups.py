@@ -1,5 +1,6 @@
 """Group construction, conjugacy classes, subgroup enumeration, descriptors."""
 
+import gc
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from sgp.groups import (
     dicyclic_group,
     dihedral_group,
     generated_subgroup,
+    map_family,
     subgroup_structure,
     trivial_subgroup,
 )
@@ -538,6 +540,21 @@ def test_conjugates_share_one_family_group():
             assert first is h and x == g.identity
 
 
+def test_subgroups_are_freed_without_the_cycle_collector():
+    g = dihedral_group(6)
+    gc.collect()
+    gc.disable()
+    try:
+        subs = all_subgroups(g)
+        for h in subs:
+            h.embedding()
+        del subs, h
+        left = sum(1 for o in gc.get_objects() if isinstance(o, Subgroup) and o.parent is g)
+    finally:
+        gc.enable()
+    assert left == 0
+
+
 @pytest.mark.parametrize("g", [dihedral_group(36), dicyclic_group(14)], ids=lambda g: g.name)
 def test_a_conjugate_embeds_its_first_group_through_the_conjugator(g):
     conjugates = 0
@@ -552,3 +569,40 @@ def test_full_subgroup_group_is_parent():
     g = dihedral_group(5)
     h = generated_subgroup(g, ["a", "b"])
     assert h.group is g
+
+
+# -- sweeps over a family ------------------------------------------------------------
+
+
+def _sweep_to_the_end():
+    assert list(map_family("cyclic", range(1, 4), lambda g: g.order)) == [1, 2, 3]
+
+
+def _sweep_raising_on_the_second_n():
+    def fn(g):
+        if g.n == 2:
+            raise ValueError("second n")
+        return g.order
+
+    with pytest.raises(ValueError, match="second n"):
+        list(map_family("cyclic", range(1, 4), fn))
+
+
+def _sweep_closed_after_one_value():
+    sweep = map_family("cyclic", range(1, 4), lambda g: g.order)
+    assert next(sweep) == 1
+    sweep.close()
+
+
+@pytest.mark.parametrize("sweep", [_sweep_to_the_end, _sweep_raising_on_the_second_n,
+                                   _sweep_closed_after_one_value],
+                         ids=["finished", "fn-raises", "closed"])
+def test_every_exit_from_a_sweep_unfreezes_the_collector(sweep):
+    assert gc.get_freeze_count() == 0
+    sweep()
+    assert gc.get_freeze_count() == 0
+
+
+def test_a_sweep_freezes_what_was_alive_before_it():
+    frozen = list(map_family("cyclic", range(1, 4), lambda g: gc.get_freeze_count()))
+    assert len(frozen) == 3 and min(frozen) > 0
