@@ -15,8 +15,9 @@ arithmetic:
   |d| psi(d) conj(chi(fuse(d))), so it is fixed by the family group of H
   and its class fusion in G (`chars._class_fusion`).  One matrix is kept
   on G per key (family, n, fusion), and every subgroup with that key
-  reads the same `MultiplicityMatrix` object.  A conjugate of a subgroup
-  has its family group and a conjugated embedding, so its key too.
+  reads the same `MultiplicityMatrix` object.  A subgroup's generators
+  are picked by parent class (`groups.subgroup_structure`), so each
+  conjugate of a subgroup has its family group and its key.
 
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
@@ -176,10 +177,10 @@ def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
 
     The family group of h and its class fusion in g fix every entry, so g
     keeps one matrix per key (family, n, `chars._class_fusion(h)`) and every
-    subgroup with that key, each conjugate of h among them, gets it.  One
-    entry per orbit of (psi, chi) pairs is computed by both paths; every
-    other entry is M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its
-    orbit's first.
+    subgroup with that key gets it: each conjugate of h, and h rebuilt from
+    its members, among them.  One entry per orbit of (psi, chi) pairs is
+    computed by both paths; every other entry is
+    M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its orbit's first.
     """
     _check_pair(g, h)
     matrices = _matrices(g)

@@ -23,12 +23,12 @@ and element orders, powers, the exponent and cyclic subgroups are read
 off those walks.
 
 Every subgroup of a cyclic, dihedral or dicyclic group is again one of
-these.  `Subgroup.group` is that family group (the parent when full) and
-`Subgroup.embedding()` the parent element each of its elements stands for.
-`all_subgroups` finds each conjugacy class of subgroups once, as
-`class_representative` records.  A conjugate x H x^-1 shares the family
-group of H, the first subgroup of its class, and its embedding is that of
-H conjugated by x.
+these.  `Subgroup.group` is that family group (the parent when full, else
+the parent's one family group of that type) and `Subgroup.embedding()` the
+parent element each of its elements stands for.  Both are read off the
+members alone: `subgroup_structure` picks each generator as the least
+element by (parent class, index), so conjugate subgroups pick generators
+from the same parent classes and share one class fusion.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "trivial_subgroup",
     "full_subgroup",
     "all_subgroups",
-    "class_representative",
     "describe_subgroup",
     "subgroup_structure",
     "are_conjugate_subgroups",
@@ -406,29 +405,27 @@ class Subgroup:
 
         Element r of a cyclic model is gen^r and element j*rot + i of a
         dihedral or dicyclic one is b1^j a1^i (generators from
-        `subgroup_structure`).  A conjugate k = x first x^-1 of the first
-        subgroup of its class (`class_representative`) takes the first's
-        group and the embedding y -> x emb_first(y) x^-1.  Either way the
-        embedding is checked to be an isomorphism onto `members`.
+        `subgroup_structure`).  The model is the parent's one group of its
+        (family, n), and the embedding is checked to be an isomorphism onto
+        `members`.
         """
         p = self.parent
         if self.is_full():
             return p, tuple(range(p.order))
-        first, x = class_representative(self)
-        if first is not self:
-            model = first.group
-            emb = tuple(p.conjugate(y, x) for y in first.embedding())
+        kind, data = subgroup_structure(self)
+        if kind == "trivial":
+            family, emb = "cyclic", (p.identity,)
+        elif kind == "cyclic":
+            family, emb = kind, p.powers(data)
         else:
-            kind, data = subgroup_structure(self)
-            if kind == "trivial":
-                family, emb = "cyclic", (p.identity,)
-            elif kind == "cyclic":
-                family, emb = kind, p.powers(data)
-            else:
-                a1, b1 = data
-                rotations = p.powers(a1)
-                family, emb = kind, rotations + tuple(p.mul[b1][r] for r in rotations)
-            model = _CONSTRUCTORS[family](self.order // _FAMILY_ORDER_FACTOR[family])
+            a1, b1 = data
+            rotations = p.powers(a1)
+            family, emb = kind, rotations + tuple(p.mul[b1][r] for r in rotations)
+        n = self.order // _FAMILY_ORDER_FACTOR[family]
+        models = _family_groups(p)
+        if (family, n) not in models:
+            models[family, n] = _CONSTRUCTORS[family](n)
+        model = models[family, n]
         if tuple(sorted(emb)) != self.members or any(
             emb[model.mul[y][s]] != p.mul[emb[y]][emb[s]]
             for y in range(model.order)
@@ -447,6 +444,12 @@ class Subgroup:
     def embedding(self) -> tuple[int, ...]:
         """The parent element that each element of `group` stands for."""
         return self._model()[1]
+
+
+@memoized
+def _family_groups(g: FiniteGroup) -> dict[tuple[str, int], FiniteGroup]:
+    """The family groups of g's non-full subgroups, one per (family, n)."""
+    return {}
 
 
 def _closure(g: FiniteGroup, gens) -> frozenset[int]:
@@ -488,24 +491,6 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
-def class_representative(h: Subgroup) -> tuple[Subgroup, int]:
-    """(first, x) with h = x first x^-1, first the subgroup of h's conjugacy
-    class that `all_subgroups` found first; (h, identity) for that first
-    subgroup and for a subgroup made any other way.
-
-    Only the other conjugates keep their pair (`class_representative.remember`),
-    so no subgroup holds a reference to itself.
-    """
-    return h.__dict__.get("_class_representative") or (h, h.parent.identity)
-
-
-def _remember_representative(h: Subgroup, pair: tuple[Subgroup, int]) -> None:
-    h.__dict__["_class_representative"] = pair
-
-
-class_representative.remember = _remember_representative
-
-
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Subgroup]:
     """Every subgroup of g, each exactly once, sorted by (order, members).
 
@@ -514,30 +499,29 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     extended only by the distinct cyclic subgroups <x> with x outside it,
     <H, x> being the closure of its tuple plus x.  The rest of its class is
     reached by a breadth-first search over conjugation by the generators
-    of g, which records each conjugator for `class_representative`.  Every
-    subgroup is the join of its cyclic subgroups, one at a time, and a
-    conjugate of a join is the join of the conjugates, so the search is
-    complete.
+    of g.  Every subgroup is the join of its cyclic subgroups, one at a
+    time, and a conjugate of a join is the join of the conjugates, so the
+    search is complete.
     """
     check_order(g.order, max_order)
     cyclic: dict[frozenset[int], int] = {}
     for x in range(g.order):
         cyclic.setdefault(frozenset(g.powers(x)), x)
-    found: dict[frozenset[int], tuple[frozenset[int], int]] = {}  # -> (first, x)
+    found: set[frozenset[int]] = set()
     work: list[tuple[frozenset[int], tuple[int, ...]]] = []  # (first, its generators)
 
     def add_class(h, gens):
         if h in found:
             return
         work.append((h, gens))
-        found[h] = (h, g.identity)
-        queue = [(h, g.identity)]
-        for members, x in queue:  # the queue grows while it is read
+        found.add(h)
+        queue = [h]
+        for members in queue:  # the queue grows while it is read
             for s in g.gens.values():
                 j = frozenset(g.conjugate(y, s) for y in members)
                 if j not in found:
-                    found[j] = (h, g.mul[s][x])
-                    queue.append((j, g.mul[s][x]))
+                    found.add(j)
+                    queue.append(j)
 
     for h, x in cyclic.items():
         add_class(h, (x,))
@@ -546,12 +530,8 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
         for x in cyclic.values():
             if x not in h:
                 add_class(_closure(g, gens + (x,)), gens + (x,))
-    ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    subgroups = {s: Subgroup(g, tuple(sorted(s))) for s in ordered}
-    for s, (first, x) in found.items():
-        if s != first:
-            class_representative.remember(subgroups[s], (subgroups[first], x))
-    return list(subgroups.values())
+    members = sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))
+    return [Subgroup(g, m) for m in members]
 
 
 def _rotation_bound(g: FiniteGroup) -> int | None:
@@ -562,6 +542,7 @@ def _rotation_bound(g: FiniteGroup) -> int | None:
     return None
 
 
+@memoized
 def subgroup_structure(h: Subgroup):
     """Classify a subgroup structurally.
 
@@ -571,14 +552,21 @@ def subgroup_structure(h: Subgroup):
       ("dihedral", (rotation_generator, reflection)) for dihedral parents
       ("dicyclic", (rotation_generator, outside_element)) for dicyclic parents
 
-    A non-cyclic subgroup of a group of any other family raises
+    Each generator is the least candidate by (parent class, index), so
+    conjugate subgroups take generators from the same parent classes.  A
+    non-cyclic subgroup of a group of any other family raises
     `UnsupportedFamilyError`.
     """
     p = h.parent
     d = h.order
     if d == 1:
         return ("trivial", None)
-    gen = min((x for x in h.members if p.element_order(x) == d), default=None)
+    class_of = conjugacy_classes(p).class_of
+
+    def least(xs):
+        return min(xs, key=lambda x: (class_of[x], x), default=None)
+
+    gen = least(x for x in h.members if p.element_order(x) == d)
     if gen is not None:
         return ("cyclic", gen)
     bound = _rotation_bound(p)
@@ -588,8 +576,8 @@ def subgroup_structure(h: Subgroup):
     m = len(rotations)
     if 2 * m != d:
         raise InternalConsistencyError("rotation part of subgroup has unexpected size")
-    a1 = min((x for x in rotations if p.element_order(x) == m), default=None)
-    b1 = min(x for x in h.members if x >= bound)
+    a1 = least(x for x in rotations if p.element_order(x) == m)
+    b1 = least(x for x in h.members if x >= bound)
     if a1 is None:
         raise InternalConsistencyError("rotation part of subgroup is not cyclic")
     return (p.family, (a1, b1))

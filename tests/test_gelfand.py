@@ -33,7 +33,6 @@ from sgp.groups import (
     all_subgroups,
     are_conjugate_subgroups,
     build_group,
-    class_representative,
     conjugacy_classes,
     cyclic_group,
     dicyclic_group,
@@ -85,18 +84,23 @@ def test_both_computation_paths_agree():
             assert multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
 
 
+def _first_conjugate(g, subs, k):
+    """The first subgroup in subs conjugate to k."""
+    return next(h for h in subs if are_conjugate_subgroups(g, h, k))
+
+
 def _assert_matrices_equal_the_reference(g):
     """Every classified subgroup's matrix equals both full paths; return how
-    many conjugates have a matrix other than their class representative's."""
-    report = classify_subgroups(g)
-    for h in report.subgroups:
+    many subgroups have a matrix other than the first conjugate's."""
+    subs = classify_subgroups(g).subgroups
+    for h in subs:
         entries = multiplicity_matrix(g, h).entries
         assert entries == multiplicity_by_induction(g, h), (g.name, h.members)
         assert entries == multiplicity_by_restriction(g, h), (g.name, h.members)
     return sum(
-        1 for k in report.subgroups
+        1 for k in subs
         if multiplicity_matrix(g, k).entries
-        != multiplicity_matrix(g, class_representative(k)[0]).entries
+        != multiplicity_matrix(g, _first_conjugate(g, subs, k)).entries
     )
 
 
@@ -105,7 +109,7 @@ def test_orbit_matrices_equal_the_two_path_reference():
     for family, top in (("cyclic", 30), ("dihedral", 16), ("dicyclic", 8)):
         for n in range(1, top + 1):
             permuted += _assert_matrices_equal_the_reference(build_group(family, n))
-    # a conjugate's embedding is its first's conjugated, so no row moves
+    # conjugates take generators from the same parent classes, so no row moves
     assert permuted == 0
 
 
@@ -144,8 +148,9 @@ def test_matrices_compute_one_entry_per_orbit_of_pairs(monkeypatch):
 def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
     g = dihedral_group(36)
     subs = all_subgroups(g)
-    for k in subs:
-        multiplicity_matrix(g, class_representative(k)[0])
+    firsts = [_first_conjugate(g, subs, k) for k in subs]
+    for first in firsts:
+        multiplicity_matrix(g, first)
     calls = []
 
     def counted(original):
@@ -157,19 +162,30 @@ def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
     # decompose reads chars.inner_product; the restriction path reads gelfand's
     for home in (sgp.chars, sgp.gelfand):
         monkeypatch.setattr(home, "inner_product", counted(home.inner_product))
-    conjugates = [k for k in subs if class_representative(k)[0] is not k]
-    for k in conjugates:
-        first = class_representative(k)[0]
-        m = multiplicity_matrix(g, k)
-        assert m is multiplicity_matrix(g, first)
+    conjugates = [(k, first) for k, first in zip(subs, firsts) if first is not k]
+    for k, first in conjugates:
+        assert multiplicity_matrix(g, k) is multiplicity_matrix(g, first)
     assert conjugates and calls == []
+
+
+@pytest.mark.parametrize("family", ["cyclic", "dihedral", "dicyclic"])
+def test_a_subgroup_rebuilt_from_its_members_is_the_same_subgroup(family):
+    # C1..C40, D2..D64, Dic4..Dic64: group, embedding and matrix are read
+    # off the members alone, whichever order the subgroups are met in
+    for n in {"cyclic": range(1, 41), "dihedral": range(1, 33), "dicyclic": range(1, 17)}[family]:
+        g = build_group(family, n)
+        for k in all_subgroups(g):
+            h = Subgroup(g, k.members)
+            assert h.group is k.group, (g.name, k.members)
+            assert h.embedding() == k.embedding(), (g.name, k.members)
+            assert multiplicity_matrix(g, h) is multiplicity_matrix(g, k), (g.name, k.members)
 
 
 @pytest.mark.parametrize("g", [dihedral_group(36), dicyclic_group(5), dicyclic_group(6)],
                          ids=lambda g: g.name)
 def test_subgroups_share_a_matrix_exactly_when_their_fusion_keys_are_equal(g):
-    # a Subgroup built again from k's members has its own family group and
-    # embedding, and is the first of its own class
+    # a Subgroup built again from k's members is a distinct object with k's
+    # family group and embedding
     subs = all_subgroups(g)
     rebuilt = [Subgroup(g, k.members) for k in subs]
     by_key = {}
@@ -177,7 +193,6 @@ def test_subgroups_share_a_matrix_exactly_when_their_fusion_keys_are_equal(g):
         m = multiplicity_matrix(g, h)
         assert by_key.setdefault((h.group.family, h.group.n, sgp.chars._class_fusion(h)), m) is m
     for h in rebuilt:
-        assert class_representative(h) == (h, g.identity)
         entries = multiplicity_matrix(g, h).entries
         assert entries == multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
     assert len({id(m) for m in by_key.values()}) == len(by_key)
@@ -206,33 +221,37 @@ def test_a_corrupted_entry_trips_the_row_degree_check(monkeypatch, capsys):
                          + [dicyclic_group(n) for n in range(1, 7)], ids=lambda g: g.name)
 def test_subgroup_orbits_are_the_conjugacy_classes(g):
     subs = all_subgroups(g)
-    firsts = [class_representative(k)[0] for k in subs]
+    orbit = {}  # members -> the first subgroup of its conjugation orbit
     for k in subs:
-        first, x = class_representative(k)
-        assert {g.conjugate(y, x) for y in first.members} == set(k.members)
-        assert class_representative(first) == (first, g.identity)
+        for x in range(g.order):
+            orbit.setdefault(tuple(sorted(g.conjugate(y, x) for y in k.members)), k)
+    firsts = [orbit[k.members] for k in subs]
     for a in range(len(subs)):
         for b in range(a + 1, len(subs)):
             same = firsts[a] is firsts[b]
             assert same == are_conjugate_subgroups(g, subs[a], subs[b])
+            if same:
+                assert multiplicity_matrix(g, subs[a]) is multiplicity_matrix(g, subs[b])
 
 
 def _wrong_power_map(original):
     return lambda group, t: original(group, t + 1)
 
 
-def _wrong_conjugator(original):
-    def wrong(k):
-        return original(k)[0], k.parent.identity
-    wrong.remember = original.remember  # all_subgroups still records the real conjugators
+def _wrong_generator(original):
+    def wrong(h):
+        kind, data = original(h)
+        if kind == "cyclic":  # its square generates a smaller subgroup
+            return kind, h.parent.mul[data][data]
+        return kind, data
     return wrong
 
 
-_PATCH_HOMES = {"_class_power_map": sgp.chars, "class_representative": sgp.groups}
+_PATCH_HOMES = {"_class_power_map": sgp.chars, "subgroup_structure": sgp.groups}
 
 
 @pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
-                                         ("class_representative", _wrong_conjugator)])
+                                         ("subgroup_structure", _wrong_generator)])
 def test_a_wrong_transport_is_an_internal_consistency_error(name, wrong, monkeypatch, capsys):
     home = _PATCH_HOMES[name]
     monkeypatch.setattr(home, name, wrong(getattr(home, name)))

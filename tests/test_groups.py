@@ -16,7 +16,6 @@ from sgp.groups import (
     all_subgroups,
     are_conjugate_subgroups,
     build_group,
-    class_representative,
     conjugacy_classes,
     cyclic_group,
     describe_subgroup,
@@ -391,6 +390,16 @@ def test_all_subgroups_match_pairwise_join_reference(family, hi):
         assert [h.members for h in all_subgroups(g)] == all_subgroups_by_pairwise_joins(g), n
 
 
+def _first_conjugates(g, subs):
+    """For each subgroup in subs, the first one of its conjugacy class, by conjugation orbits."""
+    first = {}
+    for k in subs:
+        if k.members not in first:
+            for x in range(g.order):
+                first.setdefault(tuple(sorted(g.conjugate(y, x) for y in k.members)), k)
+    return [first[k.members] for k in subs]
+
+
 @pytest.mark.parametrize("g, budget", [(dihedral_group(36), 1152), (dicyclic_group(14), 296)],
                          ids=["D72", "Dic56"])
 def test_all_subgroups_extends_one_subgroup_per_conjugacy_class(g, budget, monkeypatch):
@@ -407,7 +416,7 @@ def test_all_subgroups_extends_one_subgroup_per_conjugacy_class(g, budget, monke
     monkeypatch.setattr(sgp.groups, "_closure", counted)
     subs = all_subgroups(g)
     monkeypatch.undo()
-    classes = len({id(class_representative(h)[0]) for h in subs})
+    classes = len({id(first) for first in _first_conjugates(g, subs)})
     cyclic = sum(1 for h in subs if any(g.element_order(x) == h.order for x in h.members))
     assert g.order + classes * cyclic == budget
     assert len(calls) <= budget
@@ -529,15 +538,21 @@ def test_non_cyclic_subgroup_of_unknown_family_is_refused():
 def test_conjugates_share_one_family_group():
     for g in (dihedral_group(6), dihedral_group(8), dicyclic_group(3), dicyclic_group(4)):
         subs = all_subgroups(g)
-        for k in subs:
-            first, _ = class_representative(k)
+        for k, first in zip(subs, _first_conjugates(g, subs)):
             assert k.group is first.group
-        classes = {id(class_representative(k)[0]) for k in subs}
-        assert len({id(k.group) for k in subs}) == len(classes)
-        for k in subs:
-            h = Subgroup(g, k.members)
-            first, x = class_representative(h)
-            assert first is h and x == g.identity
+            assert Subgroup(g, k.members).group is k.group
+
+
+# C1..C40, D2..D64, Dic4..Dic64
+_SWEEP = {"cyclic": range(1, 41), "dihedral": range(1, 33), "dicyclic": range(1, 17)}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_each_parent_holds_one_family_group_per_type(family):
+    for n in _SWEEP[family]:
+        g = build_group(family, n)
+        groups = {id(h.group): (h.group.family, h.group.n) for h in all_subgroups(g)}
+        assert len(groups) == len(set(groups.values())), g.name
 
 
 def test_subgroups_are_freed_without_the_cycle_collector():
@@ -557,10 +572,14 @@ def test_subgroups_are_freed_without_the_cycle_collector():
 
 @pytest.mark.parametrize("g", [dihedral_group(36), dicyclic_group(14)], ids=lambda g: g.name)
 def test_a_conjugate_embeds_its_first_group_through_the_conjugator(g):
+    # generators are picked by parent class, so some x in g carries the first
+    # subgroup's embedding of the shared family group onto each conjugate's
+    subs = all_subgroups(g)
     conjugates = 0
-    for k in all_subgroups(g):
-        first, x = class_representative(k)
-        assert k.embedding() == tuple(g.conjugate(y, x) for y in first.embedding())
+    for k, first in zip(subs, _first_conjugates(g, subs)):
+        assert k.group is first.group
+        assert any(k.embedding() == tuple(g.conjugate(y, x) for y in first.embedding())
+                   for x in range(g.order))
         conjugates += first is not k
     assert conjugates > 0
 
