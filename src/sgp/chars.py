@@ -13,6 +13,11 @@ A subgroup's table is the family table of `h.group`; `restrict`, `induce`
 and the matrices of `gelfand` reach the parent only through the class
 fusion `_class_fusion(h)`, the parent class of each class of `h.group`.
 
+Every exact sum over classes goes through the one kernel
+`cyclo.weighted_product_sums`: `inner_product` is its one-column call,
+and `decompose` makes one call for all the rows it is asked for, over
+only the classes where its character is nonzero.
+
 `validate_table` checks both orthogonality relations exactly, computing
 one sum per orbit of row pairs and of column pairs under the table's
 Galois maps sigma_t (class power maps and the row permutations they
@@ -31,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import Cyclotomic, rational, weighted_product_sum, zeta
+from .cyclo import Cyclotomic, rational, weighted_product_sum, weighted_product_sums, zeta
 from .errors import (
     DomainMismatchError,
     IntegralityError,
@@ -144,7 +149,7 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyclotomic:
     if f.group is not g.group:
         raise DomainMismatchError("inner product requires class functions on the same group")
     total = weighted_product_sum(f.values, g.conj_values, conjugacy_classes(f.group).sizes)
-    return total * Fraction(1, f.group.order)
+    return total / f.group.order
 
 
 @memoized
@@ -171,18 +176,22 @@ def induce(f: ClassFunction, h: Subgroup) -> ClassFunction:
     outside H.  Each element of the class c of g is some x g x^-1 for
     |G|/|c| values of x, so (f^G)(g) = |G|/(|H| |c|) times the sum of
     |d| f(d) over the classes d of H that the class fusion sends to c.
+    Only the classes the fusion reaches are scaled; every other class,
+    where f^G vanishes, keeps the order-1 zero.
     """
     hg = h.group
     if f.group is not hg:
         raise DomainMismatchError("function must live on the subgroup being induced from")
     g = h.parent
-    cls_g = conjugacy_classes(g)
-    sums = [_ZERO] * len(cls_g.reps)
+    sizes = conjugacy_classes(g).sizes
+    sums = {}
     for c, size, v in zip(_class_fusion(h), conjugacy_classes(hg).sizes, f.values):
-        sums[c] = sums[c] + v * size
-    values = tuple(acc * Fraction(g.order, h.order * size) for acc, size in zip(sums, cls_g.sizes))
+        sums[c] = sums.get(c, _ZERO) + v * size
+    values = [_ZERO] * len(sizes)
+    for c, acc in sums.items():
+        values[c] = acc * Fraction(g.order, h.order * sizes[c])
     name = f"{f.name}↑{g.name}" if f.name else ""
-    return ClassFunction(g, values, name)
+    return ClassFunction(g, tuple(values), name)
 
 
 # -- closed-form family tables ---------------------------------------------
@@ -440,14 +449,25 @@ def decompose(f: ClassFunction, t: CharacterTable, rows=None) -> tuple[int, ...]
 
     `rows` lists the indices of the rows chi to compute, in that order; by
     default every row is computed, and then the multiplicities must account
-    for the degree of f.
+    for the degree of f.  The classes where f is nonzero are found once, and
+    one `weighted_product_sums` call sums size * f * conj(chi) over them for
+    every row; each total, divided by |G|, must be a nonnegative integer.
+    An induced character vanishes off the classes its subgroup meets, so
+    its support is often a small part of the classes.
     """
-    if f.group is not t.group:
+    g = f.group
+    if g is not t.group:
         raise DomainMismatchError("function and table must live on the same group")
     chosen = t.irreducibles if rows is None else [t.irreducibles[c] for c in rows]
+    support = [c for c, v in enumerate(f.values) if v]
+    sizes = conjugacy_classes(g).sizes
+    totals = weighted_product_sums(
+        [f.values[c] for c in support],
+        [[r.conj_values[c] for c in support] for r in chosen],
+        [sizes[c] for c in support])
     mults = []
-    for r in chosen:
-        q = inner_product(f, r).as_rational_integer()
+    for r, total in zip(chosen, totals):
+        q = (total / g.order).as_rational_integer()
         if q is None or q < 0:
             raise IntegralityError(
                 f"<{f.name or 'f'}, {r.name}> is not a nonnegative integer"

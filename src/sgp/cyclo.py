@@ -16,10 +16,16 @@ are one or two roots of unity, so a value holds a term or two however
 large phi(N) is.
 
 Every operation that makes a value from exponents (lifting, conjugation,
-products and `weighted_product_sum`) adds its terms into a dict keyed by
+products and `weighted_product_sums`) adds its terms into a dict keyed by
 raw exponents of zeta_m and ends in the one reduction routine `_reduce`,
 which folds the nonzero exponents at or above phi(m) back into the power
 basis through the sparse rows of `_power_rows`.
+
+`weighted_product_sums` is the one exact inner-product kernel: it sums
+w * f * g over aligned terms for one f against many columns g, with one
+lcm order for all the columns.  Its one-column call `weighted_product_sum`
+serves inner products and table validation, and the many-column call
+serves decomposition.
 
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across workers.  The cached cyclotomic
@@ -46,6 +52,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "weighted_product_sum",
+    "weighted_product_sums",
 ]
 
 #: Rational scalars are plain `fractions.Fraction` values: arbitrary
@@ -279,6 +286,8 @@ class Cyclotomic:
     def _lifted(self, m: int) -> "Cyclotomic":
         if m == self.order:
             return self
+        if not self._terms:
+            return Cyclotomic._make(m, (), 1)
         ratio = m // self.order
         return _reduce(m, {e * ratio: a for e, a in self._terms}, self._den)
 
@@ -303,6 +312,10 @@ class Cyclotomic:
         if o is None:
             return NotImplemented
         a, b = self._common(o)
+        if not a._terms:
+            return b
+        if not b._terms:
+            return a
         da, db = a._den, b._den
         sa, sb = (1, 1) if da == db else (db, da)
         acc = {e: x * sa for e, x in a._terms}
@@ -348,9 +361,12 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return self * Fraction(f.denominator, f.numerator)
+        if isinstance(other, int):
+            if not other:
+                raise ZeroDivisionError("division of a cyclotomic value by zero")
+            return Cyclotomic._make(self.order, self._terms, self._den * other)
+        if isinstance(other, Fraction):
+            return self * Fraction(other.denominator, other.numerator)
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -426,39 +442,56 @@ def as_rational_integer(x: Cyclotomic) -> int | None:
 def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:
     """Exact sum of w * f * g over aligned triples, with integer weights.
 
-    Equivalent to `sum(w * f * g)` but adds every product of a term of f and
-    a term of g into one accumulator at its raw exponent in zeta_m, m the lcm
-    of all orders, and reduces modulo the cyclotomic polynomial once at the
-    end; no lifted value is built.  Orthogonality validation calls this with
-    thousands of terms.
+    Equivalent to `sum(w * f * g)`; the one-column call of
+    `weighted_product_sums`.  Inner products and orthogonality validation
+    call this thousands of times.
+    """
+    return weighted_product_sums(fs, (list(gs),), weights)[0]
+
+
+def weighted_product_sums(fs, gss, weights=None) -> list[Cyclotomic]:
+    """`weighted_product_sum(fs, gs, weights)` for each sequence `gs` in `gss`.
+
+    Every product of a term of f and a term of g is added into one
+    accumulator per column at its raw exponent in zeta_m, and each column
+    is reduced modulo the cyclotomic polynomial once at the end; no lifted
+    value is built.  The order m is the lcm of every order in the call,
+    worked out once, so a total may have a larger order than the same
+    column summed alone, though never a different value.  Zero weights
+    are skipped; a zero value has no terms and adds nothing.  The terms of
+    f are scaled to zeta_m inside each column's loop: scaling them once per
+    call costs the one-column call more than it saves a batch.
     """
     fs = list(fs)
-    gs = list(gs)
+    gss = list(gss)
     if weights is None:
         weights = [1] * len(fs)
-    m = math.lcm(*{f.order for f in fs}, *{g.order for g in gs})
-    acc: dict[int, int] = {}
-    get = acc.get
-    den = 1
-    for f, g, w in zip(fs, gs, weights):
-        if not w:
-            continue
-        d = f._den * g._den
-        if d != den:
-            new_den = math.lcm(den, d)
-            if new_den != den:
-                scale = new_den // den
-                for e in acc:
-                    acc[e] *= scale
-                den = new_den
-            w = w * (den // d)
-        fr = m // f.order
-        gr = m // g.order
-        gt = g._terms
-        for i, a in f._terms:
-            wa = w * a
-            fi = i * fr
-            for j, b in gt:
-                k = fi + j * gr
-                acc[k] = get(k, 0) + wa * b
-    return _reduce(m, acc, den)
+    m = math.lcm(*{f.order for f in fs}, *{g.order for gs in gss for g in gs})
+    totals = []
+    for gs in gss:
+        acc: dict[int, int] = {}
+        get = acc.get
+        den = 1
+        for f, g, w in zip(fs, gs, weights):
+            if not w:
+                continue
+            d = f._den * g._den
+            if d != den:
+                new_den = math.lcm(den, d)
+                if new_den != den:
+                    scale = new_den // den
+                    for e in acc:
+                        acc[e] *= scale
+                    den = new_den
+                w = w * (den // d)
+            fr = m // f.order
+            gr = m // g.order
+            gt = g._terms
+            for i, a in f._terms:
+                wa = w * a
+                fi = i * fr
+                for j, b in gt:
+                    k = fi + j * gr
+                    acc[k] = get(k, 0) + wa * b
+        totals.append(_reduce(m, acc, den))
+    return totals

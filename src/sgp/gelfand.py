@@ -22,7 +22,12 @@ arithmetic:
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
 and is certified a nonnegative integer; every row of the filled matrix
-must account for the degree |G:H| psi(1).  Rows are matched by
+must account for the degree |G:H| psi(1).  The induction path decomposes
+each induced psi against all of its requested columns chi in one kernel
+call over the classes where psi induced to G is nonzero, the classes
+that meet H (`chars.decompose`); the restriction path takes one
+`inner_product` per entry, so every batched entry is checked against a
+sum computed on its own.  Rows are matched by
 exact keys of their values by `chars._galois_maps`, the one memo of each
 table's Galois maps, which checks every map before it is used; here a
 map that fails its check, like a path disagreement, raises

@@ -21,6 +21,7 @@ from sgp.cyclo import (
     lift,
     rational,
     weighted_product_sum,
+    weighted_product_sums,
     zeta,
 )
 from sgp.errors import InvalidLiftError, InvalidOrderError
@@ -74,6 +75,9 @@ def test_mixed_scalar_arithmetic():
     assert x * Fraction(1, 2) * 2 == x
     assert -(-x) == x
     assert x / 2 * 2 == x
+    assert (x / -4).order == 8 and (x / -4) * -4 == x
+    with pytest.raises(ZeroDivisionError):
+        x / 0
 
 
 def test_power_operator_matches_repeated_mul():
@@ -91,6 +95,11 @@ def test_cross_order_operations_lift_to_lcm():
     x = zeta(3, 1) + zeta(4, 1)
     assert x.order == 12
     assert x - zeta(4, 1) == zeta(3, 1)
+    # adding a zero returns the other operand, lifted to the common order
+    y = zeta(8, 3)
+    assert rational(0) + y is y and y + 0 is y
+    zero12 = Cyclotomic(12, [0] * euler_phi(12))
+    assert (zero12 + y).order == (y + zero12).order == 24 and zero12 + y == y
 
 
 # -- integer certification -------------------------------------------------
@@ -287,13 +296,21 @@ def test_values_are_immutable():
 def test_weighted_product_sum_matches_naive_expression():
     # orders drawn from the divisors of 24 (the shape the table validator
     # feeds it), then of 72 and 360, whose raw exponents land past phi(m)
-    # for several primes at once
+    # for several primes at once; one value in eight is a zero of its order
     rng = random.Random(2718)
 
     def draw(divisors):
         order = rng.choice(divisors)
+        if rng.random() < 0.125:
+            return Cyclotomic(order, [0] * euler_phi(order))
         return Cyclotomic(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                   for _ in range(euler_phi(order))])
+
+    def naive(fs, gs, weights):
+        total = rational(0)
+        for f, g, w in zip(fs, gs, weights):
+            total = total + f * g * w
+        return total
 
     for n, rounds in ((24, 150), (72, 40), (360, 25)):
         divisors = [d for d in range(1, n + 1) if n % d == 0]
@@ -302,25 +319,40 @@ def test_weighted_product_sum_matches_naive_expression():
             fs = [draw(divisors) for _ in range(count)]
             gs = [draw(divisors) for _ in range(count)]
             weights = [rng.randint(-3, 5) for _ in range(count)]
-            naive = rational(0)
-            for f, g, w in zip(fs, gs, weights):
-                naive = naive + f * g * w
             result = weighted_product_sum(fs, gs, weights)
-            assert result == naive
+            assert result == naive(fs, gs, weights)
             floats = sum(w * f.approx() * g.approx() for f, g, w in zip(fs, gs, weights))
             assert cmath.isclose(result.approx(), floats, rel_tol=1e-9, abs_tol=1e-6)
-    # a genuinely mixed-order case still agrees
+            # the batched call: every column against the naive sum, and
+            # the first column equal to the one-column call
+            gss = [gs] + [[draw(divisors) for _ in range(count)]
+                          for _ in range(rng.randint(0, 3))]
+            totals = weighted_product_sums(fs, gss, weights)
+            assert len(totals) == len(gss)
+            assert totals[0] == result
+            for column, total in zip(gss, totals):
+                assert total == naive(fs, column, weights)
+    # a genuinely mixed-order case still agrees, alone and in a batch
     fs = [zeta(5, 1), zeta(4, 1) + 1, rational(Fraction(2, 3))]
     gs = [zeta(5, 4), zeta(6, 1), zeta(4, 3)]
-    naive = fs[0] * gs[0] * 2 + fs[1] * gs[1] * 3 + fs[2] * gs[2] * -1
-    assert weighted_product_sum(fs, gs, (2, 3, -1)) == naive
+    naive_gs = fs[0] * gs[0] * 2 + fs[1] * gs[1] * 3 + fs[2] * gs[2] * -1
+    assert weighted_product_sum(fs, gs, (2, 3, -1)) == naive_gs
     assert weighted_product_sum([zeta(5, 1)], [zeta(5, 4)]) == 1
+    gs2 = [rational(Fraction(-1, 2)), rational(0), zeta(9, 2) / 5]
+    totals = weighted_product_sums(fs, [gs, gs2, gs], (2, 3, -1))
+    assert totals == [naive_gs, naive(fs, gs2, (2, 3, -1)), naive_gs]
+    # zero weights and zero values contribute nothing; no columns, no totals
+    assert weighted_product_sums(fs, [gs, gs2], (0, 0, 0)) == [0, 0]
+    assert weighted_product_sums([rational(0)] * 3, [gs, gs2]) == [0, 0]
+    assert weighted_product_sums(fs, [], (2, 3, -1)) == []
 
 
 def test_weighted_product_sum_builds_only_its_result(monkeypatch):
     fs = [rational(Fraction(2, 3)), zeta(4, 1) + 1, zeta(5, 2), zeta(9, 4)]
     gs = [zeta(3, 1), zeta(6, 5), rational(7), zeta(8, 3)]
+    gs2 = [zeta(7, 1), rational(Fraction(-5, 2)), zeta(4, 3), rational(0)]
     naive = fs[0] * gs[0] * 2 + fs[1] * gs[1] * 3 + fs[2] * gs[2] * -1 + fs[3] * gs[3]
+    naive2 = fs[0] * gs2[0] * 2 + fs[1] * gs2[1] * 3 + fs[2] * gs2[2] * -1
     make = Cyclotomic._make
     made = []
 
@@ -330,9 +362,13 @@ def test_weighted_product_sum_builds_only_its_result(monkeypatch):
 
     monkeypatch.setattr(Cyclotomic, "_make", staticmethod(counted))
     result = weighted_product_sum(fs, gs, (2, 3, -1, 1))
-    monkeypatch.undo()
     assert len(made) == 1 and made[0] is result
-    assert result == naive
+    # a batched call builds exactly one value per column
+    made.clear()
+    totals = weighted_product_sums(fs, [gs, gs2, gs], (2, 3, -1, 1))
+    monkeypatch.undo()
+    assert len(made) == 3 and all(a is b for a, b in zip(made, totals))
+    assert result == naive and totals == [naive, naive2, naive]
 
 
 def test_str_rendering():
@@ -738,6 +774,8 @@ def test_sparse_values_agree_with_the_dense_reference(data):
     _assert_agree(x * i, dx * i)
     _assert_agree(i * x, i * dx)
     _assert_agree(x * q, dx * q)
+    if i:
+        _assert_agree(x / i, dx / i)
     _assert_agree(x * y, dx * dy)
     _assert_agree(x ** k, dx ** k)
     _assert_agree(x.conj(), dx.conj())

@@ -127,22 +127,57 @@ def test_orbit_matrix_of_a_random_subgroup_equals_the_reference(family, n, pick)
 def test_matrices_compute_one_entry_per_orbit_of_pairs(monkeypatch):
     # D72: the first subgroup of each of its conjugacy classes has 1 360
     # orbits of (psi, chi) pairs; one row per Galois orbit of Irr(H) would
-    # take 2 394 entries per path.
-    calls = {"induction": 0, "restriction": 0}
+    # take 2 394 entries per path.  The induction path decomposes each of
+    # its 114 induced characters against all of its columns in one
+    # weighted_product_sums call; the restriction path takes one
+    # inner_product per entry.
+    calls = {"decompositions": 0, "columns": 0, "restriction": 0}
 
-    def counting(path, original):
+    def batched(original):
+        def counted(fs, gss, weights=None):
+            gss = list(gss)
+            calls["decompositions"] += 1
+            calls["columns"] += len(gss)
+            return original(fs, gss, weights)
+        return counted
+
+    def per_entry(original):
         def counted(*args):
-            calls[path] += 1
+            calls["restriction"] += 1
             return original(*args)
         return counted
 
-    # decompose reads chars.inner_product; the restriction path reads gelfand's
-    monkeypatch.setattr(sgp.chars, "inner_product",
-                        counting("induction", sgp.chars.inner_product))
-    monkeypatch.setattr(sgp.gelfand, "inner_product",
-                        counting("restriction", sgp.gelfand.inner_product))
+    # decompose reads chars.weighted_product_sums; the restriction path reads
+    # gelfand's inner_product
+    monkeypatch.setattr(sgp.chars, "weighted_product_sums",
+                        batched(sgp.chars.weighted_product_sums))
+    monkeypatch.setattr(sgp.gelfand, "inner_product", per_entry(sgp.gelfand.inner_product))
     classify_subgroups(dihedral_group(36))
-    assert calls == {"induction": 1360, "restriction": 1360}
+    assert calls == {"decompositions": 114, "columns": 1360, "restriction": 1360}
+
+
+@pytest.mark.parametrize("family, top", [("dihedral", 20), ("dicyclic", 10), ("cyclic", 40)])
+def test_batched_decomposition_equals_one_inner_product_per_row(family, top):
+    # D2..D40, Dic4..Dic40, C1..C40: for each psi of the first subgroup of
+    # each conjugacy class, decompose reads every requested row off one
+    # batched kernel call; each must be the row's own inner product
+    for n in range(1, top + 1):
+        g = build_group(family, n)
+        tg = sgp.chars.family_table(g)
+        chis = tg.irreducibles
+        firsts = []
+        for k in all_subgroups(g):
+            if not any(are_conjugate_subgroups(g, h, k) for h in firsts):
+                firsts.append(k)
+        for h in firsts:
+            for psi in sgp.chars.subgroup_table(h).irreducibles:
+                induced = sgp.chars.induce(psi, h)
+                want = [sgp.chars.inner_product(induced, chi).as_rational_integer()
+                        for chi in chis]
+                assert sgp.chars.decompose(induced, tg) == tuple(want), (g.name, h.members)
+                rows = list(range(len(chis)))[::-2]
+                assert (sgp.chars.decompose(induced, tg, rows)
+                        == tuple(want[c] for c in rows)), (g.name, h.members)
 
 
 def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
@@ -154,14 +189,16 @@ def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
     calls = []
 
     def counted(original):
-        def inner_product(*args):
+        def recorded(*args):
             calls.append(args)
             return original(*args)
-        return inner_product
+        return recorded
 
-    # decompose reads chars.inner_product; the restriction path reads gelfand's
-    for home in (sgp.chars, sgp.gelfand):
-        monkeypatch.setattr(home, "inner_product", counted(home.inner_product))
+    # decompose reads chars.weighted_product_sums; the restriction path
+    # reads gelfand's inner_product
+    monkeypatch.setattr(sgp.chars, "weighted_product_sums",
+                        counted(sgp.chars.weighted_product_sums))
+    monkeypatch.setattr(sgp.gelfand, "inner_product", counted(sgp.gelfand.inner_product))
     conjugates = [(k, first) for k, first in zip(subs, firsts) if first is not k]
     for k, first in conjugates:
         assert multiplicity_matrix(g, k) is multiplicity_matrix(g, first)
