@@ -21,11 +21,12 @@ only the classes where its character is nonzero.
 `validate_table` checks both orthogonality relations exactly, computing
 one sum per orbit of row pairs and of column pairs under the table's
 Galois maps sigma_t (class power maps and the row permutations they
-induce).  Every map is checked first, and one that fails its check is not
-used, so a bad table is reported, never raised on.  One orbit routine,
-`_pair_orbits`, groups those pairs and also the (psi, chi) pairs of a
-multiplicity matrix in `gelfand`, which acts on them by the same memoized
-maps of both tables and computes one entry per orbit.
+induce).  Every map is checked first, or composed from maps that passed,
+and one that fails its check is not used, so a bad table is reported,
+never raised on.  One orbit routine, `_pair_orbits`, groups those pairs
+and also the (psi, chi) pairs of a multiplicity matrix in `gelfand`,
+which acts on them by the same memoized maps of both tables and computes
+one entry per orbit.
 """
 
 from __future__ import annotations
@@ -70,12 +71,23 @@ __all__ = [
     "regular_character",
 ]
 
+# The builders below make each distinct value of a table once and share
+# it across the cells that hold it; these constants are shared by all.
 _ONE = rational(1)
 _ZERO = rational(0)
+_MINUS_ONE = rational(-1)
+_I = zeta(4, 1)
+_MINUS_I = -_I
 
 
 def _sign(k: int) -> Cyclotomic:
-    return rational(1 if k % 2 == 0 else -1)
+    """(-1)^k; -(-1)^k is _sign(k + 1)."""
+    return _ONE if k % 2 == 0 else _MINUS_ONE
+
+
+def _i_sign(k: int) -> Cyclotomic:
+    """zeta_4 (-1)^k."""
+    return _I if k % 2 == 0 else _MINUS_I
 
 
 @dataclass(frozen=True)
@@ -204,12 +216,10 @@ def _cyclic_rows(g: FiniteGroup, gen: int) -> list[ClassFunction]:
     if len(walk) != d:
         raise InternalConsistencyError("chosen generator does not generate the cyclic group")
     dlog = {x: r for r, x in enumerate(walk)}
-    cls = conjugacy_classes(g)
-    rows = []
-    for k in range(d):
-        values = tuple(zeta(d, k * dlog[rep]) for rep in cls.reps)
-        rows.append(ClassFunction(g, values, f"μ_{k}"))
-    return rows
+    logs = [dlog[rep] for rep in conjugacy_classes(g).reps]
+    roots = [zeta(d, i) for i in range(d)]
+    return [ClassFunction(g, tuple(roots[k * r % d] for r in logs), f"μ_{k}")
+            for k in range(d)]
 
 
 def _row(g: FiniteGroup, fn, name: str) -> ClassFunction:
@@ -217,21 +227,35 @@ def _row(g: FiniteGroup, fn, name: str) -> ClassFunction:
     return ClassFunction(g, tuple(fn(e) for e in conjugacy_classes(g).reps), name)
 
 
-def _pair_row(g: FiniteGroup, m: int, s: int, rot: int, name: str) -> ClassFunction:
-    """zeta_m^(s e) + zeta_m^(-s e) on the rotations e < rot, 0 elsewhere."""
-    return _row(g, lambda e: zeta(m, s * e) + zeta(m, -s * e) if e < rot else _ZERO, name)
+def _pair_row(g: FiniteGroup, m: int, s: int, rot: int, name: str, pairs: dict) -> ClassFunction:
+    """zeta_m^(s e) + zeta_m^(-s e) on the rotations e < rot, 0 elsewhere.
+
+    `pairs` holds each value by (m, s e mod m) and is shared by every pair
+    row of one table, so each value is made once.
+    """
+    def value(e):
+        if e >= rot:
+            return _ZERO
+        key = (m, s * e % m)
+        v = pairs.get(key)
+        if v is None:
+            v = pairs[key] = zeta(m, s * e) + zeta(m, -s * e)
+        return v
+
+    return _row(g, value, name)
 
 
 def _dihedral_rows(g: FiniteGroup, n: int) -> list[ClassFunction]:
     """Rows chi/psi of a group whose rotations are the elements below n."""
     rows = [
         _row(g, lambda e: _ONE, "χ_1"),
-        _row(g, lambda e: _ONE if e < n else -_ONE, "χ_2"),
+        _row(g, lambda e: _ONE if e < n else _MINUS_ONE, "χ_2"),
     ]
     if n % 2 == 0:
         rows.append(_row(g, lambda e: _sign(e) if e < n else _sign(e - n), "χ_3"))
-        rows.append(_row(g, lambda e: _sign(e) if e < n else -_sign(e - n), "χ_4"))
-    rows.extend(_pair_row(g, n, j, n, f"ψ_{j}") for j in range(1, (n - 1) // 2 + 1))
+        rows.append(_row(g, lambda e: _sign(e) if e < n else _sign(e - n + 1), "χ_4"))
+    pairs: dict = {}
+    rows.extend(_pair_row(g, n, j, n, f"ψ_{j}", pairs) for j in range(1, (n - 1) // 2 + 1))
     return rows
 
 
@@ -242,17 +266,17 @@ def _dicyclic_rows(g: FiniteGroup) -> list[ClassFunction]:
         # dihedral-shaped table with rotation order 2n; the class of
         # b^2 = a^n plays the central column.
         return _dihedral_rows(g, m)
-    z4 = zeta(4, 1)
     # 1 <= j, k <= (n-1)/2; pi_j comes from even rotation exponents 2j,
     # gamma_k from odd exponents 2k-1 (the central value -2 forces odd).
     half = range(1, (n - 1) // 2 + 1)
+    pairs: dict = {}
     return [
         _row(g, lambda e: _ONE, "θ_1"),
-        _row(g, lambda e: _ONE if e < m else -_ONE, "θ_2"),
-        _row(g, lambda e: _sign(e) if e < m else z4 * _sign(e - m), "θ_3"),
-        _row(g, lambda e: _sign(e) if e < m else -z4 * _sign(e - m), "θ_4"),
-        *(_pair_row(g, n, j, m, f"π_{j}") for j in half),
-        *(_pair_row(g, m, 2 * k - 1, m, f"γ_{k}") for k in half),
+        _row(g, lambda e: _ONE if e < m else _MINUS_ONE, "θ_2"),
+        _row(g, lambda e: _sign(e) if e < m else _i_sign(e - m), "θ_3"),
+        _row(g, lambda e: _sign(e) if e < m else _i_sign(e - m + 1), "θ_4"),
+        *(_pair_row(g, n, j, m, f"π_{j}", pairs) for j in half),
+        *(_pair_row(g, m, 2 * k - 1, m, f"γ_{k}", pairs) for k in half),
     ]
 
 
@@ -290,6 +314,9 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
 # power map c -> class(rep_c^t).  Which row that gives is found by exact
 # keys: each value is lifted to Q(zeta_e), with equal values sharing one
 # small integer id, so a row read through a class map is a tuple of ids.
+# The maps of the units whose checks pass compose: rep^(st) = (rep^s)^t,
+# so sigma_st has class map cmap_t . cmap_s and row map perm_s . perm_t,
+# and only a unit outside the subgroup they generate is checked in full.
 
 
 def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
@@ -307,30 +334,72 @@ def _galois_maps(table: CharacterTable) -> dict[int, tuple[tuple[int, ...], tupl
     The class map must be a bijection that keeps class sizes, and the row
     map a bijection; a t whose maps fail either check maps to None, and so
     does every t when two rows are equal or a value lies outside Q(zeta_e).
+
+    The units are taken in increasing order.  A unit in the subgroup
+    generated by the units whose maps passed so far gets the composition
+    of their maps, which is the map it would compute; any other unit is
+    computed and checked.  The passing units are closed under products, so
+    a unit that fails is never reached by composition.  Each distinct value
+    object is keyed once, however many cells hold it.
     """
     group = table.group
     sizes = conjugacy_classes(group).sizes
     e = group.exponent()
-    ids: dict = {}
+    values = {id(v): v for psi in table.irreducibles for v in psi.values}
+    keys: dict = {}
     try:
-        rows = tuple(tuple(ids.setdefault(v.key(e), len(ids)) for v in psi.values)
-                     for psi in table.irreducibles)
+        ids = {i: keys.setdefault(v.key(e), len(keys)) for i, v in values.items()}
     except InvalidLiftError:
         rows = ()
+    else:
+        rows = tuple(tuple(map(ids.__getitem__, map(id, psi.values)))
+                     for psi in table.irreducibles)
     index = {row: i for i, row in enumerate(rows)}
     distinct = len(index) == len(table.irreducibles)
     maps = {}
+    reached: dict = {}  # the units generated by those whose maps passed -> their maps
     for t in range(e):
-        if math.gcd(t, e) == 1:
-            cmap = _class_power_map(group, t)
-            perm = None
-            if distinct and sorted(cmap) == list(range(len(sizes))) and all(
-                    sizes[d] == size for d, size in zip(cmap, sizes)):
-                perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
-                if None in perm or len(set(perm)) != len(rows):
-                    perm = None
-            maps[t] = None if perm is None else (cmap, perm)
+        if math.gcd(t, e) != 1:
+            continue
+        if t in reached:
+            maps[t] = reached[t]
+            continue
+        cmap = _class_power_map(group, t)
+        perm = None
+        if distinct and sorted(cmap) == list(range(len(sizes))) and all(
+                sizes[d] == size for d, size in zip(cmap, sizes)):
+            perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
+            if None in perm or len(set(perm)) != len(rows):
+                perm = None
+        if perm is None:
+            maps[t] = None
+        else:
+            maps[t] = (cmap, perm)
+            _close_under(reached, t, maps[t], e)
     return maps
+
+
+def _compose(first, then):
+    """The maps of sigma_st from those of sigma_s (`first`) and sigma_t (`then`)."""
+    (cmap_s, perm_s), (cmap_t, perm_t) = first, then
+    return tuple(map(cmap_t.__getitem__, cmap_s)), tuple(map(perm_s.__getitem__, perm_t))
+
+
+def _close_under(reached: dict, t: int, maps_t, e: int) -> None:
+    """Add to `reached`, a group of units mod e (or empty), its products with the powers of t.
+
+    The power t^j is new exactly until it falls in the old group; each new
+    power brings its coset, the old group times t^j.
+    """
+    old = list(reached.items())
+    power, maps_power = t, maps_t
+    while power not in reached:
+        reached[power] = maps_power
+        for s, maps_s in old:
+            unit = s * power % e
+            if unit not in reached:
+                reached[unit] = _compose(maps_s, maps_power)
+        power, maps_power = power * t % e, _compose(maps_power, maps_t)
 
 
 def _pair_orbits(n_rows: int, n_cols: int, maps, symmetric: bool = False
@@ -436,7 +505,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
     for c in range(k):
         for cp in range(c, k):
             total = column_totals[c, cp]
-            want = Fraction(order, sizes[c]) if c == cp else Fraction(0)
+            want = order // sizes[c] if c == cp else 0  # a class size divides |G|
             if total != want:
                 failures.append(
                     f"column orthogonality at classes {c},{cp} = {total}, expected {want}"

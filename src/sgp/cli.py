@@ -26,6 +26,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import chars, gelfand, groups
@@ -123,20 +124,40 @@ def _validated_table(g: groups.FiniteGroup) -> chars.CharacterTable:
     return table
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(texts: Iterable[str], out: str | None) -> None:
+    """Write the texts separated by blank lines, ending in a newline, to
+    stdout or to the file `out`.
+
+    Each text is written as soon as it is made, so a range holds one
+    group's text at a time.  On stdout the texts written before a failure
+    stay written; the file `out` is written only whole (`_write_atomically`).
+    """
+    pieces = _separated(texts)
     if out is None:
-        print(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
     else:
-        _write_atomically(Path(out), (text + "\n").encode("utf-8"))
+        _write_atomically(Path(out), (piece.encode("utf-8") for piece in pieces))
 
 
-def _write_atomically(path: Path, data: bytes) -> None:
-    """Write `data` to `<path>.partial` and rename it into place, so a run
-    that stops partway never leaves `path` half written.  A failed write or
-    rename removes the partial file and re-raises."""
+def _separated(texts: Iterable[str]) -> Iterator[str]:
+    """The texts with a blank line between each two and a newline after the last."""
+    for i, text in enumerate(texts):
+        if i:
+            yield "\n\n"
+        yield text
+    yield "\n"
+
+
+def _write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks in turn to `<path>.partial` and rename it into
+    place, so a run that stops partway never leaves `path` half written.
+    A failed write or rename removes the partial file and re-raises."""
     partial = path.with_name(path.name + ".partial")
     try:
-        partial.write_bytes(data)
+        with partial.open("wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -162,11 +183,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _table_document(table: chars.CharacterTable) -> dict:
+    """The table with each value as its string, rendered once per value object."""
     g = table.group
+    values = {id(v): v for r in table.irreducibles for v in r.values}
+    text = {key: str(v) for key, v in values.items()}
     return {
         "group": g.name,
         "classes": [g.labels[rep] for rep in groups.conjugacy_classes(g).reps],
-        "rows": [{"name": r.name, "values": [str(v) for v in r.values]}
+        "rows": [{"name": r.name, "values": [text[id(v)] for v in r.values]}
                  for r in table.irreducibles],
     }
 
@@ -305,8 +329,8 @@ def _per_group(args, document, text, csv_text) -> int:
     bound = _max_order(args)
     render = {"text": text, "json": _json_dumps, "csv": csv_text}[args.format]
     ns = _parse_range(args.n, args.family, bound)
-    outputs = groups.map_family(args.family, ns, lambda g: render(document(g, bound)), bound)
-    _emit("\n\n".join(outputs), args.out)
+    _emit(groups.map_family(args.family, ns, lambda g: render(document(g, bound)), bound),
+          args.out)
     return EXIT_OK
 
 
@@ -325,7 +349,7 @@ def _cmd_audit(args) -> int:
     bound = _max_order(args)
     report = gelfand.audit(args.family, _parse_range(args.n, args.family, bound), bound)
     render = {"text": _audit_text, "json": _json_dumps, "csv": _audit_csv}[args.format]
-    _emit(render([_audit_document(ga) for ga in report.audits]), args.out)
+    _emit([render([_audit_document(ga) for ga in report.audits])], args.out)
     if args.fail_on_discrepancy and report.total_discrepancies:
         print(f"{report.total_discrepancies} discrepancies found", file=sys.stderr)
         return EXIT_USAGE
@@ -354,10 +378,10 @@ def _cmd_atlas(args) -> int:
     for doc in groups.map_family(args.family, ns, lambda g: _atlas_document(g, bound), bound):
         payload = (_json_dumps(doc) + "\n").encode("utf-8")
         filename = f"{args.family}_{doc['n']}.json"
-        _write_atomically(out_dir / filename, payload)
+        _write_atomically(out_dir / filename, [payload])
         manifest.append({"file": filename, "sha256": hashlib.sha256(payload).hexdigest()})
     manifest_text = _json_dumps(manifest) + "\n"
-    _write_atomically(manifest_path, manifest_text.encode("utf-8"))
+    _write_atomically(manifest_path, [manifest_text.encode("utf-8")])
     print(manifest_text, end="")
     return EXIT_OK
 

@@ -28,8 +28,10 @@ serves inner products and table validation, and the many-column call
 serves decomposition.
 
 Everything here is immutable and every operation is a pure function, so
-values can be shared freely across workers.  The cached cyclotomic
-polynomials and power-reduction tables are memoized pure functions.
+values can be shared freely across workers.  A value keeps its conjugate
+once `conj` has computed it; that changes no value, so sharing stays
+safe.  The cached cyclotomic polynomials and power-reduction tables are
+memoized pure functions.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ def _reduce(m: int, acc: dict[int, int], den: int) -> "Cyclotomic":
 class Cyclotomic:
     """An exact element of Q(zeta_order) in canonical sparse power-basis form."""
 
-    __slots__ = ("order", "_terms", "_den")
+    # `_conj` holds the conjugate once `conj` has computed it, and is unset
+    # until then; a conjugate never points back, so no value is in a cycle.
+    __slots__ = ("order", "_terms", "_den", "_conj")
 
     order: int
 
@@ -384,9 +388,23 @@ class Cyclotomic:
         return result
 
     def conj(self) -> "Cyclotomic":
-        """Complex conjugate: zeta^k -> zeta^(N-k) applied before reduction."""
-        n = self.order
-        return _reduce(n, {(n - e) % n: a for e, a in self._terms}, self._den)
+        """Complex conjugate: zeta^k -> zeta^(N-k) applied before reduction.
+
+        Computed once per value and kept.  A one-term value a * zeta^e / den
+        is conjugated by scaling the `_power_rows` row of zeta^(N-e).
+        """
+        try:
+            return self._conj
+        except AttributeError:
+            pass
+        n, terms = self.order, self._terms
+        if len(terms) == 1:
+            e, a = terms[0]
+            value = Cyclotomic._make(n, [(t, a * r) for t, r in _power_rows(n)[-e % n]], self._den)
+        else:
+            value = _reduce(n, {(n - e) % n: a for e, a in terms}, self._den)
+        _set_conj(self, value)
+        return value
 
     # -- comparison --------------------------------------------------------
 
@@ -409,6 +427,7 @@ _new = object.__new__
 _set_order = Cyclotomic.order.__set__
 _set_terms = Cyclotomic._terms.__set__
 _set_den = Cyclotomic._den.__set__
+_set_conj = Cyclotomic._conj.__set__
 
 
 def zeta(order: int, k: int = 1) -> Cyclotomic:

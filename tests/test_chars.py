@@ -1,6 +1,7 @@
 """Character tables, induction/restriction calculus, and the constructive oracle."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from sgp.errors import (
     DomainMismatchError,
     IntegralityError,
     InternalConsistencyError,
+    InvalidLiftError,
     UnsupportedFamilyError,
 )
 from sgp.groups import (
@@ -413,6 +415,73 @@ def test_d2_and_d4_tables():
     assert validate_table(t4).passed
 
 
+def per_cell_rows(g):
+    """The closed-form rows as (name, values), each cell's value made on its own.
+
+    The reference for the builders in `chars`, which make each distinct
+    value of a table once and share it across its cells.
+    """
+    reps = conjugacy_classes(g).reps
+    one = rational(1)
+
+    def row(fn, name):
+        return name, tuple(fn(e) for e in reps)
+
+    def sign(k):
+        return rational(1 if k % 2 == 0 else -1)
+
+    def pair(m, s, rot, name):
+        return row(lambda e: zeta(m, s * e) + zeta(m, -s * e) if e < rot else rational(0), name)
+
+    def cyclic(gen):
+        d = g.order
+        dlog = {x: r for r, x in enumerate(g.powers(gen))}
+        return [(f"μ_{k}", tuple(zeta(d, k * dlog[rep]) for rep in reps)) for k in range(d)]
+
+    def dihedral(n):
+        rows = [row(lambda e: one, "χ_1"), row(lambda e: one if e < n else -one, "χ_2")]
+        if n % 2 == 0:
+            rows.append(row(lambda e: sign(e) if e < n else sign(e - n), "χ_3"))
+            rows.append(row(lambda e: sign(e) if e < n else -sign(e - n), "χ_4"))
+        rows.extend(pair(n, j, n, f"ψ_{j}") for j in range(1, (n - 1) // 2 + 1))
+        return rows
+
+    if g.family == "cyclic":
+        return cyclic(g.gens["a"])
+    if g.family == "dihedral":
+        return dihedral(g.n)
+    n, m = g.n, 2 * g.n
+    if n == 1:
+        return cyclic(g.gens["b"])
+    if n % 2 == 0:
+        return dihedral(m)
+    z4 = zeta(4, 1)
+    half = range(1, (n - 1) // 2 + 1)
+    return [
+        row(lambda e: one, "θ_1"),
+        row(lambda e: one if e < m else -one, "θ_2"),
+        row(lambda e: sign(e) if e < m else z4 * sign(e - m), "θ_3"),
+        row(lambda e: sign(e) if e < m else -z4 * sign(e - m), "θ_4"),
+        *(pair(n, j, m, f"π_{j}") for j in half),
+        *(pair(m, 2 * k - 1, m, f"γ_{k}") for k in half),
+    ]
+
+
+def _cells(values):
+    return [(v.order, v._terms, v._den, str(v)) for v in values]
+
+
+@pytest.mark.parametrize("family, large", [("cyclic", 256), ("dihedral", 128), ("dicyclic", 64)])
+def test_family_tables_equal_the_per_cell_reference(family, large):
+    for n in [*range(1, 41), large]:
+        g = build_group(family, n)
+        table = family_table(g)
+        reference = per_cell_rows(g)
+        assert table.names == tuple(name for name, _ in reference)
+        for row, (_, values) in zip(table.irreducibles, reference):
+            assert _cells(row.values) == _cells(values)
+
+
 # -- validation --------------------------------------------------------------------------
 
 
@@ -580,6 +649,50 @@ def test_class_power_map_equals_repeated_multiplication(g):
     for t in range(2 * g.exponent() + 1):
         assert _class_power_map(g, t) == tuple(cls.class_of[x] for x in powers)
         powers = [g.mul[x][rep] for x, rep in zip(powers, cls.reps)]
+
+
+def direct_galois_maps(table):
+    """`_galois_maps` with every unit's maps computed and checked on their own."""
+    group = table.group
+    sizes = conjugacy_classes(group).sizes
+    e = group.exponent()
+    ids = {}
+    try:
+        rows = tuple(tuple(ids.setdefault(v.key(e), len(ids)) for v in psi.values)
+                     for psi in table.irreducibles)
+    except InvalidLiftError:
+        rows = ()
+    index = {row: i for i, row in enumerate(rows)}
+    distinct = len(index) == len(table.irreducibles)
+    maps = {}
+    for t in range(e):
+        if math.gcd(t, e) == 1:
+            cmap = _class_power_map(group, t)
+            perm = None
+            if distinct and sorted(cmap) == list(range(len(sizes))) and all(
+                    sizes[d] == size for d, size in zip(cmap, sizes)):
+                perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
+                if None in perm or len(set(perm)) != len(rows):
+                    perm = None
+            maps[t] = None if perm is None else (cmap, perm)
+    return maps
+
+
+def _family_tables(top, large):
+    for family in ("cyclic", "dihedral", "dicyclic"):
+        for n in [*range(1, top + 1), large[family]]:
+            yield family_table(build_group(family, n))
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [lambda: _family_tables(40, {"cyclic": 256, "dihedral": 128, "dicyclic": 64}),
+     lambda: (make() for make in _BROKEN_TABLES)],
+    ids=["family", "broken"])
+def test_composed_galois_maps_equal_the_direct_maps(tables):
+    for t in tables():
+        maps, direct = _galois_maps(t), direct_galois_maps(t)
+        assert maps == direct and list(maps) == list(direct)
 
 
 def test_validation_computes_one_sum_per_orbit(monkeypatch):

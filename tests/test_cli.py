@@ -81,6 +81,57 @@ def test_table_range(capsys):
     assert out.count("Character table of") == 3
 
 
+def _watch_file_writes(monkeypatch, watch):
+    """Route each write to a file opened for writing by `Path.open` through
+    `watch(write, data)`, which writes `data` with the file's `write`."""
+    open_path = pathlib.Path.open
+
+    class Watched:
+        def __init__(self, f):
+            self._f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+        def write(self, data):
+            return watch(self._f.write, data)
+
+    def opened(path, mode="r", *args, **kwargs):
+        f = open_path(path, mode, *args, **kwargs)
+        return Watched(f) if "w" in mode else f
+
+    monkeypatch.setattr(pathlib.Path, "open", opened)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_each_group_is_written_before_the_next_is_built(to_file, tmp_path, monkeypatch):
+    events = []
+    build_group = sgp.groups.build_group
+
+    def build(family, n):
+        events.append(f"build C{n}")
+        return build_group(family, n)
+
+    def log(text):
+        if text.startswith("Character table of "):
+            events.append("write " + text.split()[3])
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            log(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sgp.groups, "build_group", build)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    _watch_file_writes(monkeypatch, lambda write, data: log(data.decode()) or write(data))
+    out = ["--out", str(tmp_path / "tables.txt")] if to_file else []
+    assert main(["table", "cyclic", "2..4", *out]) == 0
+    assert events == ["build C2", "write C2", "build C3", "write C3", "build C4", "write C4"]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "d10.txt"
     rc, out, _ = run(capsys, "table", "dihedral", "5", "--out", str(target))
@@ -409,22 +460,27 @@ def test_failed_atlas_rerun_leaves_no_old_manifest(tmp_path, capsys, monkeypatch
         "dihedral_3.json", "dihedral_4.json", "dihedral_5.json"]
 
 
+def _cut_a_write_short(monkeypatch, nth):
+    """Make the nth write to a file opened by `Path.open` store half its
+    bytes and raise, as a full disk would."""
+    writes = []
+
+    def cut_short(write, data):
+        writes.append(data)
+        if len(writes) == nth:
+            write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return write(data)
+
+    _watch_file_writes(monkeypatch, cut_short)
+
+
 def test_a_data_write_cut_short_leaves_the_old_file_whole(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "atlas"
     rc, _, _ = run(capsys, "atlas", "dihedral", "3..5", "--out", str(out_dir))
     assert rc == 0
     before = (out_dir / "dihedral_4.json").read_bytes()
-    write_bytes = pathlib.Path.write_bytes
-    calls = []
-
-    def cut_second_write_short(path, data):
-        calls.append(path.name)
-        if len(calls) == 2:
-            write_bytes(path, data[: len(data) // 2])
-            raise OSError("no space left on device")
-        return write_bytes(path, data)
-
-    monkeypatch.setattr(pathlib.Path, "write_bytes", cut_second_write_short)
+    _cut_a_write_short(monkeypatch, 2)  # the data file of D8
     rc, _, err = run(capsys, "atlas", "dihedral", "3..5", "--out", str(out_dir))
     assert rc == 1 and "no space left on device" in err
     assert not (out_dir / "manifest.json").exists()
@@ -437,15 +493,7 @@ def test_an_out_file_write_cut_short_leaves_the_old_file_whole(tmp_path, capsys,
     rc, _, _ = run(capsys, "classify", "dihedral", "6", "--out", str(target))
     assert rc == 0
     before = target.read_bytes()
-
-    def cut_short(write):
-        def written(path, data, *args, **kwargs):
-            write(path, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("no space left on device")
-        return written
-
-    for name in ("write_bytes", "write_text"):
-        monkeypatch.setattr(pathlib.Path, name, cut_short(getattr(pathlib.Path, name)))
+    _cut_a_write_short(monkeypatch, 1)
     rc, _, err = run(capsys, "classify", "dihedral", "6", "--out", str(target))
     assert rc == 1 and "no space left on device" in err
     assert target.read_bytes() == before
@@ -492,8 +540,9 @@ def test_atlas_reads_each_tables_galois_maps_from_one_memo(tmp_path, capsys, mon
 
     monkeypatch.setattr(sgp.chars, "_class_power_map", counted)
     assert run(capsys, "atlas", "cyclic", "12", "--out", str(tmp_path))[0] == 0
-    # one map per unit mod the exponent, for the tables of C12, C1, C2, C3, C4 and C6
-    assert len(calls) == len(set(calls)) == 4 + 1 + 1 + 2 + 2 + 2
+    # one map per generator of the units mod the exponent, found in increasing
+    # order, for the tables of C12 (1, 5, 7; 11 = 5 * 7), C1, C2, C3, C4 and C6
+    assert len(calls) == len(set(calls)) == 3 + 1 + 1 + 2 + 2 + 2
 
 
 def test_atlas_requires_out(capsys):
@@ -672,3 +721,21 @@ def test_cli_bytes_match_the_pinned_digests(command, family, fmt, capsys, tmp_pa
     monkeypatch.delenv("SGP_MAX_ORDER", raising=False)
     digest = _transcript_digest(capsys, tmp_path, command, family, fmt)
     assert digest == _CONTRACT_DIGESTS[command, family, fmt]
+
+
+# sha256 of the stdout of commands at the default order bound, pinned from
+# the table builders that made every cell's value on its own
+_DEFAULT_BOUND_DIGESTS = {
+    "table cyclic 256": "997e3bdb961e147f2808dffa0e4cd0137ccf699e677ef249330ead094fc9d4c6",
+    "table dihedral 128": "06dd94318117d5f403bb24cc50b368a09a1e872f31f02dd160b1d7c7c6cddefc",
+    "table dicyclic 64": "cea8684be843ccf56acf0a8b9762f52d7af1c5bf5e9696630331b840c8f308e7",
+    "classify cyclic 256": "0ceb486ef5f2846eb7003ac1f968ed504008ec3124efef147ebd253c0f929901",
+}
+
+
+@pytest.mark.parametrize("command", list(_DEFAULT_BOUND_DIGESTS))
+def test_default_bound_bytes_match_the_pinned_digests(command, capsys, monkeypatch):
+    monkeypatch.delenv("SGP_MAX_ORDER", raising=False)
+    rc, out, err = run(capsys, *command.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _DEFAULT_BOUND_DIGESTS[command]

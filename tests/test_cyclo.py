@@ -778,7 +778,10 @@ def test_sparse_values_agree_with_the_dense_reference(data):
         _assert_agree(x / i, dx / i)
     _assert_agree(x * y, dx * dy)
     _assert_agree(x ** k, dx ** k)
-    _assert_agree(x.conj(), dx.conj())
+    # the second call reads the conjugate kept on the value
+    for v, dv in ((x, dx), (x, dx), (x.conj(), dx.conj()), (x * y, dx * dy)):
+        _assert_agree(v.conj(), dv.conj())
+        assert v.conj() is v.conj()
     for m in (x.order * data.draw(st.integers(1, 3)), n):
         _assert_agree(x.lift(m), dx.lift(m))
         terms, den = x.key(m)
@@ -801,6 +804,15 @@ def test_sparse_values_agree_with_the_dense_reference(data):
 def test_power_rows_agree_with_the_dense_reference():
     for n in range(1, 61):
         assert _power_rows(n) == tuple(_pairs_of(row) for row in _dense_power_rows(n))
+
+
+def test_one_term_conjugates_agree_with_the_dense_reference():
+    # a one-term value is conjugated through its power row, not `_reduce`
+    for n in range(1, 61):
+        for k in range(n):
+            for q in (1, -3, Fraction(2, 5)):
+                v = zeta(n, k) * q
+                _assert_agree(v.conj(), DenseCyclotomic(n, v.coeffs).conj())
 
 
 @pytest.mark.parametrize("group", [cyclic_group(30), dihedral_group(12), dicyclic_group(6)],
@@ -826,7 +838,8 @@ def test_storage_holds_only_the_nonzero_terms():
     c256 = family_table(cyclic_group(256))
     values = [v for row in c256.irreducibles for v in row.values]
     assert len(values) == 65_536 and sum(len(v._terms) for v in values) == 65_536
+    assert len({id(v) for v in values}) == 256  # one object per root of unity
     d256 = family_table(dihedral_group(128))
     values = [v for row in d256.irreducibles for v in row.values]
     assert sum(len(v._terms) for v in values) <= 2 * len(values)
-    assert Cyclotomic.__slots__ == ("order", "_terms", "_den")
+    assert Cyclotomic.__slots__ == ("order", "_terms", "_den", "_conj")
