@@ -7,12 +7,8 @@ ever feeds back into a result.  See the README for the CLI surface.
 
 from .cyclo import (
     Cyclotomic,
-    Rational,
-    approx,
-    as_rational_integer,
     cyclotomic_polynomial,
     euler_phi,
-    lift,
     rational,
     zeta,
 )
@@ -67,8 +63,7 @@ from .gelfand import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cyclotomic", "Rational", "approx", "as_rational_integer",
-    "cyclotomic_polynomial", "euler_phi", "lift", "rational", "zeta",
+    "Cyclotomic", "cyclotomic_polynomial", "euler_phi", "rational", "zeta",
     "ConjugacyClasses", "FiniteGroup", "Subgroup", "all_subgroups",
     "are_conjugate_subgroups", "build_group", "conjugacy_classes",
     "cyclic_group", "describe_subgroup", "dicyclic_group", "dihedral_group",

@@ -23,10 +23,10 @@ one sum per orbit of row pairs and of column pairs under the table's
 Galois maps sigma_t (class power maps and the row permutations they
 induce).  Every map is checked first, or composed from maps that passed,
 and one that fails its check is not used, so a bad table is reported,
-never raised on.  One orbit routine, `_pair_orbits`, groups those pairs
-and also the (psi, chi) pairs of a multiplicity matrix in `gelfand`,
-which acts on them by the same memoized maps of both tables and computes
-one entry per orbit.
+never raised on.  One orbit routine, `_orbit_totals`, groups those pairs
+(`_pair_orbits`), computes one total per orbit and reads the rest from
+it; it also fills the (psi, chi) pairs of a multiplicity matrix in
+`gelfand`, which acts on them by the same memoized maps of both tables.
 """
 
 from __future__ import annotations
@@ -431,20 +431,18 @@ def _pair_orbits(n_rows: int, n_cols: int, maps, symmetric: bool = False
     return orbits
 
 
-def _orbit_totals(orbits, total) -> dict[tuple[int, int], Cyclotomic]:
-    """total(i, j) for every pair of `orbits` (`_pair_orbits`), one call per orbit."""
-    totals: dict[tuple[int, int], Cyclotomic] = {}
-    swapped: dict[tuple[int, int], Cyclotomic] = {}
-    for pair, (rep, conjugated) in orbits.items():
-        if rep == pair:
-            totals[pair] = total(*pair)
-        elif not conjugated:
-            totals[pair] = totals[rep]
-        else:
-            if rep not in swapped:
-                swapped[rep] = totals[rep].conj()
-            totals[pair] = swapped[rep]
-    return totals
+def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = False) -> dict:
+    """The total of every pair of `_pair_orbits(n_rows, n_cols, maps, symmetric)`.
+
+    `totals_of(reps)` is called once, with the first pair of each orbit in
+    row-major order, and returns their totals in that order.  Every other
+    pair takes its representative's total, or that total's conjugate.
+    """
+    orbits = _pair_orbits(n_rows, n_cols, maps, symmetric)
+    reps = [pair for pair, (rep, _) in orbits.items() if rep == pair]
+    totals = dict(zip(reps, totals_of(reps)))
+    return {pair: totals[rep].conj() if conjugated else totals[rep]
+            for pair, (rep, conjugated) in orbits.items()}
 
 
 # -- validation and decomposition --------------------------------------------
@@ -486,8 +484,9 @@ def validate_table(t: CharacterTable) -> TableValidation:
     order = g.order
     maps = [m for m in _galois_maps(t).values() if m is not None]
     row_totals = _orbit_totals(
-        _pair_orbits(len(rows), len(rows), [(perm, perm) for _, perm in maps], symmetric=True),
-        lambda i, j: weighted_product_sum(rows[i].values, rows[j].conj_values, sizes))
+        len(rows), len(rows), [(perm, perm) for _, perm in maps],
+        lambda reps: [weighted_product_sum(rows[i].values, rows[j].conj_values, sizes)
+                      for i, j in reps], symmetric=True)
     for i, ri in enumerate(rows):
         for j in range(i, len(rows)):
             total = row_totals[i, j]
@@ -500,8 +499,9 @@ def validate_table(t: CharacterTable) -> TableValidation:
     columns = [tuple(r.values[c] for r in rows) for c in range(k)]
     conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
     column_totals = _orbit_totals(
-        _pair_orbits(k, k, [(cmap, cmap) for cmap, _ in maps], symmetric=True),
-        lambda c, cp: weighted_product_sum(columns[c], conj_columns[cp]))
+        k, k, [(cmap, cmap) for cmap, _ in maps],
+        lambda reps: [weighted_product_sum(columns[c], conj_columns[cp]) for c, cp in reps],
+        symmetric=True)
     for c in range(k):
         for cp in range(c, k):
             total = column_totals[c, cp]

@@ -124,28 +124,31 @@ def _validated_table(g: groups.FiniteGroup) -> chars.CharacterTable:
     return table
 
 
-def _emit(texts: Iterable[str], out: str | None) -> None:
+def _emit(texts: Iterable[str | Iterable[str]], out: str | None) -> None:
     """Write the texts separated by blank lines, ending in a newline, to
     stdout or to the file `out`.
 
-    Each text is written as soon as it is made, so a range holds one
-    group's text at a time.  On stdout the texts written before a failure
-    stay written; the file `out` is written only whole (`_write_atomically`).
+    A text is a str or an iterable of its pieces (a text table comes line
+    by line).  Each piece is written as soon as it is made and is not kept
+    once written, so a range holds at most one piece of one group's text.
+    On stdout the texts written before a failure stay written; the file
+    `out` is written only whole (`_write_atomically`).
     """
     pieces = _separated(texts)
     if out is None:
-        for piece in pieces:
-            sys.stdout.write(piece)
+        sys.stdout.writelines(pieces)
     else:
-        _write_atomically(Path(out), (piece.encode("utf-8") for piece in pieces))
+        _write_atomically(Path(out), map(str.encode, pieces))
 
 
-def _separated(texts: Iterable[str]) -> Iterator[str]:
-    """The texts with a blank line between each two and a newline after the last."""
+def _separated(texts: Iterable[str | Iterable[str]]) -> Iterator[str]:
+    """The pieces of the texts with a blank line between each two and a
+    newline after the last."""
     for i, text in enumerate(texts):
         if i:
             yield "\n\n"
-        yield text
+        yield from (text,) if isinstance(text, str) else text
+        del text  # not held while the next group is made
     yield "\n"
 
 
@@ -156,8 +159,7 @@ def _write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
+            f.writelines(chunks)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -254,14 +256,18 @@ def _witness_text(w: dict) -> str:
     return f"witness <{w['psi']}, {w['chi']}> = {w['mult']}"
 
 
-def _table_text(doc: dict) -> str:
+def _table_text(doc: dict) -> Iterator[str]:
+    """The text table line by line, every line after the first led by its newline.
+
+    Every cell is padded to its column's widest value, so a C_p table is
+    p cells of up to p - 1 terms across, and is never held whole.
+    """
     grid = [["", *doc["classes"]]] + [[r["name"], *r["values"]] for r in doc["rows"]]
     widths = [max(len(row[c]) for row in grid) for c in range(len(grid[0]))]
-    lines = [f"Character table of {doc['group']}"]
+    yield f"Character table of {doc['group']}"
     for first, *rest in grid:
         cells = [first.ljust(widths[0])] + [v.rjust(w) for v, w in zip(rest, widths[1:])]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
+        yield "\n" + "  ".join(cells).rstrip()
 
 
 def _table_csv(doc: dict) -> str:

@@ -15,17 +15,17 @@ performed.  Character values of the cyclic, dihedral and dicyclic families
 are one or two roots of unity, so a value holds a term or two however
 large phi(N) is.
 
-Every operation that makes a value from exponents (lifting, conjugation,
-products and `weighted_product_sums`) adds its terms into a dict keyed by
-raw exponents of zeta_m and ends in the one reduction routine `_reduce`,
+Every operation that makes a value from exponents (lifting, conjugation
+and `weighted_product_sums`) adds its terms into a dict keyed by raw
+exponents of zeta_m and ends in the one reduction routine `_reduce`,
 which folds the nonzero exponents at or above phi(m) back into the power
 basis through the sparse rows of `_power_rows`.
 
-`weighted_product_sums` is the one exact inner-product kernel: it sums
+`weighted_product_sums` is the one exact product kernel: it sums
 w * f * g over aligned terms for one f against many columns g, with one
 lcm order for all the columns.  Its one-column call `weighted_product_sum`
-serves inner products and table validation, and the many-column call
-serves decomposition.
+serves inner products and table validation, the many-column call serves
+decomposition, and the product of two values is its one-term call.
 
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely across workers.  A value keeps its conjugate
@@ -44,23 +44,14 @@ from fractions import Fraction
 from .errors import InvalidLiftError, InvalidOrderError
 
 __all__ = [
-    "Rational",
     "Cyclotomic",
     "zeta",
     "rational",
-    "lift",
-    "approx",
-    "as_rational_integer",
     "cyclotomic_polynomial",
     "euler_phi",
     "weighted_product_sum",
     "weighted_product_sums",
 ]
-
-#: Rational scalars are plain `fractions.Fraction` values: arbitrary
-#: precision, always normalized with a positive denominator.
-Rational = Fraction
-
 
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -234,15 +225,6 @@ class Cyclotomic:
         v = self.lift(m)
         return v._terms, v._den
 
-    def as_rational(self) -> Fraction | None:
-        """The value as a rational, or None when it is irrational."""
-        terms = self._terms
-        if not terms:
-            return Fraction(0)
-        if len(terms) == 1 and terms[0][0] == 0:
-            return Fraction(terms[0][1], self._den)
-        return None
-
     def as_rational_integer(self) -> int | None:
         """The value as an int, or None: a refusal distinct from any integer."""
         if self._den != 1 or len(self._terms) > 1:
@@ -353,14 +335,7 @@ class Cyclotomic:
             return Cyclotomic._make(self.order, terms, self._den * other.denominator)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = self._common(other)
-        acc: dict[int, int] = {}
-        bt = b._terms
-        for i, x in a._terms:
-            for j, y in bt:
-                k = i + j
-                acc[k] = acc.get(k, 0) + x * y
-        return _reduce(a.order, acc, a._den * b._den)
+        return weighted_product_sums((self,), ((other,),))[0]
 
     __rmul__ = __mul__
 
@@ -441,21 +416,6 @@ def rational(value) -> Cyclotomic:
     """Embed an integer or Fraction as a cyclotomic value of order 1."""
     f = Fraction(value)
     return Cyclotomic._make(1, ((0, f.numerator),) if f else (), f.denominator)
-
-
-def lift(x: Cyclotomic, m: int) -> Cyclotomic:
-    """Lift x into Q(zeta_m); the numeric value is unchanged."""
-    return x.lift(m)
-
-
-def approx(x: Cyclotomic) -> complex:
-    """Complex float embedding of x (never feeds back into exact math)."""
-    return x.approx()
-
-
-def as_rational_integer(x: Cyclotomic) -> int | None:
-    """Certify x as an integer, returning None as the refusal value."""
-    return x.as_rational_integer()
 
 
 def weighted_product_sum(fs, gs, weights=None) -> Cyclotomic:

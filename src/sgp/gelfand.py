@@ -8,7 +8,7 @@ arithmetic:
   sends a character psi to x -> psi(x^t), so it permutes Irr(H) and
   Irr(G) as the class power maps permute values; a multiplicity is
   rational, so M[sigma_t psi][sigma_t chi] = M[psi][chi].  Only the first
-  entry of each orbit of (psi, chi) pairs is computed (`chars._pair_orbits`,
+  entry of each orbit of (psi, chi) pairs is computed (`chars._orbit_totals`,
   the orbit routine of table validation), and every other entry is read
   from it.
 * Class fusion.  An entry is (1/|H|) * sum over the classes d of H of
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from .chars import (
     _class_fusion,
     _galois_maps,
-    _pair_orbits,
+    _orbit_totals,
     decompose,
     induce,
     inner_product,
@@ -209,24 +209,25 @@ def _orbit_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
         if None in maps.values():
             raise InternalConsistencyError(
                 f"a Galois map does not permute the rows of the table of {table.group.name}")
+
+    def both_paths(reps):
+        wanted: dict[int, list[int]] = {}
+        for i, j in reps:
+            wanted.setdefault(i, []).append(j)
+        via_induction = multiplicity_by_induction(g, h, wanted)
+        if via_induction != multiplicity_by_restriction(g, h, wanted):
+            raise InternalConsistencyError(
+                f"induce-path and restrict-path matrices disagree for "
+                f"({g.name}, subgroup of order {h.order})"
+            )
+        return [q for row in via_induction for q in row]
+
+    n_rows, n_cols = len(th.irreducibles), len(tg.irreducibles)
     # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g
-    orbits = _pair_orbits(len(th.irreducibles), len(tg.irreducibles),
-                          [(maps_h[t % e_h][1], perm) for t, (_, perm) in maps_g.items()])
-    wanted: dict[int, list[int]] = {}
-    for pair, (rep, _) in orbits.items():
-        if rep == pair:
-            wanted.setdefault(pair[0], []).append(pair[1])
-    via_induction = multiplicity_by_induction(g, h, wanted)
-    via_restriction = multiplicity_by_restriction(g, h, wanted)
-    if via_induction != via_restriction:
-        raise InternalConsistencyError(
-            f"induce-path and restrict-path matrices disagree for "
-            f"({g.name}, subgroup of order {h.order})"
-        )
-    computed = {(i, j): q for (i, columns), row in zip(wanted.items(), via_induction)
-                for j, q in zip(columns, row)}
-    entries = tuple(tuple(computed[orbits[i, j][0]] for j in range(len(tg.irreducibles)))
-                    for i in range(len(th.irreducibles)))
+    totals = _orbit_totals(n_rows, n_cols,
+                           [(maps_h[t % e_h][1], perm) for t, (_, perm) in maps_g.items()],
+                           both_paths)
+    entries = tuple(tuple(totals[i, j] for j in range(n_cols)) for i in range(n_rows))
     degrees = [chi.degree.as_rational_integer() for chi in tg.irreducibles]
     for psi, row in zip(th.irreducibles, entries):
         total = sum(m * d for m, d in zip(row, degrees))

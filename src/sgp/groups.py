@@ -157,9 +157,6 @@ class FiniteGroup:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
 
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} order={self.order}>"
 

@@ -20,7 +20,7 @@ from sgp.chars import (
     validate_table,
 )
 from sgp.cli import main as cli_main
-from sgp.cyclo import approx, rational, zeta
+from sgp.cyclo import rational, zeta
 from sgp.gelfand import (
     audit,
     classify_subgroups,
@@ -305,7 +305,7 @@ def test_criterion_09_exact_vs_float_consistency():
                 assert len(floats) == len(table.irreducibles)
                 for row, frow in zip(table.irreducibles, floats):
                     for v, fv in zip(row.values, frow):
-                        assert abs(approx(v) - fv) < 1e-9, (g.name, row.name)
+                        assert abs(v.approx() - fv) < 1e-9, (g.name, row.name)
 
         # inner products: float path vs exact path on whole tables
         for ctor in (cyclic_group, dihedral_group, dicyclic_group):
@@ -315,9 +315,9 @@ def test_criterion_09_exact_vs_float_consistency():
                 rows = family_table(g).irreducibles
                 for i, ri in enumerate(rows):
                     for rj in rows[i:]:
-                        exact = approx(inner_product(ri, rj))
+                        exact = inner_product(ri, rj).approx()
                         floated = sum(
-                            size * approx(x) * approx(y).conjugate()
+                            size * x.approx() * y.approx().conjugate()
                             for size, x, y in zip(cls.sizes, ri.values, rj.values)
                         ) / g.order
                         assert abs(exact - floated) < 1e-9
@@ -331,7 +331,7 @@ def test_criterion_09_exact_vs_float_consistency():
             values = _values_by_parent_label(down, h)
             assert values.keys() == floats.keys()
             for label, fv in floats.items():
-                assert abs(approx(values[label]) - fv) < 1e-9
+                assert abs(values[label].approx() - fv) < 1e-9
 
         # the multiplicity inner products behind criteria 1, 2 and 5:
         # every (psi, chi) pair over every subgroup of the golden groups
@@ -342,9 +342,9 @@ def test_criterion_09_exact_vs_float_consistency():
                 for psi in subgroup_table(h).irreducibles:
                     up = induce(psi, h)
                     for chi in tg.irreducibles:
-                        exact = approx(inner_product(up, chi))
+                        exact = inner_product(up, chi).approx()
                         floated = sum(
-                            size * approx(x) * approx(y).conjugate()
+                            size * x.approx() * y.approx().conjugate()
                             for size, x, y in zip(cls_g.sizes, up.values, chi.values)
                         ) / g.order
                         assert abs(exact - floated) < 1e-9

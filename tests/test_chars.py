@@ -706,7 +706,9 @@ def test_validation_computes_one_sum_per_orbit(monkeypatch):
     monkeypatch.setattr(sgp.chars, "weighted_product_sum", counting)
     t = family_table(cyclic_group(37))  # 37 * 38 pairs, in orbits of up to 36
     assert validate_table(t).passed
-    assert len(calls) < 37 * 38 // 6
+    # pairs (i, j), i <= j, of rows and of columns: (0, 0), the (0, j), and
+    # one orbit for each ratio j/i mod 37 up to inversion, 2 + 19 each
+    assert len(calls) == 2 * 21
 
 
 @pytest.mark.parametrize("family, n", [("dihedral", 128), ("dicyclic", 64), ("cyclic", 128)])

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -99,6 +100,10 @@ def _watch_file_writes(monkeypatch, watch):
         def write(self, data):
             return watch(self._f.write, data)
 
+        def writelines(self, chunks):
+            for data in chunks:
+                self.write(data)
+
     def opened(path, mode="r", *args, **kwargs):
         f = open_path(path, mode, *args, **kwargs)
         return Watched(f) if "w" in mode else f
@@ -130,6 +135,29 @@ def test_each_group_is_written_before_the_next_is_built(to_file, tmp_path, monke
     out = ["--out", str(tmp_path / "tables.txt")] if to_file else []
     assert main(["table", "cyclic", "2..4", *out]) == 0
     assert events == ["build C2", "write C2", "build C3", "write C3", "build C4", "write C4"]
+
+
+def test_a_text_table_is_written_without_being_held_whole(monkeypatch):
+    # every cell of C131's text table is padded to the width of z131^130,
+    # 130 terms, so the text is over 20 MB while its table is small
+    class Sink(io.TextIOBase):
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+            return len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        assert main(["table", "cyclic", "131"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 20_000_000
+    assert peak < 10_000_000
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

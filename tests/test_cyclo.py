@@ -14,11 +14,8 @@ from sgp.chars import family_table
 from sgp.cyclo import (
     Cyclotomic,
     _power_rows,
-    approx,
-    as_rational_integer,
     cyclotomic_polynomial,
     euler_phi,
-    lift,
     rational,
     weighted_product_sum,
     weighted_product_sums,
@@ -106,11 +103,11 @@ def test_cross_order_operations_lift_to_lcm():
 
 
 def test_as_rational_integer():
-    assert as_rational_integer(zeta(1, 0) + zeta(1, 0)) == 2
-    assert as_rational_integer(zeta(5, 1)) is None
-    assert as_rational_integer(zeta(3, 1) + zeta(3, 2)) == -1
-    assert as_rational_integer(rational(Fraction(1, 2))) is None
-    assert as_rational_integer(zeta(6, 1) - zeta(6, 1)) == 0
+    assert (zeta(1, 0) + zeta(1, 0)).as_rational_integer() == 2
+    assert zeta(5, 1).as_rational_integer() is None
+    assert (zeta(3, 1) + zeta(3, 2)).as_rational_integer() == -1
+    assert rational(Fraction(1, 2)).as_rational_integer() is None
+    assert (zeta(6, 1) - zeta(6, 1)).as_rational_integer() == 0
 
 
 # -- cyclotomic polynomials --------------------------------------------------
@@ -160,10 +157,10 @@ def test_phi_degree_matches_totient():
 
 
 def test_lift_examples():
-    assert lift(zeta(3, 1), 6) == zeta(6, 2)
-    assert lift(zeta(3, 1), 6).order == 6
+    assert zeta(3, 1).lift(6) == zeta(6, 2)
+    assert zeta(3, 1).lift(6).order == 6
     with pytest.raises(InvalidLiftError):
-        lift(zeta(3, 1), 8)
+        zeta(3, 1).lift(8)
 
 
 def test_lift_preserves_numeric_value():
@@ -171,13 +168,13 @@ def test_lift_preserves_numeric_value():
     for _ in range(200):
         x = random_value(rng, max_order=12)
         m = x.order * rng.randint(1, 4)
-        assert abs(approx(lift(x, m)) - approx(x)) < 1e-9
+        assert abs(x.lift(m).approx() - x.approx()) < 1e-9
 
 
 def test_approx_examples():
-    a = approx(zeta(4, 1))
+    a = zeta(4, 1).approx()
     assert abs(a - 1j) < 1e-12
-    golden = approx(zeta(5, 1) + zeta(5, 4))
+    golden = (zeta(5, 1) + zeta(5, 4)).approx()
     # float oracle: 2*cos(2*pi/5)
     assert abs(golden - 2 * math.cos(2 * math.pi / 5)) < 1e-9
     assert abs(golden.imag) < 1e-12
@@ -243,10 +240,10 @@ def test_ring_laws_conj_and_lift_across_orders(x, y, z, k):
     assert (x + y).conj() == x.conj() + y.conj()
     # lifting changes the field, not the value or the operations
     m = math.lcm(x.order, k)
-    assert lift(x, m).order == m and lift(x, m) == x
-    assert lift(x, 72) * lift(y, 72) == lift(x * y, 72)
-    assert lift(x, 72) + lift(y, 72) == lift(x + y, 72)
-    assert lift(x, 72).conj() == lift(x.conj(), 72)
+    assert x.lift(m).order == m and x.lift(m) == x
+    assert x.lift(72) * y.lift(72) == (x * y).lift(72)
+    assert x.lift(72) + y.lift(72) == (x + y).lift(72)
+    assert x.lift(72).conj() == x.conj().lift(72)
 
 
 def test_approx_is_consistent_with_exact_arithmetic():
@@ -254,16 +251,16 @@ def test_approx_is_consistent_with_exact_arithmetic():
     for _ in range(1000):
         x = random_value(rng)
         y = random_value(rng)
-        ax, ay = approx(x), approx(y)
-        assert abs(approx(x + y) - (ax + ay)) < 1e-9
-        assert abs(approx(x * y) - (ax * ay)) < 1e-9
+        ax, ay = x.approx(), y.approx()
+        assert abs((x + y).approx() - (ax + ay)) < 1e-9
+        assert abs((x * y).approx() - (ax * ay)) < 1e-9
 
 
 def test_conjugation_matches_complex_conjugate():
     rng = random.Random(5)
     for _ in range(300):
         x = random_value(rng)
-        assert abs(approx(x.conj()) - approx(x).conjugate()) < 1e-9
+        assert abs(x.conj().approx() - x.approx().conjugate()) < 1e-9
 
 
 def test_canonical_form_uniqueness():
@@ -271,11 +268,11 @@ def test_canonical_form_uniqueness():
     for _ in range(400):
         x = random_value(rng)
         y = random_value(rng)
-        close = abs(approx(x) - approx(y)) < 1e-9
+        close = abs(x.approx() - y.approx()) < 1e-9
         assert ((x - y) == 0) == close
     # equal values built along different routes reduce identically
     assert zeta(3, 1) + zeta(3, 2) == rational(-1)
-    assert lift(zeta(5, 2), 20) == zeta(20, 8)
+    assert zeta(5, 2).lift(20) == zeta(20, 8)
     assert zeta(12, 3) == zeta(4, 1)
 
 
@@ -306,12 +303,6 @@ def test_weighted_product_sum_matches_naive_expression():
         return Cyclotomic(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                   for _ in range(euler_phi(order))])
 
-    def naive(fs, gs, weights):
-        total = rational(0)
-        for f, g, w in zip(fs, gs, weights):
-            total = total + f * g * w
-        return total
-
     for n, rounds in ((24, 150), (72, 40), (360, 25)):
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         for _ in range(rounds):
@@ -320,7 +311,7 @@ def test_weighted_product_sum_matches_naive_expression():
             gs = [draw(divisors) for _ in range(count)]
             weights = [rng.randint(-3, 5) for _ in range(count)]
             result = weighted_product_sum(fs, gs, weights)
-            assert result == naive(fs, gs, weights)
+            assert as_dense(result) == naive_sum(fs, gs, weights)
             floats = sum(w * f.approx() * g.approx() for f, g, w in zip(fs, gs, weights))
             assert cmath.isclose(result.approx(), floats, rel_tol=1e-9, abs_tol=1e-6)
             # the batched call: every column against the naive sum, and
@@ -331,16 +322,16 @@ def test_weighted_product_sum_matches_naive_expression():
             assert len(totals) == len(gss)
             assert totals[0] == result
             for column, total in zip(gss, totals):
-                assert total == naive(fs, column, weights)
+                assert as_dense(total) == naive_sum(fs, column, weights)
     # a genuinely mixed-order case still agrees, alone and in a batch
     fs = [zeta(5, 1), zeta(4, 1) + 1, rational(Fraction(2, 3))]
     gs = [zeta(5, 4), zeta(6, 1), zeta(4, 3)]
-    naive_gs = fs[0] * gs[0] * 2 + fs[1] * gs[1] * 3 + fs[2] * gs[2] * -1
-    assert weighted_product_sum(fs, gs, (2, 3, -1)) == naive_gs
+    naive_gs = naive_sum(fs, gs, (2, 3, -1))
+    assert as_dense(weighted_product_sum(fs, gs, (2, 3, -1))) == naive_gs
     assert weighted_product_sum([zeta(5, 1)], [zeta(5, 4)]) == 1
     gs2 = [rational(Fraction(-1, 2)), rational(0), zeta(9, 2) / 5]
     totals = weighted_product_sums(fs, [gs, gs2, gs], (2, 3, -1))
-    assert totals == [naive_gs, naive(fs, gs2, (2, 3, -1)), naive_gs]
+    assert list(map(as_dense, totals)) == [naive_gs, naive_sum(fs, gs2, (2, 3, -1)), naive_gs]
     # zero weights and zero values contribute nothing; no columns, no totals
     assert weighted_product_sums(fs, [gs, gs2], (0, 0, 0)) == [0, 0]
     assert weighted_product_sums([rational(0)] * 3, [gs, gs2]) == [0, 0]
@@ -351,8 +342,8 @@ def test_weighted_product_sum_builds_only_its_result(monkeypatch):
     fs = [rational(Fraction(2, 3)), zeta(4, 1) + 1, zeta(5, 2), zeta(9, 4)]
     gs = [zeta(3, 1), zeta(6, 5), rational(7), zeta(8, 3)]
     gs2 = [zeta(7, 1), rational(Fraction(-5, 2)), zeta(4, 3), rational(0)]
-    naive = fs[0] * gs[0] * 2 + fs[1] * gs[1] * 3 + fs[2] * gs[2] * -1 + fs[3] * gs[3]
-    naive2 = fs[0] * gs2[0] * 2 + fs[1] * gs2[1] * 3 + fs[2] * gs2[2] * -1
+    naive = naive_sum(fs, gs, (2, 3, -1, 1))
+    naive2 = naive_sum(fs, gs2, (2, 3, -1, 1))
     make = Cyclotomic._make
     made = []
 
@@ -368,7 +359,7 @@ def test_weighted_product_sum_builds_only_its_result(monkeypatch):
     totals = weighted_product_sums(fs, [gs, gs2, gs], (2, 3, -1, 1))
     monkeypatch.undo()
     assert len(made) == 3 and all(a is b for a, b in zip(made, totals))
-    assert result == naive and totals == [naive, naive2, naive]
+    assert as_dense(result) == naive and list(map(as_dense, totals)) == [naive, naive2, naive]
 
 
 def test_str_rendering():
@@ -709,6 +700,25 @@ def dense_weighted_product_sum(fs, gs, weights=None) -> DenseCyclotomic:
                     if b:
                         buf[fi + j * gr] += wa * b
     return _dense_reduce(m, buf, den)
+
+
+def as_dense(v: Cyclotomic) -> DenseCyclotomic:
+    return DenseCyclotomic(v.order, v.coeffs)
+
+
+def naive_sum(fs, gs, weights) -> DenseCyclotomic:
+    """sum(w * f * g) of sparse values, computed in the dense reference.
+
+    The product of two `Cyclotomic`s is a call of the kernel, so the naive
+    sum takes its products and sums from `DenseCyclotomic`, and its total
+    must equal `dense_weighted_product_sum` too.
+    """
+    fs, gs = list(map(as_dense, fs)), list(map(as_dense, gs))
+    total = DenseCyclotomic(1, [0])
+    for f, g, w in zip(fs, gs, weights):
+        total = total + f * g * w
+    assert total == dense_weighted_product_sum(fs, gs, weights)
+    return total
 
 
 _BASES = (12, 30, 36, 40, 42, 48, 60)
