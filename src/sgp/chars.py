@@ -23,9 +23,9 @@ one sum per orbit of row pairs and of column pairs under the table's
 Galois maps sigma_t (class power maps and the row permutations they
 induce).  Every map is checked first, or composed from maps that passed,
 and one that fails its check is not used, so a bad table is reported,
-never raised on.  One orbit routine, `_orbit_totals`, groups those pairs
-(`_pair_orbits`), computes one total per orbit and reads the rest from
-it; it also fills the (psi, chi) pairs of a multiplicity matrix in
+never raised on.  One orbit routine, `_orbit_totals`, fills one grid of
+those pairs: it computes one total per orbit and reads the rest from it;
+it also fills the (psi, chi) pairs of a multiplicity matrix in
 `gelfand`, which acts on them by the same memoized maps of both tables.
 """
 
@@ -402,47 +402,40 @@ def _close_under(reached: dict, t: int, maps_t, e: int) -> None:
         power, maps_power = power * t % e, _compose(maps_power, maps_t)
 
 
-def _pair_orbits(n_rows: int, n_cols: int, maps, symmetric: bool = False
-                 ) -> dict[tuple[int, int], tuple[tuple[int, int], bool]]:
-    """Each pair (i, j), i < n_rows, j < n_cols, -> (its orbit's first pair, conjugated).
+def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = False) -> list:
+    """The total of each pair (i, j), i < n_rows, j < n_cols, as a grid of rows.
 
     A map (p, q) sends the pair (i, j) to (p[i], q[j]), and each map must
-    fix the quantity the pairs stand for.  With `symmetric`, only the pairs
-    i <= j are kept and the pair (j, i) stands for the conjugate of (i, j).
-    Pairs are taken in row-major order and the maps are applied once to the
-    first pair of each orbit, which is its own representative; a pair they
-    do not reach from an earlier one is a representative too.  `conjugated`
-    tells whether a pair stands for the conjugate of its representative.
+    fix the total.  With `symmetric`, only the pairs i <= j are filled, the
+    pair (j, i) stands for the conjugate of (i, j), and the cells below the
+    diagonal stay None.  Pairs are taken in row-major order; a pair that no
+    map has reached from an earlier one is its orbit's representative, and
+    the maps are applied once to it.  A cell first holds a marker, the index
+    k of its representative (~k for the conjugate), and the first marker
+    written to it stays.  `totals_of(reps)` is called once, with the
+    representatives in order, and returns their totals in that order; each
+    marker is then replaced by its total or that total's conjugate.
     """
-    orbits: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
-    for i in range(n_rows):
+    grid = [[None] * n_cols for _ in range(n_rows)]
+    reps = []
+    for i, row in enumerate(grid):
         for j in range(i if symmetric else 0, n_cols):
-            if (i, j) in orbits:
-                continue
-            rep = (i, j)
-            same, swapped = (rep, False), (rep, True)
-            orbits[rep] = same
-            for p, q in maps:
-                a, b = p[i], q[j]
-                if symmetric and a > b:
-                    orbits.setdefault((b, a), swapped)
-                else:
-                    orbits.setdefault((a, b), same)
-    return orbits
-
-
-def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = False) -> dict:
-    """The total of every pair of `_pair_orbits(n_rows, n_cols, maps, symmetric)`.
-
-    `totals_of(reps)` is called once, with the first pair of each orbit in
-    row-major order, and returns their totals in that order.  Every other
-    pair takes its representative's total, or that total's conjugate.
-    """
-    orbits = _pair_orbits(n_rows, n_cols, maps, symmetric)
-    reps = [pair for pair, (rep, _) in orbits.items() if rep == pair]
-    totals = dict(zip(reps, totals_of(reps)))
-    return {pair: totals[rep].conj() if conjugated else totals[rep]
-            for pair, (rep, conjugated) in orbits.items()}
+            if row[j] is None:
+                same, swapped = len(reps), ~len(reps)
+                row[j] = same
+                reps.append((i, j))
+                for p, q in maps:
+                    a, b = p[i], q[j]
+                    if symmetric and a > b:
+                        a, b, marker = b, a, swapped
+                    else:
+                        marker = same
+                    if grid[a][b] is None:
+                        grid[a][b] = marker
+    totals = totals_of(reps)
+    for row in grid:  # one row at a time, so no second grid is held
+        row[:] = [m if m is None else totals[m] if m >= 0 else totals[~m].conj() for m in row]
+    return grid
 
 
 # -- validation and decomposition --------------------------------------------
@@ -489,7 +482,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
                       for i, j in reps], symmetric=True)
     for i, ri in enumerate(rows):
         for j in range(i, len(rows)):
-            total = row_totals[i, j]
+            total = row_totals[i][j]
             want = order if i == j else 0
             if total != want:
                 failures.append(
@@ -504,7 +497,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
         symmetric=True)
     for c in range(k):
         for cp in range(c, k):
-            total = column_totals[c, cp]
+            total = column_totals[c][cp]
             want = order // sizes[c] if c == cp else 0  # a class size divides |G|
             if total != want:
                 failures.append(

@@ -41,6 +41,11 @@ ATLAS_SCHEMA_VERSION = 1
 
 _RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
+# json.dumps(obj, ensure_ascii=False, indent=2) makes this encoder and joins
+# what its iterencode yields; with an indent both run the pure-Python encoder
+_JSON = json.JSONEncoder(ensure_ascii=False, indent=2)
+_JSON_PIECE = 1 << 16  # characters joined into one write
+
 
 class _UsageError(Exception):
     pass
@@ -129,8 +134,9 @@ def _emit(texts: Iterable[str | Iterable[str]], out: str | None) -> None:
     stdout or to the file `out`.
 
     A text is a str or an iterable of its pieces (a text table comes line
-    by line).  Each piece is written as soon as it is made and is not kept
-    once written, so a range holds at most one piece of one group's text.
+    by line, JSON in pieces of about 64 KB).  Each piece is written as soon
+    as it is made and is not kept once written, so a range holds at most
+    one piece of one group's text.
     On stdout the texts written before a failure stay written; the file
     `out` is written only whole (`_write_atomically`).
     """
@@ -152,22 +158,37 @@ def _separated(texts: Iterable[str | Iterable[str]]) -> Iterator[str]:
     yield "\n"
 
 
-def _write_atomically(path: Path, chunks: Iterable[bytes]) -> None:
+def _write_atomically(path: Path, chunks: Iterable[bytes]) -> str:
     """Write the chunks in turn to `<path>.partial` and rename it into
     place, so a run that stops partway never leaves `path` half written.
-    A failed write or rename removes the partial file and re-raises."""
+    A failed write or rename removes the partial file and re-raises.
+    Returns the sha256 hex digest of the bytes written."""
     partial = path.with_name(path.name + ".partial")
+    digest = hashlib.sha256()
     try:
         with partial.open("wb") as f:
-            f.writelines(chunks)
+            for chunk in chunks:
+                digest.update(chunk)
+                f.write(chunk)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, indent=2)
+def _json_text(obj, end: str = "") -> Iterator[str]:
+    """The text of json.dumps(obj, ensure_ascii=False, indent=2) followed by
+    `end`, in pieces of about 64 KB, so the text is never held whole."""
+    batch, size = [], 0
+    for piece in _JSON.iterencode(obj):
+        batch.append(piece)
+        size += len(piece)
+        if size >= _JSON_PIECE:
+            yield "".join(batch)
+            batch, size = [], 0
+    batch.append(end)
+    yield "".join(batch)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -333,7 +354,7 @@ def _per_group(args, document, text, csv_text) -> int:
     """Print `document(g, bound)` for each group of the range in the chosen format,
     separated by blank lines."""
     bound = _max_order(args)
-    render = {"text": text, "json": _json_dumps, "csv": csv_text}[args.format]
+    render = {"text": text, "json": _json_text, "csv": csv_text}[args.format]
     ns = _parse_range(args.n, args.family, bound)
     _emit(groups.map_family(args.family, ns, lambda g: render(document(g, bound)), bound),
           args.out)
@@ -354,7 +375,7 @@ def _cmd_classify(args) -> int:
 def _cmd_audit(args) -> int:
     bound = _max_order(args)
     report = gelfand.audit(args.family, _parse_range(args.n, args.family, bound), bound)
-    render = {"text": _audit_text, "json": _json_dumps, "csv": _audit_csv}[args.format]
+    render = {"text": _audit_text, "json": _json_text, "csv": _audit_csv}[args.format]
     _emit([render([_audit_document(ga) for ga in report.audits])], args.out)
     if args.fail_on_discrepancy and report.total_discrepancies:
         print(f"{report.total_discrepancies} discrepancies found", file=sys.stderr)
@@ -382,11 +403,10 @@ def _cmd_atlas(args) -> int:
     manifest_path.unlink(missing_ok=True)
     manifest = []
     for doc in groups.map_family(args.family, ns, lambda g: _atlas_document(g, bound), bound):
-        payload = (_json_dumps(doc) + "\n").encode("utf-8")
         filename = f"{args.family}_{doc['n']}.json"
-        _write_atomically(out_dir / filename, [payload])
-        manifest.append({"file": filename, "sha256": hashlib.sha256(payload).hexdigest()})
-    manifest_text = _json_dumps(manifest) + "\n"
+        digest = _write_atomically(out_dir / filename, map(str.encode, _json_text(doc, "\n")))
+        manifest.append({"file": filename, "sha256": digest})
+    manifest_text = _JSON.encode(manifest) + "\n"
     _write_atomically(manifest_path, [manifest_text.encode("utf-8")])
     print(manifest_text, end="")
     return EXIT_OK

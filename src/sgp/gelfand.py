@@ -222,12 +222,11 @@ def _orbit_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
             )
         return [q for row in via_induction for q in row]
 
-    n_rows, n_cols = len(th.irreducibles), len(tg.irreducibles)
     # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g
-    totals = _orbit_totals(n_rows, n_cols,
+    totals = _orbit_totals(len(th.irreducibles), len(tg.irreducibles),
                            [(maps_h[t % e_h][1], perm) for t, (_, perm) in maps_g.items()],
                            both_paths)
-    entries = tuple(tuple(totals[i, j] for j in range(n_cols)) for i in range(n_rows))
+    entries = tuple(map(tuple, totals))
     degrees = [chi.degree.as_rational_integer() for chi in tg.irreducibles]
     for psi, row in zip(th.irreducibles, entries):
         total = sum(m * d for m, d in zip(row, degrees))

@@ -596,7 +596,7 @@ def describe_subgroup(h: Subgroup) -> str:
     if kind == "dicyclic":
         return f"Dic{h.order}"
     bound = _rotation_bound(h.parent)
-    if bound is None or all(x < bound for x in h.members):
+    if bound is None or data < bound:  # a rotation generates only rotations
         return f"C{h.order}"
     return "<ba^i>"
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from sgp.chars import (
     _class_power_map,
     _cyclic_rows,
     _galois_maps,
+    _orbit_totals,
     constructive_family_table,
     decompose,
     family_table,
@@ -709,6 +711,25 @@ def test_validation_computes_one_sum_per_orbit(monkeypatch):
     # pairs (i, j), i <= j, of rows and of columns: (0, 0), the (0, j), and
     # one orbit for each ratio j/i mod 37 up to inversion, 2 + 19 each
     assert len(calls) == 2 * 21
+
+
+def test_orbit_fill_holds_one_grid_of_pairs():
+    # 256 * 256 pairs of C256's rows in 766 orbits; one grid of pointers to
+    # the totals is about 0.6 MB
+    t = family_table(cyclic_group(256))
+    maps = [(perm, perm) for _, perm in filter(None, _galois_maps(t).values())]
+    n = len(t.irreducibles)
+    reps = []
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        grid = _orbit_totals(n, n, maps, lambda pairs: reps.extend(pairs) or [0] * len(pairs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert len(reps) == 766
+    assert [row.count(0) for row in grid] == [n] * n
 
 
 @pytest.mark.parametrize("family, n", [("dihedral", 128), ("dicyclic", 64), ("cyclic", 128)])

@@ -137,17 +137,20 @@ def test_each_group_is_written_before_the_next_is_built(to_file, tmp_path, monke
     assert events == ["build C2", "write C2", "build C3", "write C3", "build C4", "write C4"]
 
 
+class _Sink(io.TextIOBase):
+    """A stdout that counts what is written to it and keeps none of it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
 def test_a_text_table_is_written_without_being_held_whole(monkeypatch):
     # every cell of C131's text table is padded to the width of z131^130,
     # 130 terms, so the text is over 20 MB while its table is small
-    class Sink(io.TextIOBase):
-        written = 0
-
-        def write(self, text):
-            self.written += len(text)
-            return len(text)
-
-    sink = Sink()
+    sink = _Sink()
     monkeypatch.setattr(sys, "stdout", sink)
     assert not tracemalloc.is_tracing()
     tracemalloc.start()
@@ -158,6 +161,28 @@ def test_a_text_table_is_written_without_being_held_whole(monkeypatch):
         tracemalloc.stop()
     assert sink.written > 20_000_000
     assert peak < 10_000_000
+
+
+def test_a_json_document_is_written_without_being_held_whole(monkeypatch):
+    # C195's table document is built untraced, so the peak is what rendering
+    # its 4.7 MB of JSON text and writing it hold
+    g = sgp.groups.build_group("cyclic", 195)
+    table = sgp.chars.family_table(g)
+    doc = sgp.cli._table_document(table)
+    monkeypatch.setattr(sgp.groups, "build_group", lambda family, n: g)
+    monkeypatch.setattr(sgp.cli, "_validated_table", lambda g: table)
+    monkeypatch.setattr(sgp.cli, "_table_document", lambda table: doc)
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        assert main(["table", "cyclic", "195", "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 4_000_000
+    assert peak < 2_000_000
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -465,6 +490,20 @@ def test_atlas_writes_files_and_manifest(tmp_path, capsys):
     assert json.loads(out) == manifest
     import hashlib
     for entry in manifest:
+        digest = hashlib.sha256((out_dir / entry["file"]).read_bytes()).hexdigest()
+        assert digest == entry["sha256"]
+
+
+def test_atlas_files_are_written_in_pieces(tmp_path, capsys, monkeypatch):
+    # each data file is about 300 KB of JSON, written in pieces of about 64 KB
+    sizes = []
+    _watch_file_writes(monkeypatch, lambda write, data: sizes.append(len(data)) or write(data))
+    out_dir = tmp_path / "atlas"
+    rc, out, _ = run(capsys, "atlas", "cyclic", "100..101", "--out", str(out_dir))
+    assert rc == 0
+    assert sum(sizes) == sum(p.stat().st_size for p in out_dir.iterdir()) > 550_000
+    assert max(sizes) < 80_000
+    for entry in json.loads(out):
         digest = hashlib.sha256((out_dir / entry["file"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
 
