@@ -1,8 +1,9 @@
 """Multiplicity matrices, (strong) Gelfand decisions, and classification audits.
 
 The multiplicity matrix of a pair (G, H) holds <psi induced to G, chi>
-over Irr(H) x Irr(G).  Two exact symmetries fill most of it without
-arithmetic:
+over Irr(H) x Irr(G).  A pair is given by its subgroup alone: every
+function here takes H, a `groups.Subgroup`, and reads G as `H.parent`.
+Two exact symmetries fill most of the matrix without arithmetic:
 
 * Galois.  For t a unit mod the exponent of G, sigma_t: zeta -> zeta^t
   sends a character psi to x -> psi(x^t), so it permutes Irr(H) and
@@ -60,7 +61,6 @@ from .chars import (
     subgroup_table,
 )
 from .errors import (
-    DomainMismatchError,
     IntegralityError,
     InternalConsistencyError,
     InvalidParameterError,
@@ -120,44 +120,37 @@ class MultiplicityMatrix:
         return None
 
 
-def _check_pair(g: FiniteGroup, h: Subgroup) -> None:
-    if h.parent is not g:
-        raise DomainMismatchError("subgroup does not belong to the given group")
-
-
-def _requested(g: FiniteGroup, h: Subgroup, rows) -> list:
+def _requested(h: Subgroup, rows) -> list:
     """(psi, column indices) for each requested row; `rows` None requests every entry."""
     irreducibles = subgroup_table(h).irreducibles
     if rows is None:
-        every = range(len(family_table(g).irreducibles))
+        every = range(len(family_table(h.parent).irreducibles))
         rows = dict.fromkeys(range(len(irreducibles)), every)
     return [(irreducibles[i], columns) for i, columns in rows.items()]
 
 
-def multiplicity_by_induction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
-    """Entries <psi induced to G, chi> computed by decomposing each induction.
+def multiplicity_by_induction(h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
+    """Entries <psi induced to G, chi>, G = `h.parent`, by decomposing each induction.
 
     `rows` maps the index of each subgroup-table row psi to compute to the
     indices of the columns chi (rows of the table of G) to compute in it,
     both in that order; by default every entry is computed.  Each row of the
     result holds the requested entries of one requested row.
     """
-    _check_pair(g, h)
-    tg = family_table(g)
+    tg = family_table(h.parent)
     return tuple(decompose(induce(psi, h), tg, None if rows is None else columns)
-                 for psi, columns in _requested(g, h, rows))
+                 for psi, columns in _requested(h, rows))
 
 
-def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
+def multiplicity_by_restriction(h: Subgroup, rows=None) -> tuple[tuple[int, ...], ...]:
     """The same entries computed as <chi restricted to H, psi>.
 
     A multiplicity is rational, so this equals <psi, chi restricted to H>,
     and it reads only the conjugate values of the subgroup-table rows.  Only
     the columns chi that some requested entry needs are restricted.
     """
-    _check_pair(g, h)
-    chis = family_table(g).irreducibles
-    requested = _requested(g, h, rows)
+    chis = family_table(h.parent).irreducibles
+    requested = _requested(h, rows)
     needed = {c for _, columns in requested for c in columns}
     restricted = {c: restrict(chis[c], h) for c in needed}
     out = []
@@ -177,21 +170,20 @@ def multiplicity_by_restriction(g: FiniteGroup, h: Subgroup, rows=None) -> tuple
 # -- symmetry orbits -----------------------------------------------------------
 
 
-def multiplicity_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
-    """Multiplicity matrix for the pair (g, h), computed once per fusion key.
+def multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
+    """Multiplicity matrix of the pair (`h.parent`, h), computed once per fusion key.
 
-    The family group of h and its class fusion in g fix every entry, so g
-    keeps one matrix per key (family, n, `chars._class_fusion(h)`) and every
-    subgroup with that key gets it: each conjugate of h, and h rebuilt from
-    its members, among them.  One entry per orbit of (psi, chi) pairs is
+    The family group of h and its class fusion in G = `h.parent` fix every
+    entry, so G keeps one matrix per key (family, n,
+    `chars._class_fusion(h)`) and every subgroup with that key gets it: each
+    conjugate of h, and h rebuilt from its members, among them.  One entry per orbit of (psi, chi) pairs is
     computed by both paths; every other entry is
     M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its orbit's first.
     """
-    _check_pair(g, h)
-    matrices = _matrices(g)
+    matrices = _matrices(h.parent)
     key = (h.group.family, h.group.n, _class_fusion(h))
     if key not in matrices:
-        matrices[key] = _orbit_matrix(g, h)
+        matrices[key] = _orbit_matrix(h)
     return matrices[key]
 
 
@@ -201,7 +193,8 @@ def _matrices(g: FiniteGroup) -> dict:
     return {}
 
 
-def _orbit_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
+def _orbit_matrix(h: Subgroup) -> MultiplicityMatrix:
+    g = h.parent
     th, tg = subgroup_table(h), family_table(g)
     e_h = h.group.exponent()
     maps_h, maps_g = _galois_maps(th), _galois_maps(tg)
@@ -214,8 +207,8 @@ def _orbit_matrix(g: FiniteGroup, h: Subgroup) -> MultiplicityMatrix:
         wanted: dict[int, list[int]] = {}
         for i, j in reps:
             wanted.setdefault(i, []).append(j)
-        via_induction = multiplicity_by_induction(g, h, wanted)
-        if via_induction != multiplicity_by_restriction(g, h, wanted):
+        via_induction = multiplicity_by_induction(h, wanted)
+        if via_induction != multiplicity_by_restriction(h, wanted):
             raise InternalConsistencyError(
                 f"induce-path and restrict-path matrices disagree for "
                 f"({g.name}, subgroup of order {h.order})"
@@ -246,15 +239,15 @@ def _trivial_row_index(h: Subgroup) -> int:
     raise InternalConsistencyError("subgroup table is missing the trivial character")
 
 
-def is_gelfand(g: FiniteGroup, h: Subgroup) -> bool:
-    """Whether inducing the trivial character of h is multiplicity-free."""
-    matrix = multiplicity_matrix(g, h)
+def is_gelfand(h: Subgroup) -> bool:
+    """Whether inducing the trivial character of h to `h.parent` is multiplicity-free."""
+    matrix = multiplicity_matrix(h)
     return all(e <= 1 for e in matrix.entries[_trivial_row_index(h)])
 
 
-def is_strong_gelfand(g: FiniteGroup, h: Subgroup) -> tuple[bool, Witness | None]:
-    """Whether every induced irreducible is multiplicity-free, with witness."""
-    witness = multiplicity_matrix(g, h).first_witness()
+def is_strong_gelfand(h: Subgroup) -> tuple[bool, Witness | None]:
+    """Whether every irreducible of h induced to `h.parent` is multiplicity-free, with witness."""
+    witness = multiplicity_matrix(h).first_witness()
     return (witness is None, witness)
 
 
@@ -285,13 +278,13 @@ def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Cl
     subgroups = all_subgroups(g, max_order)
     records = []
     for h in subgroups:
-        strong, witness = is_strong_gelfand(g, h)
+        strong, witness = is_strong_gelfand(h)
         records.append(SubgroupRecord(
             descriptor=describe_subgroup(h),
             order=h.order,
             index=h.index,
             members=h.members,
-            gelfand=is_gelfand(g, h),
+            gelfand=is_gelfand(h),
             strong_gelfand=strong,
             witness=witness,
         ))
@@ -386,12 +379,10 @@ class AuditReport:
         return sum(a.disagree for a in self.audits)
 
 
-def _reverify_witness(g: FiniteGroup, h: Subgroup, witness: Witness) -> None:
+def _reverify_witness(h: Subgroup, witness: Witness) -> None:
     """Recompute one matrix entry through both paths, fresh, and compare."""
-    tg = family_table(g)
-    th = subgroup_table(h)
-    psi = th.row(witness.psi)
-    chi = tg.row(witness.chi)
+    psi = subgroup_table(h).row(witness.psi)
+    chi = family_table(h.parent).row(witness.chi)
     via_induction = inner_product(induce(psi, h), chi).as_rational_integer()
     via_restriction = inner_product(psi, restrict(chi, h)).as_rational_integer()
     if not (via_induction == via_restriction == witness.mult and witness.mult >= 2):
@@ -408,7 +399,7 @@ def audit_group(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> GroupAudi
     entries = []
     for h, record in zip(report.subgroups, report.records):
         if record.witness is not None:
-            _reverify_witness(g, h, record.witness)
+            _reverify_witness(h, record.witness)
         entries.append(AuditEntry(record, prediction.predicate(record.descriptor)))
     return GroupAudit(g.family, g.n, g.name, tuple(entries))
 

@@ -28,7 +28,11 @@ the parent's one family group of that type) and `Subgroup.embedding()` the
 parent element each of its elements stands for.  Both are read off the
 members alone: `subgroup_structure` picks each generator as the least
 element by (parent class, index), so conjugate subgroups pick generators
-from the same parent classes and share one class fusion.
+from the same parent classes and share one class fusion.  The trivial
+subgroup is the cyclic subgroup generated by the identity.  A subgroup
+names its group as `Subgroup.parent`, so a function of subgroups
+(`are_conjugate_subgroups`, and every function of `gelfand`) takes no
+group beside them.
 """
 
 from __future__ import annotations
@@ -410,9 +414,7 @@ class Subgroup:
         if self.is_full():
             return p, tuple(range(p.order))
         kind, data = subgroup_structure(self)
-        if kind == "trivial":
-            family, emb = "cyclic", (p.identity,)
-        elif kind == "cyclic":
+        if kind == "cyclic":
             family, emb = kind, p.powers(data)
         else:
             a1, b1 = data
@@ -544,20 +546,18 @@ def subgroup_structure(h: Subgroup):
     """Classify a subgroup structurally.
 
     Returns one of
-      ("trivial", None)
       ("cyclic", generator_parent_index)
       ("dihedral", (rotation_generator, reflection)) for dihedral parents
       ("dicyclic", (rotation_generator, outside_element)) for dicyclic parents
 
     Each generator is the least candidate by (parent class, index), so
-    conjugate subgroups take generators from the same parent classes.  A
+    conjugate subgroups take generators from the same parent classes; the
+    trivial subgroup is cyclic, generated by the identity.  A
     non-cyclic subgroup of a group of any other family raises
     `UnsupportedFamilyError`.
     """
     p = h.parent
     d = h.order
-    if d == 1:
-        return ("trivial", None)
     class_of = conjugacy_classes(p).class_of
 
     def least(xs):
@@ -588,9 +588,9 @@ def describe_subgroup(h: Subgroup) -> str:
     subgroups of dihedral groups, the order-4 subgroups of dicyclic
     groups), so conjugate subgroups always share one descriptor.
     """
-    kind, data = subgroup_structure(h)
-    if kind == "trivial":
+    if h.order == 1:
         return "trivial"
+    kind, data = subgroup_structure(h)
     if kind == "dihedral":
         return f"D{h.order}"
     if kind == "dicyclic":
@@ -601,10 +601,11 @@ def describe_subgroup(h: Subgroup) -> str:
     return "<ba^i>"
 
 
-def are_conjugate_subgroups(g: FiniteGroup, h1: Subgroup, h2: Subgroup) -> bool:
-    """Whether some x in g satisfies x h1 x^-1 = h2."""
-    if h1.parent is not g or h2.parent is not g:
-        raise InvalidParameterError("both subgroups must live in the given group")
+def are_conjugate_subgroups(h1: Subgroup, h2: Subgroup) -> bool:
+    """Whether some x in their common parent g satisfies x h1 x^-1 = h2."""
+    g = h1.parent
+    if h2.parent is not g:
+        raise InvalidParameterError("both subgroups must live in the same group")
     if h1.order != h2.order:
         return False
     target = set(h2.members)

@@ -790,13 +790,17 @@ def test_cli_bytes_match_the_pinned_digests(command, family, fmt, capsys, tmp_pa
     assert digest == _CONTRACT_DIGESTS[command, family, fmt]
 
 
-# sha256 of the stdout of commands at the default order bound, pinned from
-# the table builders that made every cell's value on its own
+# sha256 of the stdout of commands at the default order bound: the tables
+# pinned from the table builders that made every cell's value on its own,
+# the classifications of D256 and Dic256 (the non-abelian matrix paths)
+# from the code before the `gelfand` functions took only the subgroup
 _DEFAULT_BOUND_DIGESTS = {
     "table cyclic 256": "997e3bdb961e147f2808dffa0e4cd0137ccf699e677ef249330ead094fc9d4c6",
     "table dihedral 128": "06dd94318117d5f403bb24cc50b368a09a1e872f31f02dd160b1d7c7c6cddefc",
     "table dicyclic 64": "cea8684be843ccf56acf0a8b9762f52d7af1c5bf5e9696630331b840c8f308e7",
     "classify cyclic 256": "0ceb486ef5f2846eb7003ac1f968ed504008ec3124efef147ebd253c0f929901",
+    "classify dihedral 128": "dabda967f3ab3e6bb0ba0724c4d6e6934eb7adb06102b83af36952d87f8a4836",
+    "classify dicyclic 64": "c6f1178ac129d45c09d1da56b0b91d97253e3769963a88f26abb77f7b0ddec40",
 }
 
 

@@ -50,7 +50,7 @@ from sgp.groups import (
 def test_matrix_for_d10_reflection_subgroup():
     g = dihedral_group(5)
     h = generated_subgroup(g, ["b"])
-    m = multiplicity_matrix(g, h)
+    m = multiplicity_matrix(h)
     assert m.row_names == ("μ_0", "μ_1")
     assert m.col_names == ("χ_1", "χ_2", "ψ_1", "ψ_2")
     assert m.entries == ((1, 0, 1, 1), (0, 1, 1, 1))
@@ -59,13 +59,13 @@ def test_matrix_for_d10_reflection_subgroup():
 def test_matrix_for_d12_reflection_subgroup():
     g = dihedral_group(6)
     h = generated_subgroup(g, ["b"])
-    m = multiplicity_matrix(g, h)
+    m = multiplicity_matrix(h)
     assert m.entries == ((1, 0, 1, 0, 1, 1), (0, 1, 0, 1, 1, 1))
 
 
 def test_matrix_for_full_subgroup_is_identity():
     g = dicyclic_group(3)
-    m = multiplicity_matrix(g, full_subgroup(g))
+    m = multiplicity_matrix(full_subgroup(g))
     k = len(m.row_names)
     assert m.entries == tuple(
         tuple(1 if i == j else 0 for j in range(k)) for i in range(k)
@@ -74,19 +74,19 @@ def test_matrix_for_full_subgroup_is_identity():
 
 def test_matrix_for_trivial_subgroup_is_degree_row():
     g = dihedral_group(5)
-    m = multiplicity_matrix(g, trivial_subgroup(g))
+    m = multiplicity_matrix(trivial_subgroup(g))
     assert m.entries == ((1, 1, 2, 2),)
 
 
 def test_both_computation_paths_agree():
     for g in (dihedral_group(7), dicyclic_group(4)):
         for h in all_subgroups(g):
-            assert multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
+            assert multiplicity_by_induction(h) == multiplicity_by_restriction(h)
 
 
-def _first_conjugate(g, subs, k):
+def _first_conjugate(subs, k):
     """The first subgroup in subs conjugate to k."""
-    return next(h for h in subs if are_conjugate_subgroups(g, h, k))
+    return next(h for h in subs if are_conjugate_subgroups(h, k))
 
 
 def _assert_matrices_equal_the_reference(g):
@@ -94,13 +94,13 @@ def _assert_matrices_equal_the_reference(g):
     many subgroups have a matrix other than the first conjugate's."""
     subs = classify_subgroups(g).subgroups
     for h in subs:
-        entries = multiplicity_matrix(g, h).entries
-        assert entries == multiplicity_by_induction(g, h), (g.name, h.members)
-        assert entries == multiplicity_by_restriction(g, h), (g.name, h.members)
+        entries = multiplicity_matrix(h).entries
+        assert entries == multiplicity_by_induction(h), (g.name, h.members)
+        assert entries == multiplicity_by_restriction(h), (g.name, h.members)
     return sum(
         1 for k in subs
-        if multiplicity_matrix(g, k).entries
-        != multiplicity_matrix(g, _first_conjugate(g, subs, k)).entries
+        if multiplicity_matrix(k).entries
+        != multiplicity_matrix(_first_conjugate(subs, k)).entries
     )
 
 
@@ -120,8 +120,8 @@ def test_orbit_matrix_of_a_random_subgroup_equals_the_reference(family, n, pick)
     g = build_group(family, n)
     subs = classify_subgroups(g).subgroups
     h = subs[pick % len(subs)]
-    entries = multiplicity_matrix(g, h).entries
-    assert entries == multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
+    entries = multiplicity_matrix(h).entries
+    assert entries == multiplicity_by_induction(h) == multiplicity_by_restriction(h)
 
 
 def test_matrices_compute_one_entry_per_orbit_of_pairs(monkeypatch):
@@ -167,7 +167,7 @@ def test_batched_decomposition_equals_one_inner_product_per_row(family, top):
         chis = tg.irreducibles
         firsts = []
         for k in all_subgroups(g):
-            if not any(are_conjugate_subgroups(g, h, k) for h in firsts):
+            if not any(are_conjugate_subgroups(h, k) for h in firsts):
                 firsts.append(k)
         for h in firsts:
             for psi in sgp.chars.subgroup_table(h).irreducibles:
@@ -183,9 +183,9 @@ def test_batched_decomposition_equals_one_inner_product_per_row(family, top):
 def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
     g = dihedral_group(36)
     subs = all_subgroups(g)
-    firsts = [_first_conjugate(g, subs, k) for k in subs]
+    firsts = [_first_conjugate(subs, k) for k in subs]
     for first in firsts:
-        multiplicity_matrix(g, first)
+        multiplicity_matrix(first)
     calls = []
 
     def counted(original):
@@ -201,7 +201,7 @@ def test_a_conjugate_reuses_its_first_subgroups_matrix(monkeypatch):
     monkeypatch.setattr(sgp.gelfand, "inner_product", counted(sgp.gelfand.inner_product))
     conjugates = [(k, first) for k, first in zip(subs, firsts) if first is not k]
     for k, first in conjugates:
-        assert multiplicity_matrix(g, k) is multiplicity_matrix(g, first)
+        assert multiplicity_matrix(k) is multiplicity_matrix(first)
     assert conjugates and calls == []
 
 
@@ -215,7 +215,7 @@ def test_a_subgroup_rebuilt_from_its_members_is_the_same_subgroup(family):
             h = Subgroup(g, k.members)
             assert h.group is k.group, (g.name, k.members)
             assert h.embedding() == k.embedding(), (g.name, k.members)
-            assert multiplicity_matrix(g, h) is multiplicity_matrix(g, k), (g.name, k.members)
+            assert multiplicity_matrix(h) is multiplicity_matrix(k), (g.name, k.members)
 
 
 @pytest.mark.parametrize("g", [dihedral_group(36), dicyclic_group(5), dicyclic_group(6)],
@@ -227,17 +227,17 @@ def test_subgroups_share_a_matrix_exactly_when_their_fusion_keys_are_equal(g):
     rebuilt = [Subgroup(g, k.members) for k in subs]
     by_key = {}
     for h in subs + rebuilt:
-        m = multiplicity_matrix(g, h)
+        m = multiplicity_matrix(h)
         assert by_key.setdefault((h.group.family, h.group.n, sgp.chars._class_fusion(h)), m) is m
     for h in rebuilt:
-        entries = multiplicity_matrix(g, h).entries
-        assert entries == multiplicity_by_induction(g, h) == multiplicity_by_restriction(g, h)
+        entries = multiplicity_matrix(h).entries
+        assert entries == multiplicity_by_induction(h) == multiplicity_by_restriction(h)
     assert len({id(m) for m in by_key.values()}) == len(by_key)
 
 
 def _corrupt_first_entry(original):
-    def corrupted(g, h, rows=None):
-        entries = [list(row) for row in original(g, h, rows)]
+    def corrupted(h, rows=None):
+        entries = [list(row) for row in original(h, rows)]
         entries[0][0] += 1
         return tuple(map(tuple, entries))
     return corrupted
@@ -249,7 +249,7 @@ def test_a_corrupted_entry_trips_the_row_degree_check(monkeypatch, capsys):
         monkeypatch.setattr(sgp.gelfand, name, _corrupt_first_entry(getattr(sgp.gelfand, name)))
     g = dihedral_group(6)
     with pytest.raises(IntegralityError, match="accounts for degree"):
-        multiplicity_matrix(g, generated_subgroup(g, ["b"]))
+        multiplicity_matrix(generated_subgroup(g, ["b"]))
     assert main(["classify", "dihedral", "6"]) == 2
     assert "internal consistency failure" in capsys.readouterr().err
 
@@ -266,9 +266,9 @@ def test_subgroup_orbits_are_the_conjugacy_classes(g):
     for a in range(len(subs)):
         for b in range(a + 1, len(subs)):
             same = firsts[a] is firsts[b]
-            assert same == are_conjugate_subgroups(g, subs[a], subs[b])
+            assert same == are_conjugate_subgroups(subs[a], subs[b])
             if same:
-                assert multiplicity_matrix(g, subs[a]) is multiplicity_matrix(g, subs[b])
+                assert multiplicity_matrix(subs[a]) is multiplicity_matrix(subs[b])
 
 
 def _wrong_power_map(original):
@@ -302,7 +302,7 @@ def test_row_degree_accounting():
     g = dicyclic_group(3)
     tdeg = [1, 1, 1, 1, 2, 2]
     for h in all_subgroups(g):
-        m = multiplicity_matrix(g, h)
+        m = multiplicity_matrix(h)
         from sgp.chars import subgroup_table
         for psi, row in zip(subgroup_table(h).irreducibles, m.entries):
             total = sum(e * d for e, d in zip(row, tdeg))
@@ -314,18 +314,18 @@ def test_row_degree_accounting():
 
 def test_is_gelfand_examples():
     d10 = dihedral_group(5)
-    assert is_gelfand(d10, generated_subgroup(d10, ["b"]))
-    assert is_gelfand(d10, full_subgroup(d10))
+    assert is_gelfand(generated_subgroup(d10, ["b"]))
+    assert is_gelfand(full_subgroup(d10))
     dic8 = dicyclic_group(2)
-    assert is_gelfand(dic8, generated_subgroup(dic8, ["b^2"]))
+    assert is_gelfand(generated_subgroup(dic8, ["b^2"]))
 
 
 def test_is_strong_gelfand_examples():
     d10 = dihedral_group(5)
-    ok, witness = is_strong_gelfand(d10, generated_subgroup(d10, ["a"]))
+    ok, witness = is_strong_gelfand(generated_subgroup(d10, ["a"]))
     assert ok and witness is None
 
-    ok, witness = is_strong_gelfand(d10, trivial_subgroup(d10))
+    ok, witness = is_strong_gelfand(trivial_subgroup(d10))
     assert not ok
     assert witness == Witness("μ_0", "ψ_1", 2)
 
@@ -333,16 +333,41 @@ def test_is_strong_gelfand_examples():
 def test_center_of_dic8_is_gelfand_but_not_strong():
     g = dicyclic_group(2)
     h = generated_subgroup(g, ["b^2"])
-    assert is_gelfand(g, h)
-    ok, witness = is_strong_gelfand(g, h)
+    assert is_gelfand(h)
+    ok, witness = is_strong_gelfand(h)
     assert not ok and witness.mult == 2
 
 
 def test_proper_rotation_subgroups_of_odd_dihedral_fail_with_mult_2():
     g = dihedral_group(9)
     h = generated_subgroup(g, ["a^3"])  # C_3, proper divisor of 9
-    ok, witness = is_strong_gelfand(g, h)
+    ok, witness = is_strong_gelfand(h)
     assert not ok and witness.mult == 2
+
+
+
+@pytest.mark.parametrize("g", [dihedral_group(n) for n in range(4, 41, 2)]
+                         + [dicyclic_group(n) for n in range(2, 21, 2)], ids=lambda g: g.name)
+def test_matrix_of_a_squared_is_its_closed_form(g):
+    # Frobenius reciprocity: psi_k restricts to <a^2> = C_m (m = n/2 in D_2n,
+    # n in Dic_4n) as mu_k + mu_-k, and every linear character as mu_0, so
+    # <mu_j induced, psi_k> = [k = j] + [k = -j] mod m and <mu_j induced,
+    # chi> = [j = 0].  The one entry 2 is at j = k = m/2, for m even.
+    h = generated_subgroup(g, ["a^2"])
+    m = multiplicity_matrix(h)
+
+    def closed_form(row, col):
+        j = int(row.removeprefix("μ_"))
+        if not col.startswith("ψ_"):
+            return int(j == 0)
+        k = int(col.removeprefix("ψ_"))
+        return ((k - j) % h.order == 0) + ((k + j) % h.order == 0)
+
+    assert m.entries == tuple(tuple(closed_form(row, col) for col in m.col_names)
+                              for row in m.row_names)
+    half = h.order // 2
+    witness = Witness(f"μ_{half}", f"ψ_{half}", 2) if h.order % 2 == 0 else None
+    assert m.first_witness() == witness
 
 
 # -- classification ---------------------------------------------------------------
@@ -393,18 +418,18 @@ def test_whole_group_always_strong_and_trivial_iff_abelian():
     for ctor in (cyclic_group, dihedral_group, dicyclic_group):
         for n in range(1, 17):
             g = ctor(n)
-            assert is_strong_gelfand(g, full_subgroup(g))[0]
-            ok, _ = is_strong_gelfand(g, trivial_subgroup(g))
+            assert is_strong_gelfand(full_subgroup(g))[0]
+            ok, _ = is_strong_gelfand(trivial_subgroup(g))
             assert ok == (len(conjugacy_classes(g).reps) == g.order)
 
 
 def test_conjugate_subgroups_get_identical_flags():
     for g in (dihedral_group(6), dicyclic_group(3)):
         subs = all_subgroups(g)
-        reports = {h.members: (is_gelfand(g, h), is_strong_gelfand(g, h)) for h in subs}
+        reports = {h.members: (is_gelfand(h), is_strong_gelfand(h)) for h in subs}
         for h1 in subs:
             for h2 in subs:
-                if h1.members >= h2.members or not are_conjugate_subgroups(g, h1, h2):
+                if h1.members >= h2.members or not are_conjugate_subgroups(h1, h2):
                     continue
                 g1, (s1, w1) = reports[h1.members]
                 g2, (s2, w2) = reports[h2.members]
@@ -417,7 +442,7 @@ def test_monotonicity_along_subgroup_chains():
     # if (G, K) is strong Gelfand and K <= H then (G, H) is strong Gelfand
     for g in (dihedral_group(6), dihedral_group(4), dicyclic_group(3), dicyclic_group(2)):
         subs = all_subgroups(g)
-        strong = {h.members: is_strong_gelfand(g, h)[0] for h in subs}
+        strong = {h.members: is_strong_gelfand(h)[0] for h in subs}
         for k in subs:
             for h in subs:
                 if set(k.members) <= set(h.members) and strong[k.members]:

@@ -448,6 +448,9 @@ def test_describe_subgroup_examples():
     assert describe_subgroup(generated_subgroup(d10, ["a"])) == "C5"
     assert describe_subgroup(generated_subgroup(d10, ["a", "b"])) == "D10"
     assert describe_subgroup(trivial_subgroup(d10)) == "trivial"
+    # the trivial subgroup is the cyclic subgroup of order 1
+    assert subgroup_structure(trivial_subgroup(d10)) == ("cyclic", d10.identity)
+    assert trivial_subgroup(d10).embedding() == (d10.identity,)
 
     dic12 = dicyclic_group(3)
     assert describe_subgroup(generated_subgroup(dic12, ["b"])) == "<ba^i>"
@@ -480,14 +483,22 @@ def test_conjugate_subgroup_examples():
     d10 = dihedral_group(5)
     h1 = generated_subgroup(d10, ["b"])
     h2 = generated_subgroup(d10, ["ba^2"])
-    assert are_conjugate_subgroups(d10, h1, h2)
-    assert are_conjugate_subgroups(d10, h1, h1)
+    assert are_conjugate_subgroups(h1, h2)
+    assert are_conjugate_subgroups(h1, h1)
 
     d12 = dihedral_group(6)
     hb = generated_subgroup(d12, ["b"])
     hab = generated_subgroup(d12, ["ab"])
     assert hab.order == 2
-    assert not are_conjugate_subgroups(d12, hb, hab)
+    assert not are_conjugate_subgroups(hb, hab)
+
+
+def test_subgroups_of_different_groups_are_refused():
+    # the group is read off the first subgroup; the second must share it
+    h1 = generated_subgroup(dihedral_group(5), ["b"])
+    h2 = generated_subgroup(dihedral_group(5), ["b"])
+    with pytest.raises(InvalidParameterError, match="same group"):
+        are_conjugate_subgroups(h1, h2)
 
 
 def test_conjugate_subgroups_share_descriptors():
@@ -495,7 +506,7 @@ def test_conjugate_subgroups_share_descriptors():
         subs = all_subgroups(g)
         for h1 in subs:
             for h2 in subs:
-                if are_conjugate_subgroups(g, h1, h2):
+                if are_conjugate_subgroups(h1, h2):
                     assert describe_subgroup(h1) == describe_subgroup(h2)
 
 
@@ -513,7 +524,7 @@ def test_subgroup_group_reindexes_consistently():
             else:
                 kind, _ = subgroup_structure(h)
                 d = h.order
-                expected = {"trivial": ("cyclic", 1, "C1"), "cyclic": ("cyclic", d, f"C{d}"),
+                expected = {"cyclic": ("cyclic", d, f"C{d}"),
                             "dihedral": ("dihedral", d // 2, f"D{d}"),
                             "dicyclic": ("dicyclic", d // 4, f"Dic{d}")}[kind]
                 assert (hg.family, hg.n, hg.name) == expected
