@@ -19,14 +19,17 @@ and `decompose` makes one call for all the rows it is asked for, over
 only the classes where its character is nonzero.
 
 `validate_table` checks both orthogonality relations exactly, computing
-one sum per orbit of row pairs and of column pairs under the table's
-Galois maps sigma_t (class power maps and the row permutations they
-induce).  Every map is checked first, or composed from maps that passed,
-and one that fails its check is not used, so a bad table is reported,
-never raised on.  One orbit routine, `_orbit_totals`, fills one grid of
-those pairs: it computes one total per orbit and reads the rest from it;
-it also fills the (psi, chi) pairs of a multiplicity matrix in
-`gelfand`, which acts on them by the same memoized maps of both tables.
+one sum per orbit of row pairs under the table's Galois maps sigma_t
+(class power maps and the row permutations they induce) and its twists
+(the row permutations r -> r * lambda for each linear row lambda), and
+one per orbit of column pairs under the Galois maps.  Every map is
+checked first, or composed from maps that passed, and one that fails its
+check is not used, so a bad table is reported, never raised on.  One
+orbit routine, `_orbit_totals`, fills one grid of those pairs: it closes
+each orbit by a breadth-first search over generators of the maps,
+computes one total per orbit and reads the rest from it; it also fills
+the (psi, chi) pairs of a multiplicity matrix in `gelfand`, which acts
+on them by the same memoized maps of both tables.
 """
 
 from __future__ import annotations
@@ -307,16 +310,23 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
     return family_table(h.group)
 
 
-# -- Galois symmetry of a table ------------------------------------------------
+# -- symmetries of a table -------------------------------------------------------
 #
-# For t a unit mod the exponent e of a group, sigma_t: zeta -> zeta^t sends
-# a character psi to x -> psi(x^t): it reads every row through the class
-# power map c -> class(rep_c^t).  Which row that gives is found by exact
-# keys: each value is lifted to Q(zeta_e), with equal values sharing one
-# small integer id, so a row read through a class map is a tuple of ids.
-# The maps of the units whose checks pass compose: rep^(st) = (rep^s)^t,
-# so sigma_st has class map cmap_t . cmap_s and row map perm_s . perm_t,
-# and only a unit outside the subgroup they generate is checked in full.
+# Two kinds of exact map permute the rows of a table and fix every inner
+# product of rows.  For t a unit mod the exponent e of the group, the Galois
+# map sigma_t: zeta -> zeta^t sends a character psi to x -> psi(x^t): it
+# reads every row through the class power map c -> class(rep_c^t).  For a
+# linear row lambda whose values are powers of zeta_e, the twist sends each
+# row r to r * lambda, and since |lambda| = 1,
+# <r_i lambda, r_j lambda> = <r_i, r_j> (Isaacs, Character Theory of Finite
+# Groups, ch. 5).  Which row a map gives is found by exact keys: each value
+# is lifted to Q(zeta_e), with equal values sharing one small integer id,
+# so a row is a tuple of ids.  The maps of each kind that pass their checks
+# compose: rep^(st) = (rep^s)^t, so sigma_st has class map cmap_t . cmap_s
+# and row map perm_s . perm_t, and the twist by lambda mu is the twist by
+# mu followed by the twist by lambda.  So only a map outside the group
+# generated by those that passed is checked in full, and the maps checked
+# in full generate the rest.
 
 
 def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
@@ -326,57 +336,152 @@ def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
 
 
 @memoized
-def _galois_maps(table: CharacterTable) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """For each unit t mod the exponent: sigma_t as (class power map, row permutation).
+def _value_ids(table: CharacterTable) -> tuple[dict, tuple, dict, dict]:
+    """The values of `table` keyed exactly in Q(zeta_e), e the exponent of its group.
 
-    Row j goes to row perm[j], the row equal to row j read through the
-    class map (the value row j takes at class cmap[c], at each class c).
-    The class map must be a bijection that keeps class sizes, and the row
-    map a bijection; a t whose maps fail either check maps to None, and so
-    does every t when two rows are equal or a value lies outside Q(zeta_e).
-
-    The units are taken in increasing order.  A unit in the subgroup
-    generated by the units whose maps passed so far gets the composition
-    of their maps, which is the map it would compute; any other unit is
-    computed and checked.  The passing units are closed under products, so
-    a unit that fails is never reached by composition.  Each distinct value
-    object is keyed once, however many cells hold it.
+    Returns (keys, rows, index, roots): `keys` maps the key of each value to
+    its id, equal values sharing one; `rows` holds each row as the tuple of
+    its ids and `index` the row index of each such tuple; `roots` maps k to
+    the id of zeta_e^k, for each power of zeta_e that is a value of the
+    table.  All four are empty when a value lies outside Q(zeta_e).  Each
+    distinct value object is keyed once, however many cells hold it.
     """
-    group = table.group
-    sizes = conjugacy_classes(group).sizes
-    e = group.exponent()
+    e = table.group.exponent()
     values = {id(v): v for psi in table.irreducibles for v in psi.values}
     keys: dict = {}
     try:
         ids = {i: keys.setdefault(v.key(e), len(keys)) for i, v in values.items()}
     except InvalidLiftError:
-        rows = ()
-    else:
-        rows = tuple(tuple(map(ids.__getitem__, map(id, psi.values)))
-                     for psi in table.irreducibles)
-    index = {row: i for i, row in enumerate(rows)}
+        return {}, (), {}, {}
+    rows = tuple(tuple(map(ids.__getitem__, map(id, psi.values))) for psi in table.irreducibles)
+    roots = {}
+    for k in range(e):
+        v = keys.get(zeta(e, k).key(e))
+        if v is not None:
+            roots[k] = v
+    return keys, rows, {row: i for i, row in enumerate(rows)}, roots
+
+
+@memoized
+def _galois_maps(table: CharacterTable) -> tuple[dict, tuple[int, ...]]:
+    """For each unit t mod the exponent: sigma_t as (class power map, row permutation).
+
+    Returns (maps, generators).  Row j goes to row perm[j], the row equal to
+    row j read through the class map (the value row j takes at class
+    cmap[c], at each class c).  The class map must be a bijection that
+    keeps class sizes, and the row map a bijection; a t whose maps fail
+    either check maps to None, and so does every t when two rows are equal
+    or a value lies outside Q(zeta_e).  The units are taken in increasing
+    order (`_checked_group`), and `generators` lists those whose maps were
+    checked in full and passed; they generate every unit that passed.
+    """
+    group = table.group
+    sizes = conjugacy_classes(group).sizes
+    e = group.exponent()
+    _, rows, index, _ = _value_ids(table)
     distinct = len(index) == len(table.irreducibles)
-    maps = {}
-    reached: dict = {}  # the units generated by those whose maps passed -> their maps
-    for t in range(e):
-        if math.gcd(t, e) != 1:
-            continue
+
+    def check(t):
+        cmap = _class_power_map(group, t)
+        if not (distinct and sorted(cmap) == list(range(len(sizes))) and all(
+                sizes[d] == size for d, size in zip(cmap, sizes))):
+            return None
+        perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
+        if None in perm or len(set(perm)) != len(rows):
+            return None
+        return cmap, perm
+
+    units = [t for t in range(e) if math.gcd(t, e) == 1]
+    return _checked_group(units, check, lambda s, _, t: s * t % e, _compose)
+
+
+@memoized
+def _twist_maps(table: CharacterTable) -> tuple[dict, tuple[int, ...]]:
+    """For each linear row j (degree 1): the row permutation i -> index of r_i * r_j.
+
+    Returns (maps, generators), as `_galois_maps` does, with the linear rows
+    taken in order.  The twist by lambda = r_j is used only if every value
+    of lambda is a power of zeta_e and the rows r_i * lambda are distinct
+    rows of the table; otherwise j maps to None, and so does every j when
+    two rows are equal or a value lies outside Q(zeta_e).  The product rows
+    are made in ids: a power of zeta_e times one is an exponent sum, and
+    any other value is multiplied once per distinct (value, power) pair.
+    """
+    e = table.group.exponent()
+    irreducibles = table.irreducibles
+    keys, rows, index, roots = _value_ids(table)
+    power_of = {v: k for k, v in roots.items()}
+    distinct = len(index) == len(irreducibles)
+    products: dict = {}
+
+    def check(j):
+        powers = [power_of.get(v) for v in rows[j]] if distinct else [None]
+        if None in powers:
+            return None
+        if not any(powers):  # lambda = 1 fixes every row
+            return tuple(range(len(rows)))
+        perm = []
+        for row, psi in zip(rows, irreducibles):
+            twisted = []
+            for v, k, x in zip(row, powers, psi.values):
+                p = power_of.get(v)
+                if p is not None:
+                    twisted.append(roots.get((p + k) % e))
+                    continue
+                if (v, k) not in products:
+                    products[v, k] = keys.get((x * zeta(e, k)).key(e))
+                twisted.append(products[v, k])
+            perm.append(index.get(tuple(twisted)))
+        if None in perm or len(set(perm)) != len(perm):
+            return None
+        return tuple(perm)
+
+    linear = [j for j, psi in enumerate(irreducibles) if psi.degree == 1]
+    return _checked_group(linear, check, lambda s, perm_s, t: perm_s[t],
+                          lambda first, then: tuple(map(first.__getitem__, then)))
+
+
+def _restricted_row(h: Subgroup, j: int) -> int | None:
+    """The row of `subgroup_table(h)` equal to row j of the parent's table read through the fusion.
+
+    Row j must be a twist of the parent's table, so each of its values is a
+    power zeta_e^k, e the parent's exponent.  On H that value is
+    zeta_f^(k f / e), f the exponent of H; a value with k f / e no integer,
+    or powers that make no row of H, give None.
+    """
+    _, rows_g, _, roots_g = _value_ids(family_table(h.parent))
+    _, _, index_h, roots_h = _value_ids(subgroup_table(h))
+    power_of = {v: k for k, v in roots_g.items()}
+    ratio = h.parent.exponent() // h.group.exponent()
+    powers = [power_of[rows_g[j][c]] for c in _class_fusion(h)]
+    if any(k % ratio for k in powers):
+        return None
+    return index_h.get(tuple(roots_h.get(k // ratio) for k in powers))
+
+
+def _checked_group(labels, check, times, compose) -> tuple[dict, tuple]:
+    """The maps of each label, and the generators: the labels checked in full that passed.
+
+    `check(t)` computes the maps of t and returns None when they fail.  The
+    maps that pass form a group under `compose`, whose labels multiply as
+    `times(s, maps_s, t)`.  Labels are taken in order; one in the group
+    generated by those that passed so far gets the composition of their
+    maps, which is the map it would compute, and any other is checked.  The
+    passing labels are closed under products, so a label that fails is
+    never reached by composition.  The identity, the one label with
+    t * t = t, is checked but is no generator: its maps move nothing.
+    """
+    maps, reached, generators = {}, {}, []
+    for t in labels:
         if t in reached:
             maps[t] = reached[t]
             continue
-        cmap = _class_power_map(group, t)
-        perm = None
-        if distinct and sorted(cmap) == list(range(len(sizes))) and all(
-                sizes[d] == size for d, size in zip(cmap, sizes)):
-            perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
-            if None in perm or len(set(perm)) != len(rows):
-                perm = None
-        if perm is None:
-            maps[t] = None
-        else:
-            maps[t] = (cmap, perm)
-            _close_under(reached, t, maps[t], e)
-    return maps
+        maps[t] = check(t)
+        if maps[t] is not None:
+            if times(t, maps[t], t) != t:
+                generators.append(t)
+            _close_under(reached, t, maps[t], times, compose)
+    return maps, tuple(generators)
 
 
 def _compose(first, then):
@@ -385,8 +490,8 @@ def _compose(first, then):
     return tuple(map(cmap_t.__getitem__, cmap_s)), tuple(map(perm_s.__getitem__, perm_t))
 
 
-def _close_under(reached: dict, t: int, maps_t, e: int) -> None:
-    """Add to `reached`, a group of units mod e (or empty), its products with the powers of t.
+def _close_under(reached: dict, t, maps_t, times, compose) -> None:
+    """Add to `reached`, a group of labels (or empty), its products with the powers of t.
 
     The power t^j is new exactly until it falls in the old group; each new
     power brings its coset, the old group times t^j.
@@ -396,42 +501,48 @@ def _close_under(reached: dict, t: int, maps_t, e: int) -> None:
     while power not in reached:
         reached[power] = maps_power
         for s, maps_s in old:
-            unit = s * power % e
-            if unit not in reached:
-                reached[unit] = _compose(maps_s, maps_power)
-        power, maps_power = power * t % e, _compose(maps_power, maps_t)
+            label = times(s, maps_s, power)
+            if label not in reached:
+                reached[label] = compose(maps_s, maps_power)
+        power, maps_power = times(power, maps_power, t), compose(maps_power, maps_t)
 
 
 def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = False) -> list:
     """The total of each pair (i, j), i < n_rows, j < n_cols, as a grid of rows.
 
     A map (p, q) sends the pair (i, j) to (p[i], q[j]), and each map must
-    fix the total.  With `symmetric`, only the pairs i <= j are filled, the
+    fix the total.  The maps need only generate the group that fixes the
+    totals: each orbit is closed by a breadth-first search over them.  With
+    `symmetric`, every map has p = q, only the pairs i <= j are filled, the
     pair (j, i) stands for the conjugate of (i, j), and the cells below the
     diagonal stay None.  Pairs are taken in row-major order; a pair that no
-    map has reached from an earlier one is its orbit's representative, and
-    the maps are applied once to it.  A cell first holds a marker, the index
-    k of its representative (~k for the conjugate), and the first marker
-    written to it stays.  `totals_of(reps)` is called once, with the
-    representatives in order, and returns their totals in that order; each
-    marker is then replaced by its total or that total's conjugate.
+    earlier orbit reached is its orbit's representative.  A cell first
+    holds a marker, the index k of its representative (~k for the
+    conjugate), written when the search first reaches it.
+    `totals_of(reps)` is called once, with the representatives in order,
+    and returns their totals in that order; each marker is then replaced by
+    its total or that total's conjugate.
     """
     grid = [[None] * n_cols for _ in range(n_rows)]
     reps = []
     for i, row in enumerate(grid):
         for j in range(i if symmetric else 0, n_cols):
             if row[j] is None:
-                same, swapped = len(reps), ~len(reps)
-                row[j] = same
+                row[j] = len(reps)
                 reps.append((i, j))
-                for p, q in maps:
-                    a, b = p[i], q[j]
-                    if symmetric and a > b:
-                        a, b, marker = b, a, swapped
-                    else:
-                        marker = same
-                    if grid[a][b] is None:
-                        grid[a][b] = marker
+                layer = [(i, j)]
+                while layer:  # only one layer of the search is held
+                    found = []
+                    for a, b in layer:
+                        marker = grid[a][b]
+                        for p, q in maps:
+                            x, y, m = p[a], q[b], marker
+                            if symmetric and x > y:
+                                x, y, m = y, x, ~marker
+                            if grid[x][y] is None:
+                                grid[x][y] = m
+                                found.append((x, y))
+                    layer = found
     totals = totals_of(reps)
     for row in grid:  # one row at a time, so no second grid is held
         row[:] = [m if m is None else totals[m] if m >= 0 else totals[~m].conj() for m in row]
@@ -450,12 +561,16 @@ class TableValidation:
 def validate_table(t: CharacterTable) -> TableValidation:
     """Check row count, degree sum, and both orthogonality relations exactly.
 
-    Each sum is computed once per orbit of its pair under the Galois maps
-    of `t` that pass their checks (`_galois_maps`): if row r_i read through
-    the class map cmap is row r_p[i], and cmap keeps class sizes, then
-    re-indexing gives <r_p[i], r_p[j]> = <r_i, r_j>, and the column sums at
-    (cmap[c], cmap[c']) and (c, c') agree.  A table whose maps fail their
-    checks has every pair computed; validation never raises on a bad table.
+    Each sum is computed once per orbit of its pair under the maps of `t`
+    that pass their checks, given to `_orbit_totals` by their generators.
+    Galois maps (`_galois_maps`): if row r_i read through the class map
+    cmap is row r_p[i], and cmap keeps class sizes, then re-indexing gives
+    <r_p[i], r_p[j]> = <r_i, r_j>, and the column sums at (cmap[c], cmap[c'])
+    and (c, c') agree.  Twists (`_twist_maps`) act on row pairs only: if
+    r_i * lambda is r_p[i] and every value of lambda is a root of unity,
+    then <r_p[i], r_p[j]> = <r_i, r_j>, while a column sum is scaled by
+    lambda(c) conj(lambda(c')).  A table whose maps fail their checks has
+    every pair computed; validation never raises on a bad table.
     """
     failures: list[str] = []
     g = t.group
@@ -475,9 +590,12 @@ def validate_table(t: CharacterTable) -> TableValidation:
         failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
     sizes = cls.sizes
     order = g.order
-    maps = [m for m in _galois_maps(t).values() if m is not None]
+    galois, units = _galois_maps(t)
+    twists, linear = _twist_maps(t)
+    row_maps = [(galois[u][1], galois[u][1]) for u in units]
+    row_maps += [(twists[j], twists[j]) for j in linear]
     row_totals = _orbit_totals(
-        len(rows), len(rows), [(perm, perm) for _, perm in maps],
+        len(rows), len(rows), row_maps,
         lambda reps: [weighted_product_sum(rows[i].values, rows[j].conj_values, sizes)
                       for i, j in reps], symmetric=True)
     for i, ri in enumerate(rows):
@@ -492,7 +610,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
     columns = [tuple(r.values[c] for r in rows) for c in range(k)]
     conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
     column_totals = _orbit_totals(
-        k, k, [(cmap, cmap) for cmap, _ in maps],
+        k, k, [(galois[u][0], galois[u][0]) for u in units],
         lambda reps: [weighted_product_sum(columns[c], conj_columns[cp]) for c, cp in reps],
         symmetric=True)
     for c in range(k):

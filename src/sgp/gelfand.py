@@ -3,15 +3,16 @@
 The multiplicity matrix of a pair (G, H) holds <psi induced to G, chi>
 over Irr(H) x Irr(G).  A pair is given by its subgroup alone: every
 function here takes H, a `groups.Subgroup`, and reads G as `H.parent`.
-Two exact symmetries fill most of the matrix without arithmetic:
+Three exact symmetries fill most of the matrix without arithmetic:
 
 * Galois.  For t a unit mod the exponent of G, sigma_t: zeta -> zeta^t
   sends a character psi to x -> psi(x^t), so it permutes Irr(H) and
   Irr(G) as the class power maps permute values; a multiplicity is
-  rational, so M[sigma_t psi][sigma_t chi] = M[psi][chi].  Only the first
-  entry of each orbit of (psi, chi) pairs is computed (`chars._orbit_totals`,
-  the orbit routine of table validation), and every other entry is read
-  from it.
+  rational, so M[sigma_t psi][sigma_t chi] = M[psi][chi].
+* Twists.  For a linear character lambda of G, with nu = lambda read on H
+  through the class fusion, (psi nu) induced to G is (psi induced to G)
+  times lambda, and |lambda| = 1, so M[psi nu][chi lambda] = M[psi][chi]
+  (`chars._twist_maps`, `chars._restricted_row`).
 * Class fusion.  An entry is (1/|H|) * sum over the classes d of H of
   |d| psi(d) conj(chi(fuse(d))), so it is fixed by the family group of H
   and its class fusion in G (`chars._class_fusion`).  One matrix is kept
@@ -20,6 +21,10 @@ Two exact symmetries fill most of the matrix without arithmetic:
   are picked by parent class (`groups.subgroup_structure`), so each
   conjugate of a subgroup has its family group and its key.
 
+Within a matrix, only the first entry of each orbit of (psi, chi) pairs
+under the Galois maps and twists is computed (`chars._orbit_totals`, the
+orbit routine of table validation, given the maps checked in full, which
+generate the rest), and every other entry is read from it.
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
 and is certified a nonnegative integer; every row of the filled matrix
@@ -29,9 +34,10 @@ call over the classes where psi induced to G is nonzero, the classes
 that meet H (`chars.decompose`); the restriction path takes one
 `inner_product` per entry, so every batched entry is checked against a
 sum computed on its own.  Rows are matched by
-exact keys of their values by `chars._galois_maps`, the one memo of each
-table's Galois maps, which checks every map before it is used; here a
-map that fails its check, like a path disagreement, raises
+exact keys of their values by `chars._galois_maps` and `chars._twist_maps`,
+the memos of each table's Galois maps and twists, which check every map
+before it is used; here a map that fails its check, a twist of G that
+reads on H as no linear row of H, or a path disagreement raises
 `InternalConsistencyError`.
 Called without a subset of entries, `multiplicity_by_induction` and
 `multiplicity_by_restriction` compute the whole matrix, the reference for
@@ -53,6 +59,8 @@ from .chars import (
     _class_fusion,
     _galois_maps,
     _orbit_totals,
+    _restricted_row,
+    _twist_maps,
     decompose,
     induce,
     inner_product,
@@ -176,9 +184,10 @@ def multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
     The family group of h and its class fusion in G = `h.parent` fix every
     entry, so G keeps one matrix per key (family, n,
     `chars._class_fusion(h)`) and every subgroup with that key gets it: each
-    conjugate of h, and h rebuilt from its members, among them.  One entry per orbit of (psi, chi) pairs is
-    computed by both paths; every other entry is
-    M[sigma_t psi][sigma_t chi] = M[psi][chi], read from its orbit's first.
+    conjugate of h, and h rebuilt from its members, among them.  One entry
+    per orbit of (psi, chi) pairs is computed by both paths; every other
+    entry is M[sigma_t psi][sigma_t chi] = M[psi][chi] or
+    M[psi nu][chi lambda] = M[psi][chi], read from its orbit's first.
     """
     matrices = _matrices(h.parent)
     key = (h.group.family, h.group.n, _class_fusion(h))
@@ -197,11 +206,23 @@ def _orbit_matrix(h: Subgroup) -> MultiplicityMatrix:
     g = h.parent
     th, tg = subgroup_table(h), family_table(g)
     e_h = h.group.exponent()
-    maps_h, maps_g = _galois_maps(th), _galois_maps(tg)
-    for table, maps in ((th, maps_h), (tg, maps_g)):
-        if None in maps.values():
+    (galois_h, _), (galois_g, units) = _galois_maps(th), _galois_maps(tg)
+    (twists_h, _), (twists_g, linear) = _twist_maps(th), _twist_maps(tg)
+    for table, galois, twists in ((th, galois_h, twists_h), (tg, galois_g, twists_g)):
+        if None in galois.values() or None in twists.values():
             raise InternalConsistencyError(
-                f"a Galois map does not permute the rows of the table of {table.group.name}")
+                f"a Galois map or a twist does not permute the rows of the table of "
+                f"{table.group.name}")
+    # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g,
+    # and a twist of G by lambda twists H by lambda read through the fusion
+    maps = [(galois_h[t % e_h][1], galois_g[t][1]) for t in units]
+    for j in linear:
+        restricted = _restricted_row(h, j)
+        if restricted not in twists_h:
+            raise InternalConsistencyError(
+                f"row {tg.irreducibles[j].name} read on a subgroup of order {h.order} "
+                f"of {g.name} is no linear row of its table")
+        maps.append((twists_h[restricted], twists_g[j]))
 
     def both_paths(reps):
         wanted: dict[int, list[int]] = {}
@@ -215,10 +236,7 @@ def _orbit_matrix(h: Subgroup) -> MultiplicityMatrix:
             )
         return [q for row in via_induction for q in row]
 
-    # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g
-    totals = _orbit_totals(len(th.irreducibles), len(tg.irreducibles),
-                           [(maps_h[t % e_h][1], perm) for t, (_, perm) in maps_g.items()],
-                           both_paths)
+    totals = _orbit_totals(len(th.irreducibles), len(tg.irreducibles), maps, both_paths)
     entries = tuple(map(tuple, totals))
     degrees = [chi.degree.as_rational_integer() for chi in tg.irreducibles]
     for psi, row in zip(th.irreducibles, entries):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgp.chars
+import sgp.gelfand
 from sgp.chars import (
     CharacterTable,
     ClassFunction,
@@ -19,6 +20,7 @@ from sgp.chars import (
     _cyclic_rows,
     _galois_maps,
     _orbit_totals,
+    _twist_maps,
     constructive_family_table,
     decompose,
     family_table,
@@ -613,8 +615,15 @@ def _galois_stable_nonreal_sums():
     return CharacterTable(g, tuple(rows), "closed-form")
 
 
+def _linear_row_off_the_roots():
+    # chi_2 of D10 taking the value 2 on the reflections: a degree-1 row with
+    # a value that is no root of unity, so twisting by it would scale sums
+    t = _d10_table()
+    return _replace_row(t, 1, [*t.irreducibles[1].values[:-1], rational(2)])
+
+
 _BROKEN_TABLES = [_duplicated_row, _two_values_swapped, _row_doubled, _zeta7_value,
-                  _one_row_short, _galois_stable_nonreal_sums]
+                  _one_row_short, _galois_stable_nonreal_sums, _linear_row_off_the_roots]
 
 
 @pytest.mark.parametrize("make", _BROKEN_TABLES, ids=lambda f: f.__name__.strip("_"))
@@ -627,8 +636,16 @@ def test_orbit_validation_of_a_broken_table_equals_the_pairwise_reference(make):
 
 def test_the_galois_stable_broken_table_reaches_swapped_pairs():
     t = _galois_stable_nonreal_sums()
-    assert None not in _galois_maps(t).values()
+    assert None not in _galois_maps(t)[0].values()
     assert any("z7" in f for f in validate_table(t).failures)
+
+
+def test_a_linear_row_off_the_roots_of_unity_is_not_used_as_a_twist():
+    t = _linear_row_off_the_roots()
+    maps, generators = _twist_maps(t)
+    # the trivial row passes, but moves nothing, so it is no generator
+    assert maps == {0: (0, 1, 2, 3), 1: None} and generators == ()
+    assert validate_table(t) == validate_pairwise(t)
 
 
 def test_a_class_map_that_does_not_keep_class_sizes_is_not_used(monkeypatch):
@@ -639,7 +656,7 @@ def test_a_class_map_that_does_not_keep_class_sizes_is_not_used(monkeypatch):
     t = CharacterTable(g, tuple(ClassFunction(g, tuple(map(rational, r)), f"r_{i}")
                                 for i, r in enumerate(rows)), "closed-form")
     monkeypatch.setattr(sgp.chars, "_class_power_map", lambda group, s: (0, 1, 3, 2))
-    assert set(_galois_maps(t).values()) == {None}
+    assert set(_galois_maps(t)[0].values()) == {None}
     assert validate_table(t) == validate_pairwise(t)
 
 
@@ -680,6 +697,63 @@ def direct_galois_maps(table):
     return maps
 
 
+def direct_twist_maps(table):
+    """`_twist_maps` with the twist by every linear row computed and checked on its own.
+
+    Every row is multiplied by every linear row cell by cell, as exact
+    `Cyclotomic` products (each pair of value objects once), and the product
+    is looked up among the rows by the exact keys of its values.
+    """
+    rows = table.irreducibles
+    e = table.group.exponent()
+    ids = {}
+    try:
+        keyed = [tuple(ids.setdefault(v.key(e), len(ids)) for v in r.values) for r in rows]
+    except InvalidLiftError:
+        keyed = []
+    index = {r: i for i, r in enumerate(keyed)}
+    usable = len(index) == len(rows)
+    roots = {zeta(e, k).key(e) for k in range(e)}
+    objects = {id(v): v for r in rows for v in r.values}
+
+    class Products(dict):
+        """The id of the key of x * y, or None, by (id(x), id(y))."""
+
+        def __missing__(self, pair):
+            x, y = map(objects.__getitem__, pair)
+            value = self[pair] = ids.get((x * y).key(e))
+            return value
+
+    products = Products()
+    maps = {}
+    for j, lam in enumerate(rows):
+        if lam.degree != 1:
+            continue
+        perm = None
+        if usable and all(v.key(e) in roots for v in lam.values):
+            lam_ids = [id(y) for y in lam.values]
+            perm = tuple(
+                index.get(tuple(map(products.__getitem__, zip(map(id, r.values), lam_ids))))
+                for r in rows)
+            if None in perm or len(set(perm)) != len(rows):
+                perm = None
+        maps[j] = perm
+    return maps
+
+
+def _generated(perms, n):
+    """Every composition of the given permutations of range(n), the identity included."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    for p in frontier:
+        for q in perms:
+            pq = tuple(map(q.__getitem__, p))
+            if pq not in group:
+                group.add(pq)
+                frontier.append(pq)
+    return group
+
+
 def _family_tables(top, large):
     for family in ("cyclic", "dihedral", "dicyclic"):
         for n in [*range(1, top + 1), large[family]]:
@@ -693,8 +767,23 @@ def _family_tables(top, large):
     ids=["family", "broken"])
 def test_composed_galois_maps_equal_the_direct_maps(tables):
     for t in tables():
-        maps, direct = _galois_maps(t), direct_galois_maps(t)
+        maps, direct = _galois_maps(t)[0], direct_galois_maps(t)
         assert maps == direct and list(maps) == list(direct)
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [lambda: _family_tables(40, {"cyclic": 256, "dihedral": 128, "dicyclic": 64}),
+     lambda: (make() for make in _BROKEN_TABLES)],
+    ids=["family", "broken"])
+def test_composed_twist_maps_equal_the_direct_maps(tables):
+    for t in tables():
+        (maps, generators), direct = _twist_maps(t), direct_twist_maps(t)
+        assert maps == direct and list(maps) == list(direct)
+        # the twists checked in full generate every twist that passed
+        passed = {perm for perm in maps.values() if perm is not None}
+        generated = _generated([maps[j] for j in generators], len(t.irreducibles))
+        assert passed == (generated if passed else set())
 
 
 def test_validation_computes_one_sum_per_orbit(monkeypatch):
@@ -708,16 +797,64 @@ def test_validation_computes_one_sum_per_orbit(monkeypatch):
     monkeypatch.setattr(sgp.chars, "weighted_product_sum", counting)
     t = family_table(cyclic_group(37))  # 37 * 38 pairs, in orbits of up to 36
     assert validate_table(t).passed
-    # pairs (i, j), i <= j, of rows and of columns: (0, 0), the (0, j), and
-    # one orbit for each ratio j/i mod 37 up to inversion, 2 + 19 each
-    assert len(calls) == 2 * 21
+    # Row pairs (i, j), i <= j, of mu_i and mu_j: the twist by mu_1 sends
+    # (i, j) to (i + 1, j + 1) and sigma_t sends it to (t i, t j), so the
+    # pairs i = j form one orbit, and the pairs i < j another, as t (j - i)
+    # runs over every nonzero difference.  Column pairs have the Galois maps
+    # only: (0, 0), the (0, j), and one orbit for each ratio j/i mod 37 up
+    # to inversion, 2 + 19.  So 2 + 21 sums, against 2 * 21 under the Galois
+    # maps alone.
+    assert len(calls) == 2 + 21
+
+
+def _captured_matrix_maps(g, monkeypatch):
+    """The (rows, columns, maps) that `gelfand` passes `_orbit_totals` for each matrix of g."""
+    captured = []
+
+    def capture(n_rows, n_cols, maps, totals_of, symmetric=False):
+        captured.append((n_rows, n_cols, maps))
+        return _orbit_totals(n_rows, n_cols, maps, totals_of, symmetric)
+
+    monkeypatch.setattr(sgp.gelfand, "_orbit_totals", capture)
+    sgp.gelfand.classify_subgroups(g)
+    return captured
+
+
+def test_orbit_fill_over_generators_equals_the_fill_over_the_whole_group(monkeypatch):
+    def fill(n_rows, n_cols, maps, symmetric):
+        reps = []
+
+        def totals_of(pairs):
+            reps.extend(pairs)
+            return [rational(k) for k in range(len(pairs))]
+
+        return _orbit_totals(n_rows, n_cols, maps, totals_of, symmetric), reps
+
+    # C256's row pairs under its Galois maps: the generators checked in full
+    # against all 128 units
+    t = family_table(cyclic_group(256))
+    maps, units = _galois_maps(t)
+    n = len(t.irreducibles)
+    whole = fill(n, n, [(perm, perm) for _, perm in maps.values()], True)
+    assert fill(n, n, [(maps[u][1], maps[u][1]) for u in units], True) == whole
+    assert units == (3, 5)
+    # D72's (psi, chi) pairs under the Galois maps and twists of each matrix,
+    # against every composition of those maps
+    captured = _captured_matrix_maps(dihedral_group(36), monkeypatch)
+    assert len(captured) == 24
+    for n_rows, n_cols, generators in captured:
+        group = _generated([p + tuple(n_rows + j for j in q) for p, q in generators],
+                           n_rows + n_cols)
+        every = [(m[:n_rows], tuple(j - n_rows for j in m[n_rows:])) for m in group]
+        assert len(every) > len(generators)
+        assert fill(n_rows, n_cols, generators, False) == fill(n_rows, n_cols, every, False)
 
 
 def test_orbit_fill_holds_one_grid_of_pairs():
     # 256 * 256 pairs of C256's rows in 766 orbits; one grid of pointers to
     # the totals is about 0.6 MB
     t = family_table(cyclic_group(256))
-    maps = [(perm, perm) for _, perm in filter(None, _galois_maps(t).values())]
+    maps = [(perm, perm) for _, perm in filter(None, _galois_maps(t)[0].values())]
     n = len(t.irreducibles)
     reps = []
     assert not tracemalloc.is_tracing()

@@ -105,9 +105,13 @@ def _assert_matrices_equal_the_reference(g):
 
 
 def test_orbit_matrices_equal_the_two_path_reference():
+    # C1..C30, D2..D32 and D72, and Dic4..Dic56: the benchmark's groups D72
+    # and Dic8..Dic56 are among them, so every entry that the Galois maps or
+    # twists transport there is compared with both paths computed in full
     permuted = 0
-    for family, top in (("cyclic", 30), ("dihedral", 16), ("dicyclic", 8)):
-        for n in range(1, top + 1):
+    for family, ns in (("cyclic", range(1, 31)), ("dihedral", [*range(1, 17), 36]),
+                       ("dicyclic", range(1, 15))):
+        for n in ns:
             permuted += _assert_matrices_equal_the_reference(build_group(family, n))
     # conjugates take generators from the same parent classes, so no row moves
     assert permuted == 0
@@ -125,12 +129,18 @@ def test_orbit_matrix_of_a_random_subgroup_equals_the_reference(family, n, pick)
 
 
 def test_matrices_compute_one_entry_per_orbit_of_pairs(monkeypatch):
-    # D72: the first subgroup of each of its conjugacy classes has 1 360
-    # orbits of (psi, chi) pairs; one row per Galois orbit of Irr(H) would
-    # take 2 394 entries per path.  The induction path decomposes each of
-    # its 114 induced characters against all of its columns in one
-    # weighted_product_sums call; the restriction path takes one
-    # inner_product per entry.
+    # D72 has 24 fusion keys, so 24 matrices.  Their (psi, chi) pairs fall
+    # into 600 orbits under the Galois maps together with the twists by the
+    # four linear characters of D72, each read on H through the fusion; the
+    # first pairs of those orbits lie in 78 rows psi.  Under the Galois maps
+    # alone they were 1 360 orbits in 114 rows.  The rotations C36, for one,
+    # have 36 * 21 pairs in 61 orbits and 6 rows: mu_k goes to mu_(tk), t a
+    # unit mod 36, and to mu_(k+18), chi_3 read on C36, so the 9 Galois
+    # orbits of k, one per value of gcd(k, 36), merge in pairs of those
+    # values {2, 4}, {6, 12} and {18, 36}.  The
+    # induction path decomposes each of the 78 induced characters against
+    # all of its columns in one weighted_product_sums call; the restriction
+    # path takes one inner_product per entry.
     calls = {"decompositions": 0, "columns": 0, "restriction": 0}
 
     def batched(original):
@@ -153,7 +163,7 @@ def test_matrices_compute_one_entry_per_orbit_of_pairs(monkeypatch):
                         batched(sgp.chars.weighted_product_sums))
     monkeypatch.setattr(sgp.gelfand, "inner_product", per_entry(sgp.gelfand.inner_product))
     classify_subgroups(dihedral_group(36))
-    assert calls == {"decompositions": 114, "columns": 1360, "restriction": 1360}
+    assert calls == {"decompositions": 78, "columns": 600, "restriction": 600}
 
 
 @pytest.mark.parametrize("family, top", [("dihedral", 20), ("dicyclic", 10), ("cyclic", 40)])
@@ -284,11 +294,25 @@ def _wrong_generator(original):
     return wrong
 
 
-_PATCH_HOMES = {"_class_power_map": sgp.chars, "subgroup_structure": sgp.groups}
+def _failed_twists(original):
+    def failed(table):
+        maps, _ = original(table)
+        return dict.fromkeys(maps), ()
+    return failed
+
+
+def _no_restricted_row(original):
+    return lambda h, j: None
+
+
+_PATCH_HOMES = {"_class_power_map": sgp.chars, "subgroup_structure": sgp.groups,
+                "_twist_maps": sgp.gelfand, "_restricted_row": sgp.gelfand}
 
 
 @pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
-                                         ("subgroup_structure", _wrong_generator)])
+                                         ("subgroup_structure", _wrong_generator),
+                                         ("_twist_maps", _failed_twists),
+                                         ("_restricted_row", _no_restricted_row)])
 def test_a_wrong_transport_is_an_internal_consistency_error(name, wrong, monkeypatch, capsys):
     home = _PATCH_HOMES[name]
     monkeypatch.setattr(home, name, wrong(getattr(home, name)))
