@@ -22,14 +22,17 @@ only the classes where its character is nonzero.
 one sum per orbit of row pairs under the table's Galois maps sigma_t
 (class power maps and the row permutations they induce) and its twists
 (the row permutations r -> r * lambda for each linear row lambda), and
-one per orbit of column pairs under the Galois maps.  Every map is
-checked first, or composed from maps that passed, and one that fails its
-check is not used, so a bad table is reported, never raised on.  One
-orbit routine, `_orbit_totals`, fills one grid of those pairs: it closes
-each orbit by a breadth-first search over generators of the maps,
-computes one total per orbit and reads the rest from it; it also fills
-the (psi, chi) pairs of a multiplicity matrix in `gelfand`, which acts
-on them by the same memoized maps of both tables.
+one per orbit of column pairs under the Galois maps.  Each map is
+checked when it is first asked for (`_galois_map`, `_twist_map`) and kept
+in one memo per table, and each table keeps one list of the labels whose
+maps generate the rest (`_generators`); no map is composed, and a map
+that fails its check is not used, so a bad table is reported, never
+raised on.  One orbit routine, `_orbit_totals`, fills one grid of those
+pairs: it closes each orbit by a breadth-first search over the
+generators' maps, computes one total per orbit and reads the rest from
+it; it also fills the (psi, chi) pairs of a multiplicity matrix in
+`gelfand`, which acts on them by the generators' maps of G and the maps
+of H they read as.
 """
 
 from __future__ import annotations
@@ -321,12 +324,14 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
 # <r_i lambda, r_j lambda> = <r_i, r_j> (Isaacs, Character Theory of Finite
 # Groups, ch. 5).  Which row a map gives is found by exact keys: each value
 # is lifted to Q(zeta_e), with equal values sharing one small integer id,
-# so a row is a tuple of ids.  The maps of each kind that pass their checks
-# compose: rep^(st) = (rep^s)^t, so sigma_st has class map cmap_t . cmap_s
-# and row map perm_s . perm_t, and the twist by lambda mu is the twist by
-# mu followed by the twist by lambda.  So only a map outside the group
-# generated by those that passed is checked in full, and the maps checked
-# in full generate the rest.
+# so a row is a tuple of ids.  Each map is checked when it is first asked
+# for and kept in `_checked_maps` of its table.  The maps of each kind that
+# pass their checks compose: rep^(st) = (rep^s)^t, so sigma_st has class
+# map cmap_t . cmap_s and row map perm_s . perm_t, and the twist by
+# lambda mu is the twist by mu followed by the twist by lambda.  So the
+# passing maps form a group, and `_generators` checks only the labels
+# outside the group generated by those that passed before them; it
+# multiplies labels, and no map is ever composed.
 
 
 def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
@@ -336,15 +341,16 @@ def _class_power_map(group: FiniteGroup, t: int) -> tuple[int, ...]:
 
 
 @memoized
-def _value_ids(table: CharacterTable) -> tuple[dict, tuple, dict, dict]:
+def _value_ids(table: CharacterTable) -> tuple[dict, tuple, dict, dict, dict]:
     """The values of `table` keyed exactly in Q(zeta_e), e the exponent of its group.
 
-    Returns (keys, rows, index, roots): `keys` maps the key of each value to
-    its id, equal values sharing one; `rows` holds each row as the tuple of
-    its ids and `index` the row index of each such tuple; `roots` maps k to
-    the id of zeta_e^k, for each power of zeta_e that is a value of the
-    table.  All four are empty when a value lies outside Q(zeta_e).  Each
-    distinct value object is keyed once, however many cells hold it.
+    Returns (keys, rows, index, roots, powers): `keys` maps the key of each
+    value to its id, equal values sharing one; `rows` holds each row as the
+    tuple of its ids and `index` the row index of each such tuple; `roots`
+    maps k to the id of zeta_e^k, for each power of zeta_e that is a value
+    of the table, and `powers` maps each such id back to k.  All five are
+    empty when a value lies outside Q(zeta_e).  Each distinct value object
+    is keyed once, however many cells hold it.
     """
     e = table.group.exponent()
     values = {id(v): v for psi in table.irreducibles for v in psi.values}
@@ -352,93 +358,137 @@ def _value_ids(table: CharacterTable) -> tuple[dict, tuple, dict, dict]:
     try:
         ids = {i: keys.setdefault(v.key(e), len(keys)) for i, v in values.items()}
     except InvalidLiftError:
-        return {}, (), {}, {}
+        return {}, (), {}, {}, {}
     rows = tuple(tuple(map(ids.__getitem__, map(id, psi.values))) for psi in table.irreducibles)
-    roots = {}
-    for k in range(e):
-        v = keys.get(zeta(e, k).key(e))
-        if v is not None:
-            roots[k] = v
-    return keys, rows, {row: i for i, row in enumerate(rows)}, roots
+    root_keys = ((k, zeta(e, k).key(e)) for k in range(e))
+    roots = {k: keys[key] for k, key in root_keys if key in keys}
+    powers = {v: k for k, v in roots.items()}
+    return keys, rows, {row: i for i, row in enumerate(rows)}, roots, powers
 
 
 @memoized
-def _galois_maps(table: CharacterTable) -> tuple[dict, tuple[int, ...]]:
-    """For each unit t mod the exponent: sigma_t as (class power map, row permutation).
+def _checked_maps(table: CharacterTable) -> dict:
+    """Each map of `table` checked so far, by (check name, label); None for a map that failed."""
+    return {}
 
-    Returns (maps, generators).  Row j goes to row perm[j], the row equal to
-    row j read through the class map (the value row j takes at class
-    cmap[c], at each class c).  The class map must be a bijection that
-    keeps class sizes, and the row map a bijection; a t whose maps fail
-    either check maps to None, and so does every t when two rows are equal
-    or a value lies outside Q(zeta_e).  The units are taken in increasing
-    order (`_checked_group`), and `generators` lists those whose maps were
-    checked in full and passed; they generate every unit that passed.
+
+def _checked_once(check):
+    """`check(table, label)`, computed when first asked for and kept in `_checked_maps`."""
+    @functools.wraps(check)
+    def checked(table, label):
+        maps = _checked_maps(table)
+        key = (check.__name__, label)
+        if key not in maps:
+            maps[key] = check(table, label)
+        return maps[key]
+
+    return checked
+
+
+@_checked_once
+def _galois_map(table: CharacterTable, t: int) -> tuple[tuple, tuple] | None:
+    """sigma_t, t a unit mod the exponent, as (class power map, row permutation), or None.
+
+    Row j goes to row perm[j], the row equal to row j read through the class
+    map (the value row j takes at class cmap[c], at each class c).  The
+    class map must be a bijection that keeps class sizes, and the row map a
+    bijection; maps that fail either check give None, and so does every t
+    when two rows are equal or a value lies outside Q(zeta_e).
     """
-    group = table.group
-    sizes = conjugacy_classes(group).sizes
-    e = group.exponent()
-    _, rows, index, _ = _value_ids(table)
-    distinct = len(index) == len(table.irreducibles)
-
-    def check(t):
-        cmap = _class_power_map(group, t)
-        if not (distinct and sorted(cmap) == list(range(len(sizes))) and all(
-                sizes[d] == size for d, size in zip(cmap, sizes))):
-            return None
-        perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
-        if None in perm or len(set(perm)) != len(rows):
-            return None
-        return cmap, perm
-
-    units = [t for t in range(e) if math.gcd(t, e) == 1]
-    return _checked_group(units, check, lambda s, _, t: s * t % e, _compose)
+    sizes = conjugacy_classes(table.group).sizes
+    _, rows, index, _, _ = _value_ids(table)
+    cmap = _class_power_map(table.group, t)
+    if not (len(index) == len(table.irreducibles) and sorted(cmap) == list(range(len(sizes)))
+            and all(sizes[d] == size for d, size in zip(cmap, sizes))):
+        return None
+    perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
+    if None in perm or len(set(perm)) != len(rows):
+        return None
+    return cmap, perm
 
 
-@memoized
-def _twist_maps(table: CharacterTable) -> tuple[dict, tuple[int, ...]]:
-    """For each linear row j (degree 1): the row permutation i -> index of r_i * r_j.
+@_checked_once
+def _twist_map(table: CharacterTable, j: int) -> tuple[int, ...] | None:
+    """The twist by the linear row lambda = r_j: the permutation i -> index of r_i * lambda.
 
-    Returns (maps, generators), as `_galois_maps` does, with the linear rows
-    taken in order.  The twist by lambda = r_j is used only if every value
-    of lambda is a power of zeta_e and the rows r_i * lambda are distinct
-    rows of the table; otherwise j maps to None, and so does every j when
-    two rows are equal or a value lies outside Q(zeta_e).  The product rows
-    are made in ids: a power of zeta_e times one is an exponent sum, and
-    any other value is multiplied once per distinct (value, power) pair.
+    The twist is used only if every value of lambda is a power of zeta_e
+    and the rows r_i * lambda are distinct rows of the table; otherwise it
+    is None, and so is every twist when two rows are equal or a value lies
+    outside Q(zeta_e).  The product rows are made in ids: a power of zeta_e
+    times one is an exponent sum, and any other value is multiplied once
+    per distinct (value, nonzero power) pair.
     """
     e = table.group.exponent()
-    irreducibles = table.irreducibles
-    keys, rows, index, roots = _value_ids(table)
-    power_of = {v: k for k, v in roots.items()}
-    distinct = len(index) == len(irreducibles)
-    products: dict = {}
+    keys, rows, index, roots, power_of = _value_ids(table)
+    distinct = len(index) == len(table.irreducibles)
+    powers = [power_of.get(v) for v in rows[j]] if distinct else [None]
+    if None in powers:
+        return None
+    if not any(powers):  # lambda = 1 fixes every row
+        return tuple(range(len(rows)))
+    products = {(v, 0): v for v in keys.values()}  # x * zeta_e^0 is x
+    perm = []
+    for row, psi in zip(rows, table.irreducibles):
+        twisted = []
+        for v, k, x in zip(row, powers, psi.values):
+            p = power_of.get(v)
+            if p is not None:
+                twisted.append(roots.get((p + k) % e))
+                continue
+            if (v, k) not in products:
+                products[v, k] = keys.get((x * zeta(e, k)).key(e))
+            twisted.append(products[v, k])
+        perm.append(index.get(tuple(twisted)))
+    if None in perm or len(set(perm)) != len(perm):
+        return None
+    return tuple(perm)
 
-    def check(j):
-        powers = [power_of.get(v) for v in rows[j]] if distinct else [None]
-        if None in powers:
-            return None
-        if not any(powers):  # lambda = 1 fixes every row
-            return tuple(range(len(rows)))
-        perm = []
-        for row, psi in zip(rows, irreducibles):
-            twisted = []
-            for v, k, x in zip(row, powers, psi.values):
-                p = power_of.get(v)
-                if p is not None:
-                    twisted.append(roots.get((p + k) % e))
-                    continue
-                if (v, k) not in products:
-                    products[v, k] = keys.get((x * zeta(e, k)).key(e))
-                twisted.append(products[v, k])
-            perm.append(index.get(tuple(twisted)))
-        if None in perm or len(set(perm)) != len(perm):
-            return None
-        return tuple(perm)
 
-    linear = [j for j, psi in enumerate(irreducibles) if psi.degree == 1]
-    return _checked_group(linear, check, lambda s, perm_s, t: perm_s[t],
-                          lambda first, then: tuple(map(first.__getitem__, then)))
+@memoized
+def _generators(table: CharacterTable) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """(units, linear_rows, every): labels whose maps generate every map of `table` that passes.
+
+    Units t label the Galois maps and multiply as s t mod e; linear rows j
+    label the twists and multiply as perm_j[s], the row r_s * r_j.  Labels
+    are taken in increasing order, and one is checked only when it lies
+    outside the group generated by the passing labels before it.  The
+    identity is checked but is no generator: its map moves nothing.  The
+    passing labels are closed under products, so a label that fails is
+    never reached, and `every` says whether every label of both kinds passes.
+    """
+    e = table.group.exponent()
+    units, every_unit = _generate([t for t in range(e) if math.gcd(t, e) == 1],
+                                  functools.partial(_galois_map, table),
+                                  lambda s, t, _: s * t % e)
+    linear, every_row = _generate([j for j, psi in enumerate(table.irreducibles) if psi.degree == 1],
+                                  functools.partial(_twist_map, table),
+                                  lambda s, _, perm: perm[s])
+    return units, linear, every_unit and every_row
+
+
+def _generate(labels, check, times) -> tuple[tuple, bool]:
+    """The generators among `labels`, found as `_generators` says, and whether they reach all.
+
+    `check(t)` is the map of t, or None; `times(s, t, map_t)` is the label
+    s t.  The group reached so far times the powers of a new generator t is
+    closed by walking each coset s, s t, s t^2, ... until it meets a label
+    already reached, so each map is read from its one check.
+    """
+    reached: set = set()
+    generators = []
+    for t in labels:
+        map_t = None if t in reached else check(t)
+        if map_t is None:
+            continue
+        if times(t, t, map_t) != t:  # the identity moves nothing
+            generators.append(t)
+        reached.add(t)
+        for s in list(reached):
+            st = times(s, t, map_t)
+            while st not in reached:
+                reached.add(st)
+                st = times(st, t, map_t)
+    return tuple(generators), len(reached) == len(labels)
 
 
 def _restricted_row(h: Subgroup, j: int) -> int | None:
@@ -449,62 +499,13 @@ def _restricted_row(h: Subgroup, j: int) -> int | None:
     zeta_f^(k f / e), f the exponent of H; a value with k f / e no integer,
     or powers that make no row of H, give None.
     """
-    _, rows_g, _, roots_g = _value_ids(family_table(h.parent))
-    _, _, index_h, roots_h = _value_ids(subgroup_table(h))
-    power_of = {v: k for k, v in roots_g.items()}
+    _, rows_g, _, _, power_of = _value_ids(family_table(h.parent))
+    _, _, index_h, roots_h, _ = _value_ids(subgroup_table(h))
     ratio = h.parent.exponent() // h.group.exponent()
     powers = [power_of[rows_g[j][c]] for c in _class_fusion(h)]
     if any(k % ratio for k in powers):
         return None
     return index_h.get(tuple(roots_h.get(k // ratio) for k in powers))
-
-
-def _checked_group(labels, check, times, compose) -> tuple[dict, tuple]:
-    """The maps of each label, and the generators: the labels checked in full that passed.
-
-    `check(t)` computes the maps of t and returns None when they fail.  The
-    maps that pass form a group under `compose`, whose labels multiply as
-    `times(s, maps_s, t)`.  Labels are taken in order; one in the group
-    generated by those that passed so far gets the composition of their
-    maps, which is the map it would compute, and any other is checked.  The
-    passing labels are closed under products, so a label that fails is
-    never reached by composition.  The identity, the one label with
-    t * t = t, is checked but is no generator: its maps move nothing.
-    """
-    maps, reached, generators = {}, {}, []
-    for t in labels:
-        if t in reached:
-            maps[t] = reached[t]
-            continue
-        maps[t] = check(t)
-        if maps[t] is not None:
-            if times(t, maps[t], t) != t:
-                generators.append(t)
-            _close_under(reached, t, maps[t], times, compose)
-    return maps, tuple(generators)
-
-
-def _compose(first, then):
-    """The maps of sigma_st from those of sigma_s (`first`) and sigma_t (`then`)."""
-    (cmap_s, perm_s), (cmap_t, perm_t) = first, then
-    return tuple(map(cmap_t.__getitem__, cmap_s)), tuple(map(perm_s.__getitem__, perm_t))
-
-
-def _close_under(reached: dict, t, maps_t, times, compose) -> None:
-    """Add to `reached`, a group of labels (or empty), its products with the powers of t.
-
-    The power t^j is new exactly until it falls in the old group; each new
-    power brings its coset, the old group times t^j.
-    """
-    old = list(reached.items())
-    power, maps_power = t, maps_t
-    while power not in reached:
-        reached[power] = maps_power
-        for s, maps_s in old:
-            label = times(s, maps_s, power)
-            if label not in reached:
-                reached[label] = compose(maps_s, maps_power)
-        power, maps_power = times(power, maps_power, t), compose(maps_power, maps_t)
 
 
 def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = False) -> list:
@@ -562,11 +563,12 @@ def validate_table(t: CharacterTable) -> TableValidation:
     """Check row count, degree sum, and both orthogonality relations exactly.
 
     Each sum is computed once per orbit of its pair under the maps of `t`
-    that pass their checks, given to `_orbit_totals` by their generators.
-    Galois maps (`_galois_maps`): if row r_i read through the class map
+    that pass their checks, given to `_orbit_totals` by the maps of their
+    generators (`_generators`), the only maps checked.
+    Galois maps (`_galois_map`): if row r_i read through the class map
     cmap is row r_p[i], and cmap keeps class sizes, then re-indexing gives
     <r_p[i], r_p[j]> = <r_i, r_j>, and the column sums at (cmap[c], cmap[c'])
-    and (c, c') agree.  Twists (`_twist_maps`) act on row pairs only: if
+    and (c, c') agree.  Twists (`_twist_map`) act on row pairs only: if
     r_i * lambda is r_p[i] and every value of lambda is a root of unity,
     then <r_p[i], r_p[j]> = <r_i, r_j>, while a column sum is scaled by
     lambda(c) conj(lambda(c')).  A table whose maps fail their checks has
@@ -590,12 +592,11 @@ def validate_table(t: CharacterTable) -> TableValidation:
         failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
     sizes = cls.sizes
     order = g.order
-    galois, units = _galois_maps(t)
-    twists, linear = _twist_maps(t)
-    row_maps = [(galois[u][1], galois[u][1]) for u in units]
-    row_maps += [(twists[j], twists[j]) for j in linear]
+    units, linear, _ = _generators(t)
+    galois = [_galois_map(t, u) for u in units]
+    perms = [perm for _, perm in galois] + [_twist_map(t, j) for j in linear]
     row_totals = _orbit_totals(
-        len(rows), len(rows), row_maps,
+        len(rows), len(rows), [(perm, perm) for perm in perms],
         lambda reps: [weighted_product_sum(rows[i].values, rows[j].conj_values, sizes)
                       for i, j in reps], symmetric=True)
     for i, ri in enumerate(rows):
@@ -610,7 +611,7 @@ def validate_table(t: CharacterTable) -> TableValidation:
     columns = [tuple(r.values[c] for r in rows) for c in range(k)]
     conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
     column_totals = _orbit_totals(
-        k, k, [(galois[u][0], galois[u][0]) for u in units],
+        k, k, [(cmap, cmap) for cmap, _ in galois],
         lambda reps: [weighted_product_sum(columns[c], conj_columns[cp]) for c, cp in reps],
         symmetric=True)
     for c in range(k):

@@ -12,7 +12,7 @@ Three exact symmetries fill most of the matrix without arithmetic:
 * Twists.  For a linear character lambda of G, with nu = lambda read on H
   through the class fusion, (psi nu) induced to G is (psi induced to G)
   times lambda, and |lambda| = 1, so M[psi nu][chi lambda] = M[psi][chi]
-  (`chars._twist_maps`, `chars._restricted_row`).
+  (`chars._twist_map`, `chars._restricted_row`).
 * Class fusion.  An entry is (1/|H|) * sum over the classes d of H of
   |d| psi(d) conj(chi(fuse(d))), so it is fixed by the family group of H
   and its class fusion in G (`chars._class_fusion`).  One matrix is kept
@@ -23,8 +23,9 @@ Three exact symmetries fill most of the matrix without arithmetic:
 
 Within a matrix, only the first entry of each orbit of (psi, chi) pairs
 under the Galois maps and twists is computed (`chars._orbit_totals`, the
-orbit routine of table validation, given the maps checked in full, which
-generate the rest), and every other entry is read from it.
+orbit routine of table validation, given the maps of the generators of
+G's table, `chars._generators`, each paired with the map of H it reads
+as), and every other entry is read from it.
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
 and is certified a nonnegative integer; every row of the filled matrix
@@ -34,10 +35,10 @@ call over the classes where psi induced to G is nonzero, the classes
 that meet H (`chars.decompose`); the restriction path takes one
 `inner_product` per entry, so every batched entry is checked against a
 sum computed on its own.  Rows are matched by
-exact keys of their values by `chars._galois_maps` and `chars._twist_maps`,
-the memos of each table's Galois maps and twists, which check every map
-before it is used; here a map that fails its check, a twist of G that
-reads on H as no linear row of H, or a path disagreement raises
+exact keys of their values by `chars._galois_map` and `chars._twist_map`,
+which check each map when it is first asked for and keep it on its table;
+here a table with a Galois map or twist that fails its check, a twist of
+G that reads on H as no linear row of H, or a path disagreement raises
 `InternalConsistencyError`.
 Called without a subset of entries, `multiplicity_by_induction` and
 `multiplicity_by_restriction` compute the whole matrix, the reference for
@@ -57,10 +58,11 @@ from dataclasses import dataclass
 
 from .chars import (
     _class_fusion,
-    _galois_maps,
+    _galois_map,
+    _generators,
     _orbit_totals,
     _restricted_row,
-    _twist_maps,
+    _twist_map,
     decompose,
     induce,
     inner_product,
@@ -205,24 +207,24 @@ def _matrices(g: FiniteGroup) -> dict:
 def _orbit_matrix(h: Subgroup) -> MultiplicityMatrix:
     g = h.parent
     th, tg = subgroup_table(h), family_table(g)
-    e_h = h.group.exponent()
-    (galois_h, _), (galois_g, units) = _galois_maps(th), _galois_maps(tg)
-    (twists_h, _), (twists_g, linear) = _twist_maps(th), _twist_maps(tg)
-    for table, galois, twists in ((th, galois_h, twists_h), (tg, galois_g, twists_g)):
-        if None in galois.values() or None in twists.values():
+    for table in (th, tg):
+        if not _generators(table)[2]:
             raise InternalConsistencyError(
                 f"a Galois map or a twist does not permute the rows of the table of "
                 f"{table.group.name}")
     # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g,
     # and a twist of G by lambda twists H by lambda read through the fusion
-    maps = [(galois_h[t % e_h][1], galois_g[t][1]) for t in units]
+    e_h = h.group.exponent()
+    units, linear, _ = _generators(tg)
+    maps = [(_galois_map(th, t % e_h)[1], _galois_map(tg, t)[1]) for t in units]
     for j in linear:
         restricted = _restricted_row(h, j)
-        if restricted not in twists_h:
+        twist = None if restricted is None else _twist_map(th, restricted)
+        if twist is None:
             raise InternalConsistencyError(
                 f"row {tg.irreducibles[j].name} read on a subgroup of order {h.order} "
                 f"of {g.name} is no linear row of its table")
-        maps.append((twists_h[restricted], twists_g[j]))
+        maps.append((twist, _twist_map(tg, j)))
 
     def both_paths(reps):
         wanted: dict[int, list[int]] = {}

@@ -1,5 +1,7 @@
 """Character tables, induction/restriction calculus, and the constructive oracle."""
 
+import functools
+import gc
 import json
 import math
 import tracemalloc
@@ -15,12 +17,15 @@ from sgp.chars import (
     CharacterTable,
     ClassFunction,
     TableValidation,
+    _checked_maps,
     _class_fusion,
     _class_power_map,
     _cyclic_rows,
-    _galois_maps,
+    _galois_map,
+    _generators,
     _orbit_totals,
-    _twist_maps,
+    _twist_map,
+    _value_ids,
     constructive_family_table,
     decompose,
     family_table,
@@ -636,15 +641,16 @@ def test_orbit_validation_of_a_broken_table_equals_the_pairwise_reference(make):
 
 def test_the_galois_stable_broken_table_reaches_swapped_pairs():
     t = _galois_stable_nonreal_sums()
-    assert None not in _galois_maps(t)[0].values()
+    assert None not in map(functools.partial(_galois_map, t), _units(t.group))
     assert any("z7" in f for f in validate_table(t).failures)
 
 
 def test_a_linear_row_off_the_roots_of_unity_is_not_used_as_a_twist():
     t = _linear_row_off_the_roots()
-    maps, generators = _twist_maps(t)
+    assert [j for j, psi in enumerate(t.irreducibles) if psi.degree == 1] == [0, 1]
+    assert (_twist_map(t, 0), _twist_map(t, 1)) == ((0, 1, 2, 3), None)
     # the trivial row passes, but moves nothing, so it is no generator
-    assert maps == {0: (0, 1, 2, 3), 1: None} and generators == ()
+    assert _generators(t)[1:] == ((), False)
     assert validate_table(t) == validate_pairwise(t)
 
 
@@ -656,7 +662,7 @@ def test_a_class_map_that_does_not_keep_class_sizes_is_not_used(monkeypatch):
     t = CharacterTable(g, tuple(ClassFunction(g, tuple(map(rational, r)), f"r_{i}")
                                 for i, r in enumerate(rows)), "closed-form")
     monkeypatch.setattr(sgp.chars, "_class_power_map", lambda group, s: (0, 1, 3, 2))
-    assert set(_galois_maps(t)[0].values()) == {None}
+    assert set(map(functools.partial(_galois_map, t), _units(g))) == {None}
     assert validate_table(t) == validate_pairwise(t)
 
 
@@ -670,8 +676,14 @@ def test_class_power_map_equals_repeated_multiplication(g):
         powers = [g.mul[x][rep] for x, rep in zip(powers, cls.reps)]
 
 
+def _units(group):
+    """The units mod the exponent of `group`, the labels of its Galois maps."""
+    e = group.exponent()
+    return [t for t in range(e) if math.gcd(t, e) == 1]
+
+
 def direct_galois_maps(table):
-    """`_galois_maps` with every unit's maps computed and checked on their own."""
+    """`_galois_map` of every unit, each unit's maps computed and checked on their own."""
     group = table.group
     sizes = conjugacy_classes(group).sizes
     e = group.exponent()
@@ -698,7 +710,7 @@ def direct_galois_maps(table):
 
 
 def direct_twist_maps(table):
-    """`_twist_maps` with the twist by every linear row computed and checked on its own.
+    """`_twist_map` of every linear row, each twist computed and checked on its own.
 
     Every row is multiplied by every linear row cell by cell, as exact
     `Cyclotomic` products (each pair of value objects once), and the product
@@ -767,8 +779,17 @@ def _family_tables(top, large):
     ids=["family", "broken"])
 def test_composed_galois_maps_equal_the_direct_maps(tables):
     for t in tables():
-        maps, direct = _galois_maps(t)[0], direct_galois_maps(t)
-        assert maps == direct and list(maps) == list(direct)
+        direct = direct_galois_maps(t)
+        assert {u: _galois_map(t, u) for u in direct} == direct
+        # the units composed from the generators are exactly those that pass
+        e = t.group.exponent()
+        units = _generators(t)[0]
+        reached = {1 % e}
+        for u in units:
+            reached = {s * pow(u, k, e) % e for s in reached for k in range(e)}
+        passed = {u for u, maps in direct.items() if maps is not None}
+        assert passed == (reached if passed else set())
+        assert not any(u * u % e == u for u in units)  # the identity is no generator
 
 
 @pytest.mark.parametrize(
@@ -778,12 +799,15 @@ def test_composed_galois_maps_equal_the_direct_maps(tables):
     ids=["family", "broken"])
 def test_composed_twist_maps_equal_the_direct_maps(tables):
     for t in tables():
-        (maps, generators), direct = _twist_maps(t), direct_twist_maps(t)
-        assert maps == direct and list(maps) == list(direct)
-        # the twists checked in full generate every twist that passed
-        passed = {perm for perm in maps.values() if perm is not None}
-        generated = _generated([maps[j] for j in generators], len(t.irreducibles))
+        direct = direct_twist_maps(t)
+        assert {j: _twist_map(t, j) for j in direct} == direct
+        # the twists composed from the generators are exactly those that pass
+        _, linear, every = _generators(t)
+        passed = {perm for perm in direct.values() if perm is not None}
+        generated = _generated([direct[j] for j in linear], len(t.irreducibles))
         assert passed == (generated if passed else set())
+        galois = map(functools.partial(_galois_map, t), _units(t.group))
+        assert every == (None not in direct.values() and None not in galois)
 
 
 def test_validation_computes_one_sum_per_orbit(monkeypatch):
@@ -833,10 +857,10 @@ def test_orbit_fill_over_generators_equals_the_fill_over_the_whole_group(monkeyp
     # C256's row pairs under its Galois maps: the generators checked in full
     # against all 128 units
     t = family_table(cyclic_group(256))
-    maps, units = _galois_maps(t)
+    units = _generators(t)[0]
     n = len(t.irreducibles)
-    whole = fill(n, n, [(perm, perm) for _, perm in maps.values()], True)
-    assert fill(n, n, [(maps[u][1], maps[u][1]) for u in units], True) == whole
+    whole = fill(n, n, [(_galois_map(t, u)[1],) * 2 for u in _units(t.group)], True)
+    assert fill(n, n, [(_galois_map(t, u)[1],) * 2 for u in units], True) == whole
     assert units == (3, 5)
     # D72's (psi, chi) pairs under the Galois maps and twists of each matrix,
     # against every composition of those maps
@@ -854,7 +878,7 @@ def test_orbit_fill_holds_one_grid_of_pairs():
     # 256 * 256 pairs of C256's rows in 766 orbits; one grid of pointers to
     # the totals is about 0.6 MB
     t = family_table(cyclic_group(256))
-    maps = [(perm, perm) for _, perm in filter(None, _galois_maps(t)[0].values())]
+    maps = [(_galois_map(t, u)[1],) * 2 for u in _units(t.group)]
     n = len(t.irreducibles)
     reps = []
     assert not tracemalloc.is_tracing()
@@ -867,6 +891,26 @@ def test_orbit_fill_holds_one_grid_of_pairs():
     assert peak < 2_000_000
     assert len(reps) == 766
     assert [row.count(0) for row in grid] == [n] * n
+
+
+def test_validation_keeps_only_the_maps_it_checks():
+    t = family_table(cyclic_group(256))
+    _value_ids(t)  # the ids every check reads, kept as long as the table
+    gc.collect()
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        assert validate_table(t).passed
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the identity is checked and 3, 5 generate the units mod 256; the
+    # trivial row is checked and mu_1 generates the twists
+    assert sorted(_checked_maps(t)) == [("_galois_map", 1), ("_galois_map", 3),
+                                        ("_galois_map", 5), ("_twist_map", 0), ("_twist_map", 1)]
+    # a map of every unit and every linear row kept about 1.7 MiB
+    assert kept < 1 << 20
 
 
 @pytest.mark.parametrize("family, n", [("dihedral", 128), ("dicyclic", 64), ("cyclic", 128)])

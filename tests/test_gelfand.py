@@ -295,10 +295,7 @@ def _wrong_generator(original):
 
 
 def _failed_twists(original):
-    def failed(table):
-        maps, _ = original(table)
-        return dict.fromkeys(maps), ()
-    return failed
+    return lambda table, j: None
 
 
 def _no_restricted_row(original):
@@ -306,12 +303,12 @@ def _no_restricted_row(original):
 
 
 _PATCH_HOMES = {"_class_power_map": sgp.chars, "subgroup_structure": sgp.groups,
-                "_twist_maps": sgp.gelfand, "_restricted_row": sgp.gelfand}
+                "_twist_map": sgp.gelfand, "_restricted_row": sgp.gelfand}
 
 
 @pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
                                          ("subgroup_structure", _wrong_generator),
-                                         ("_twist_maps", _failed_twists),
+                                         ("_twist_map", _failed_twists),
                                          ("_restricted_row", _no_restricted_row)])
 def test_a_wrong_transport_is_an_internal_consistency_error(name, wrong, monkeypatch, capsys):
     home = _PATCH_HOMES[name]
@@ -392,6 +389,33 @@ def test_matrix_of_a_squared_is_its_closed_form(g):
     half = h.order // 2
     witness = Witness(f"μ_{half}", f"ψ_{half}", 2) if h.order % 2 == 0 else None
     assert m.first_witness() == witness
+
+
+@pytest.mark.parametrize("g", [dihedral_group(n) for n in range(3, 41)]
+                         + [dicyclic_group(n) for n in range(2, 21)], ids=lambda g: g.name)
+def test_matrix_of_the_rotation_subgroup_is_its_closed_form(g):
+    # Frobenius reciprocity on the index-2 subgroup <a> = C_m: each linear
+    # row restricts to mu_0 or mu_(m/2) (chi_1, chi_2, theta_1, theta_2 are
+    # trivial on a; chi_3, chi_4, theta_3, theta_4 take -1 there), and each
+    # row of degree 2 to mu_s + mu_-s, with s = k for psi_k, 2k for pi_k
+    # and 2k - 1 for gamma_k.  Every entry is at most 1.
+    h = generated_subgroup(g, ["a"])
+    m = multiplicity_matrix(h)
+    order = h.order
+
+    def closed_form(row, col):
+        j = int(row.removeprefix("μ_"))
+        name, _, k = col.partition("_")
+        k = int(k)
+        if name in ("χ", "θ"):
+            return int(j == (0 if k <= 2 else order // 2))
+        s = {"ψ": k, "π": 2 * k, "γ": 2 * k - 1}[name]
+        return ((j - s) % order == 0) + ((j + s) % order == 0)
+
+    assert m.entries == tuple(tuple(closed_form(row, col) for col in m.col_names)
+                              for row in m.row_names)
+    assert m.first_witness() is None
+    assert predict(g.family, g.n).predicate(sgp.groups.describe_subgroup(h))
 
 
 # -- classification ---------------------------------------------------------------
