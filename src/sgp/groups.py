@@ -493,42 +493,45 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Subgroup]:
     """Every subgroup of g, each exactly once, sorted by (order, members).
 
-    Cyclic extension up to conjugacy (Neubüser 1960): the first subgroup
-    found in each conjugacy class carries one generating tuple, and is
-    extended only by the distinct cyclic subgroups <x> with x outside it,
-    <H, x> being the closure of its tuple plus x.  The rest of its class is
-    reached by a breadth-first search over conjugation by the generators
-    of g.  Every subgroup is the join of its cyclic subgroups, one at a
-    time, and a conjugate of a join is the join of the conjugates, so the
-    search is complete.
+    Cyclic extension by normalizing elements (Neubüser 1960; Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, 2005): starting
+    from the trivial subgroup, every subgroup H found, with a tuple that
+    generates it, is extended by each distinct cyclic subgroup <x> with x
+    outside H and x y x^-1 in H for every y of the tuple.  Then x
+    normalizes H, and <H, x> is the union of the cosets H x^k for
+    0 <= k < m, where m = |<x>| / |<x> ∩ H| is the least k > 0 with x^k in
+    H, so no closure is searched.
+
+    The search is complete for the three families.  Every subgroup K != 1
+    is cyclic, dihedral or dicyclic, so it has a normal subgroup H of prime
+    index: <x^p> in a cyclic K = <x> of order divisible by p, the rotation
+    subgroup in a dihedral or dicyclic K.  By induction on the order, H has
+    been found with a tuple that generates it.  For any y in K outside H,
+    the listed generator x of <y> is again in K outside H, it normalizes
+    H, and H <x> = K because the index is prime.  A group of any other
+    family raises `UnsupportedFamilyError`, since its table need not be
+    solvable and the search could then miss subgroups.
     """
     check_order(g.order, max_order)
+    if g.family not in _CONSTRUCTORS:
+        raise UnsupportedFamilyError(f"no subgroup enumeration for {g.name} of family {g.family!r}")
     cyclic: dict[frozenset[int], int] = {}
     for x in range(g.order):
         cyclic.setdefault(frozenset(g.powers(x)), x)
-    found: set[frozenset[int]] = set()
-    work: list[tuple[frozenset[int], tuple[int, ...]]] = []  # (first, its generators)
-
-    def add_class(h, gens):
-        if h in found:
-            return
-        work.append((h, gens))
-        found.add(h)
-        queue = [h]
-        for members in queue:  # the queue grows while it is read
-            for s in g.gens.values():
-                j = frozenset(g.conjugate(y, s) for y in members)
-                if j not in found:
-                    found.add(j)
-                    queue.append(j)
-
-    for h, x in cyclic.items():
-        add_class(h, (x,))
-    while work:
-        h, gens = work.pop()
+    mul = g.mul
+    trivial = frozenset((g.identity,))
+    found = {trivial}
+    work: list[tuple[frozenset[int], tuple[int, ...]]] = [(trivial, ())]  # (H, its generators)
+    for h, gens in work:  # the work list grows while it is read
         for x in cyclic.values():
-            if x not in h:
-                add_class(_closure(g, gens + (x,)), gens + (x,))
+            if x in h or any(g.conjugate(y, x) not in h for y in gens):
+                continue
+            powers = g.powers(x)
+            cosets = powers[:len(powers) // len(h.intersection(powers))]
+            k = frozenset(mul[y][p] for p in cosets for y in h)
+            if k not in found:
+                found.add(k)
+                work.append((k, gens + (x,)))
     members = sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))
     return [Subgroup(g, m) for m in members]
 

@@ -330,6 +330,22 @@ def test_row_degree_accounting():
             assert total == h.index * psi.degree.as_rational_integer()
 
 
+@pytest.mark.parametrize("family, hi", [("cyclic", 40), ("dihedral", 32), ("dicyclic", 16)])
+def test_squared_multiplicities_count_conjugation_orbits(family, hi):
+    # column orthogonality gives sum_chi |chi(h)|^2 = |G| / |h^G|, so
+    # sum_(psi, chi) M[psi][chi]^2 = sum_chi <chi|H, chi|H>
+    # = (1/|H|) sum_(h in H) |G| / |h^G|, the number of orbits of H on G by
+    # conjugation: integers from the members and class sizes alone, with no
+    # character value, and a check that no degree sum can make
+    for n in range(1, hi + 1):
+        g = build_group(family, n)
+        classes = conjugacy_classes(g)
+        for h in all_subgroups(g):
+            orbits = sum(g.order // classes.sizes[classes.class_of[x]] for x in h.members)
+            squares = sum(e * e for row in multiplicity_matrix(h).entries for e in row)
+            assert squares * h.order == orbits, (g.name, h.members)
+
+
 # -- gelfand / strong gelfand ---------------------------------------------------
 
 
@@ -370,51 +386,47 @@ def test_proper_rotation_subgroups_of_odd_dihedral_fail_with_mult_2():
 @pytest.mark.parametrize("g", [dihedral_group(n) for n in range(4, 41, 2)]
                          + [dicyclic_group(n) for n in range(2, 21, 2)], ids=lambda g: g.name)
 def test_matrix_of_a_squared_is_its_closed_form(g):
-    # Frobenius reciprocity: psi_k restricts to <a^2> = C_m (m = n/2 in D_2n,
-    # n in Dic_4n) as mu_k + mu_-k, and every linear character as mu_0, so
-    # <mu_j induced, psi_k> = [k = j] + [k = -j] mod m and <mu_j induced,
-    # chi> = [j = 0].  The one entry 2 is at j = k = m/2, for m even.
+    # the entries of <a^2> = C_m are checked with every rotation subgroup
+    # below; the one entry 2 is at j = k = m/2, for m even
     h = generated_subgroup(g, ["a^2"])
-    m = multiplicity_matrix(h)
-
-    def closed_form(row, col):
-        j = int(row.removeprefix("μ_"))
-        if not col.startswith("ψ_"):
-            return int(j == 0)
-        k = int(col.removeprefix("ψ_"))
-        return ((k - j) % h.order == 0) + ((k + j) % h.order == 0)
-
-    assert m.entries == tuple(tuple(closed_form(row, col) for col in m.col_names)
-                              for row in m.row_names)
     half = h.order // 2
     witness = Witness(f"μ_{half}", f"ψ_{half}", 2) if h.order % 2 == 0 else None
-    assert m.first_witness() == witness
+    assert multiplicity_matrix(h).first_witness() == witness
 
 
 @pytest.mark.parametrize("g", [dihedral_group(n) for n in range(3, 41)]
                          + [dicyclic_group(n) for n in range(2, 21)], ids=lambda g: g.name)
 def test_matrix_of_the_rotation_subgroup_is_its_closed_form(g):
-    # Frobenius reciprocity on the index-2 subgroup <a> = C_m: each linear
-    # row restricts to mu_0 or mu_(m/2) (chi_1, chi_2, theta_1, theta_2 are
-    # trivial on a; chi_3, chi_4, theta_3, theta_4 take -1 there), and each
-    # row of degree 2 to mu_s + mu_-s, with s = k for psi_k, 2k for pi_k
-    # and 2k - 1 for gamma_k.  Every entry is at most 1.
-    h = generated_subgroup(g, ["a"])
-    m = multiplicity_matrix(h)
-    order = h.order
+    # Frobenius reciprocity on each rotation subgroup C_d = <a^(R/d)>, R the
+    # order of a: every row chi takes zeta_R^(se) on a^e if it is linear and
+    # zeta_R^(se) + zeta_R^(-se) if it has degree 2, with s = 0 for chi_1,
+    # chi_2, theta_1, theta_2 (trivial on a), s = R/2 for chi_3, chi_4,
+    # theta_3, theta_4, and s = k for psi_k, 2k for pi_k and 2k - 1 for
+    # gamma_k.  So <mu_j induced, chi> is [j = s] or [j = s] + [j = -s] mod d,
+    # when the embedding's generator is a^(R/d).
+    a = g.gens["a"]
+    rot = g.element_order(a)
 
-    def closed_form(row, col):
+    def closed_form(row, col, d):
         j = int(row.removeprefix("μ_"))
         name, _, k = col.partition("_")
         k = int(k)
         if name in ("χ", "θ"):
-            return int(j == (0 if k <= 2 else order // 2))
+            return int((j - (0 if k <= 2 else rot // 2)) % d == 0)
         s = {"ψ": k, "π": 2 * k, "γ": 2 * k - 1}[name]
-        return ((j - s) % order == 0) + ((j + s) % order == 0)
+        return ((j - s) % d == 0) + ((j + s) % d == 0)
 
-    assert m.entries == tuple(tuple(closed_form(row, col) for col in m.col_names)
-                              for row in m.row_names)
-    assert m.first_witness() is None
+    rotations = [h for h in all_subgroups(g) if h.members[-1] < rot]
+    assert [h.order for h in rotations] == [d for d in range(1, rot + 1) if rot % d == 0]
+    for h in rotations:
+        d = h.order
+        if d > 1:
+            assert h.embedding()[1] == g.power(a, rot // d)
+        m = multiplicity_matrix(h)
+        assert m.entries == tuple(tuple(closed_form(row, col, d) for col in m.col_names)
+                                  for row in m.row_names), d
+    h = rotations[-1]  # <a>, of index 2: every entry is at most 1
+    assert multiplicity_matrix(h).first_witness() is None
     assert predict(g.family, g.n).predicate(sgp.groups.describe_subgroup(h))
 
 

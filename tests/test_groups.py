@@ -400,28 +400,16 @@ def _first_conjugates(g, subs):
     return [first[k.members] for k in subs]
 
 
-@pytest.mark.parametrize("g, budget", [(dihedral_group(36), 1152), (dicyclic_group(14), 296)],
-                         ids=["D72", "Dic56"])
-def test_all_subgroups_extends_one_subgroup_per_conjugacy_class(g, budget, monkeypatch):
-    # the cyclic subgroups are read off the power walks, so each closure
-    # extends the first subgroup of a class by one cyclic subgroup: at most
-    # one per (class, cyclic subgroup) pair; extending every conjugate costs more
-    closure = sgp.groups._closure
-    calls = []
+@pytest.mark.parametrize("family, n", [("dihedral", 36), ("dicyclic", 14)], ids=["D72", "Dic56"])
+def test_all_subgroups_searches_no_closure(family, n, monkeypatch):
+    # each join is a union of cosets, so enumeration never calls _closure
+    g = build_group(family, n)
 
-    def counted(group, gens):
-        calls.append(gens)
-        return closure(group, gens)
+    def refused(group, gens):
+        raise AssertionError("all_subgroups searched a closure")
 
-    monkeypatch.setattr(sgp.groups, "_closure", counted)
-    subs = all_subgroups(g)
-    monkeypatch.undo()
-    classes = len({id(first) for first in _first_conjugates(g, subs)})
-    cyclic = sum(1 for h in subs if any(g.element_order(x) == h.order for x in h.members))
-    assert g.order + classes * cyclic == budget
-    assert len(calls) <= budget
-    assert len(calls) <= classes * cyclic
-    assert all(len(gens) >= 2 for gens in calls)
+    monkeypatch.setattr(sgp.groups, "_closure", refused)
+    assert [h.members for h in all_subgroups(g)] == closed_form_subgroups(family, n)
 
 
 def test_all_subgroups_respects_size_bound():
@@ -544,6 +532,8 @@ def test_non_cyclic_subgroup_of_unknown_family_is_refused():
         subgroup_structure(whole)
     with pytest.raises(UnsupportedFamilyError):
         describe_subgroup(whole)
+    with pytest.raises(UnsupportedFamilyError):
+        all_subgroups(g)
 
 
 def test_conjugates_share_one_family_group():
