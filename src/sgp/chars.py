@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclo import Cyclotomic, rational, weighted_product_sum, weighted_product_sums, zeta
@@ -96,21 +96,31 @@ def _i_sign(k: int) -> Cyclotomic:
     return _I if k % 2 == 0 else _MINUS_I
 
 
-@dataclass(frozen=True)
 class ClassFunction:
-    """A function on a group constant on conjugacy classes."""
+    """A function on a group constant on conjugacy classes.
 
-    group: FiniteGroup
-    values: tuple[Cyclotomic, ...]
-    name: str = ""
+    Immutable, and equal to a function with the same group, values and name.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        k = len(conjugacy_classes(self.group).reps)
-        if len(self.values) != k:
-            raise DomainMismatchError(
-                f"{len(self.values)} values supplied for {k} conjugacy classes"
-            )
+    def __init__(self, group: FiniteGroup, values: tuple[Cyclotomic, ...], name: str = ""):
+        values = tuple(values)
+        k = len(conjugacy_classes(group).reps)
+        if len(values) != k:
+            raise DomainMismatchError(f"{len(values)} values supplied for {k} conjugacy classes")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassFunction is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.values, self.name) == (other.group, other.values, other.name)
+
+    def __hash__(self):
+        return hash((self.group, self.values, self.name))
 
     @property
     def degree(self) -> Cyclotomic:
@@ -129,16 +139,33 @@ class ClassFunction:
         return f"<ClassFunction {self.name or '?'} on {self.group.name}: [{vals}]>"
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    """An ordered list of irreducible characters of one group."""
+    """An ordered list of irreducible characters of one group.
 
-    group: FiniteGroup
-    irreducibles: tuple[ClassFunction, ...]
-    provenance: str = "closed-form"
+    Immutable, and equal to a table with the same group, rows and provenance.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "irreducibles", tuple(self.irreducibles))
+    def __init__(self, group: FiniteGroup, irreducibles: tuple[ClassFunction, ...],
+                 provenance: str = "closed-form"):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "irreducibles", tuple(irreducibles))
+        object.__setattr__(self, "provenance", provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CharacterTable is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.irreducibles, self.provenance)
+                == (other.group, other.irreducibles, other.provenance))
+
+    def __hash__(self):
+        return hash((self.group, self.irreducibles, self.provenance))
+
+    def __repr__(self):
+        return (f"CharacterTable(group={self.group!r}, irreducibles={self.irreducibles!r}, "
+                f"provenance={self.provenance!r})")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -553,8 +580,10 @@ def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = F
 # -- validation and decomposition --------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableValidation:
+class TableValidation(namedtuple("TableValidation", "passed failures")):
+    """Whether a table passed `validate_table`, and each failure found, in order."""
+
+    __slots__ = ()
     passed: bool
     failures: tuple[str, ...]
 

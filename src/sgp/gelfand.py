@@ -54,7 +54,7 @@ side is right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chars import (
     _class_fusion,
@@ -106,17 +106,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "psi chi mult")):
     """A pair with multiplicity >= 2 certifying failure of the strong property."""
 
+    __slots__ = ()
     psi: str
     chi: str
     mult: int
 
 
-@dataclass(frozen=True)
-class MultiplicityMatrix:
+class MultiplicityMatrix(namedtuple("MultiplicityMatrix", "row_names col_names entries")):
+    """The multiplicities <psi induced to G, chi>, one row per psi and one column per chi."""
+
+    __slots__ = ()
     row_names: tuple[str, ...]
     col_names: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
@@ -271,8 +273,11 @@ def is_strong_gelfand(h: Subgroup) -> tuple[bool, Witness | None]:
     return (witness is None, witness)
 
 
-@dataclass(frozen=True)
-class SubgroupRecord:
+class SubgroupRecord(namedtuple("SubgroupRecord", "descriptor order index members gelfand "
+                                                   "strong_gelfand witness")):
+    """The verdicts on one subgroup; `witness` is None when it is strong Gelfand."""
+
+    __slots__ = ()
     descriptor: str
     order: int
     index: int
@@ -282,11 +287,13 @@ class SubgroupRecord:
     witness: Witness | None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(namedtuple("ClassificationReport", "group records subgroups")):
+    """One `SubgroupRecord` per subgroup of `group`, aligned with `subgroups`."""
+
+    __slots__ = ()
     group: FiniteGroup
     records: tuple[SubgroupRecord, ...]
-    subgroups: tuple[Subgroup, ...]  # aligned with records
+    subgroups: tuple[Subgroup, ...]
 
 
 def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> ClassificationReport:
@@ -311,10 +318,10 @@ def classify_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Cl
     return ClassificationReport(g, tuple(records), tuple(subgroups))
 
 
-@dataclass(frozen=True)
-class ClassificationRule:
+class ClassificationRule(namedtuple("ClassificationRule", "family n")):
     """Closed-form prediction of the strong Gelfand subgroups of a family."""
 
+    __slots__ = ()
     family: str
     n: int
 
@@ -354,8 +361,10 @@ def predict(family: str, n: int) -> ClassificationRule:
     return ClassificationRule(family, n)
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(namedtuple("AuditEntry", "record predicted")):
+    """A `SubgroupRecord` and the strong Gelfand verdict the rules predict for it."""
+
+    __slots__ = ()
     record: SubgroupRecord
     predicted: bool
 
@@ -364,8 +373,10 @@ class AuditEntry:
         return self.record.strong_gelfand == self.predicted
 
 
-@dataclass(frozen=True)
-class GroupAudit:
+class GroupAudit(namedtuple("GroupAudit", "family n group_name entries")):
+    """The `AuditEntry` of every subgroup of one family group."""
+
+    __slots__ = ()
     family: str
     n: int
     group_name: str
@@ -389,8 +400,10 @@ class GroupAudit:
         return self.total - self.disagree
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(namedtuple("AuditReport", "family audits")):
+    """The `GroupAudit` of each group of a family audited over a range of n."""
+
+    __slots__ = ()
     family: str
     audits: tuple[GroupAudit, ...]
 

@@ -41,8 +41,8 @@ import functools
 import gc
 import math
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 from .errors import (
     InternalConsistencyError,
@@ -326,10 +326,10 @@ def map_family(family: str, ns: Iterable[int], fn: Callable[[FiniteGroup], objec
         gc.unfreeze()
 
 
-@dataclass(frozen=True)
-class ConjugacyClasses:
+class ConjugacyClasses(namedtuple("ConjugacyClasses", "class_of reps sizes classes")):
     """Partition of a group under conjugation, ordered by minimal element."""
 
+    __slots__ = ()
     class_of: tuple[int, ...]
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -360,12 +360,18 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
     return result
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A closed subset of a parent group, validated at construction."""
+    """A closed subset of a parent group, validated at construction.
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
+    Immutable, and equal to a subgroup of the same parent with the same
+    members.  `__init__` validates through `Subgroup.__post_init__`, looked
+    up on the class, so a wrapper put there sees every construction.
+    """
+
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self):
         mem = tuple(sorted(set(self.members)))
@@ -385,6 +391,17 @@ class Subgroup:
                     raise InvalidParameterError("subgroup is not closed under multiplication")
         if p.order % len(mem):
             raise InvalidParameterError("subgroup order must divide the group order")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subgroup is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.members) == (other.parent, other.members)
+
+    def __hash__(self):
+        return hash((self.parent, self.members))
 
     def __repr__(self):
         return f"<Subgroup of {self.parent.name} order={self.order}>"

@@ -1,13 +1,20 @@
 """Every name a package module imports is read there or re-exported in `__all__`,
-every name in a module's `__all__` is bound there, and every module-level
-private name is read by some package module."""
+every name in a module's `__all__` is bound there, every module-level
+private name is read by some package module, and importing the command line
+loads none of the slow stdlib modules `dataclasses`, `inspect` and `typing`."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sgp"
+
+# each costs milliseconds at every start of `sgp`, and no stdlib module sgp
+# uses loads one of them (checked on 3.10 to 3.13)
+SLOW_MODULES = ("dataclasses", "inspect", "typing")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -110,3 +117,33 @@ def test_unread_private_names_are_found():
 def test_no_unread_private_names():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level name of every module an import statement of `source` names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    source = "import os.path, re as r\nfrom dataclasses import dataclass\nfrom . import x\n"
+    assert imported_modules(source) == {"dataclasses", "os", "re"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_cli_import_loads_no_slow_stdlib_module():
+    # -S: without `site`, which may preload any module through a .pth file
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import sgp.cli; "
+            f"print(*sorted(m for m in {SLOW_MODULES!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == []
