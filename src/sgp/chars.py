@@ -23,16 +23,16 @@ one sum per orbit of row pairs under the table's Galois maps sigma_t
 (class power maps and the row permutations they induce) and its twists
 (the row permutations r -> r * lambda for each linear row lambda), and
 one per orbit of column pairs under the Galois maps.  Each map is
-checked when it is first asked for (`_galois_map`, `_twist_map`) and kept
-in one memo per table, and each table keeps one list of the labels whose
-maps generate the rest (`_generators`); no map is composed, and a map
-that fails its check is not used, so a bad table is reported, never
-raised on.  One orbit routine, `_orbit_totals`, fills one grid of those
-pairs: it closes each orbit by a breadth-first search over the
-generators' maps, computes one total per orbit and reads the rest from
-it; it also fills the (psi, chi) pairs of a multiplicity matrix in
-`gelfand`, which acts on them by the generators' maps of G and the maps
-of H they read as.
+memoized on its table by its label (`_galois_map`, `_twist_map`), so it
+is checked when it is first asked for, and each table keeps one list of
+the labels whose maps generate the rest (`_generators`); no map is
+composed, and a map that fails its check is kept as None and not used, so
+a bad table is reported, never raised on.  One orbit routine,
+`_orbit_totals`, fills one grid of those pairs: it closes each orbit by a
+breadth-first search over the generators' maps, computes one total per
+orbit and reads the rest from it; it also fills the (psi, chi) pairs of a
+multiplicity matrix in `gelfand`, which acts on them by the generators'
+maps of G and the maps of H they read as.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    Frozen,
     Subgroup,
     conjugacy_classes,
     generated_subgroup,
@@ -96,31 +97,20 @@ def _i_sign(k: int) -> Cyclotomic:
     return _I if k % 2 == 0 else _MINUS_I
 
 
-class ClassFunction:
+class ClassFunction(Frozen):
     """A function on a group constant on conjugacy classes.
 
     Immutable, and equal to a function with the same group, values and name.
     """
+
+    _fields = ("group", "values", "name")
 
     def __init__(self, group: FiniteGroup, values: tuple[Cyclotomic, ...], name: str = ""):
         values = tuple(values)
         k = len(conjugacy_classes(group).reps)
         if len(values) != k:
             raise DomainMismatchError(f"{len(values)} values supplied for {k} conjugacy classes")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassFunction is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.values, self.name) == (other.group, other.values, other.name)
-
-    def __hash__(self):
-        return hash((self.group, self.values, self.name))
+        self._set(group=group, values=values, name=name)
 
     @property
     def degree(self) -> Cyclotomic:
@@ -139,29 +129,17 @@ class ClassFunction:
         return f"<ClassFunction {self.name or '?'} on {self.group.name}: [{vals}]>"
 
 
-class CharacterTable:
+class CharacterTable(Frozen):
     """An ordered list of irreducible characters of one group.
 
     Immutable, and equal to a table with the same group, rows and provenance.
     """
 
+    _fields = ("group", "irreducibles", "provenance")
+
     def __init__(self, group: FiniteGroup, irreducibles: tuple[ClassFunction, ...],
                  provenance: str = "closed-form"):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "irreducibles", tuple(irreducibles))
-        object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacterTable is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.irreducibles, self.provenance)
-                == (other.group, other.irreducibles, other.provenance))
-
-    def __hash__(self):
-        return hash((self.group, self.irreducibles, self.provenance))
+        self._set(group=group, irreducibles=tuple(irreducibles), provenance=provenance)
 
     def __repr__(self):
         return (f"CharacterTable(group={self.group!r}, irreducibles={self.irreducibles!r}, "
@@ -260,22 +238,15 @@ def _row(g: FiniteGroup, fn, name: str) -> ClassFunction:
     return ClassFunction(g, tuple(fn(e) for e in conjugacy_classes(g).reps), name)
 
 
-def _pair_row(g: FiniteGroup, m: int, s: int, rot: int, name: str, pairs: dict) -> ClassFunction:
-    """zeta_m^(s e) + zeta_m^(-s e) on the rotations e < rot, 0 elsewhere.
+@memoized
+def _pair_value(g: FiniteGroup, m: int, k: int) -> Cyclotomic:
+    """zeta_m^k + zeta_m^-k, made once per group and shared by every pair row of its table."""
+    return zeta(m, k) + zeta(m, -k)
 
-    `pairs` holds each value by (m, s e mod m) and is shared by every pair
-    row of one table, so each value is made once.
-    """
-    def value(e):
-        if e >= rot:
-            return _ZERO
-        key = (m, s * e % m)
-        v = pairs.get(key)
-        if v is None:
-            v = pairs[key] = zeta(m, s * e) + zeta(m, -s * e)
-        return v
 
-    return _row(g, value, name)
+def _pair_row(g: FiniteGroup, m: int, s: int, rot: int, name: str) -> ClassFunction:
+    """zeta_m^(s e) + zeta_m^(-s e) on the rotations e < rot, 0 elsewhere."""
+    return _row(g, lambda e: _pair_value(g, m, s * e % m) if e < rot else _ZERO, name)
 
 
 def _dihedral_rows(g: FiniteGroup, n: int) -> list[ClassFunction]:
@@ -287,8 +258,7 @@ def _dihedral_rows(g: FiniteGroup, n: int) -> list[ClassFunction]:
     if n % 2 == 0:
         rows.append(_row(g, lambda e: _sign(e) if e < n else _sign(e - n), "χ_3"))
         rows.append(_row(g, lambda e: _sign(e) if e < n else _sign(e - n + 1), "χ_4"))
-    pairs: dict = {}
-    rows.extend(_pair_row(g, n, j, n, f"ψ_{j}", pairs) for j in range(1, (n - 1) // 2 + 1))
+    rows.extend(_pair_row(g, n, j, n, f"ψ_{j}") for j in range(1, (n - 1) // 2 + 1))
     return rows
 
 
@@ -302,14 +272,13 @@ def _dicyclic_rows(g: FiniteGroup) -> list[ClassFunction]:
     # 1 <= j, k <= (n-1)/2; pi_j comes from even rotation exponents 2j,
     # gamma_k from odd exponents 2k-1 (the central value -2 forces odd).
     half = range(1, (n - 1) // 2 + 1)
-    pairs: dict = {}
     return [
         _row(g, lambda e: _ONE, "θ_1"),
         _row(g, lambda e: _ONE if e < m else _MINUS_ONE, "θ_2"),
         _row(g, lambda e: _sign(e) if e < m else _i_sign(e - m), "θ_3"),
         _row(g, lambda e: _sign(e) if e < m else _i_sign(e - m + 1), "θ_4"),
-        *(_pair_row(g, n, j, m, f"π_{j}", pairs) for j in half),
-        *(_pair_row(g, m, 2 * k - 1, m, f"γ_{k}", pairs) for k in half),
+        *(_pair_row(g, n, j, m, f"π_{j}") for j in half),
+        *(_pair_row(g, m, 2 * k - 1, m, f"γ_{k}") for k in half),
     ]
 
 
@@ -351,11 +320,11 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
 # <r_i lambda, r_j lambda> = <r_i, r_j> (Isaacs, Character Theory of Finite
 # Groups, ch. 5).  Which row a map gives is found by exact keys: each value
 # is lifted to Q(zeta_e), with equal values sharing one small integer id,
-# so a row is a tuple of ids.  Each map is checked when it is first asked
-# for and kept in `_checked_maps` of its table.  The maps of each kind that
-# pass their checks compose: rep^(st) = (rep^s)^t, so sigma_st has class
-# map cmap_t . cmap_s and row map perm_s . perm_t, and the twist by
-# lambda mu is the twist by mu followed by the twist by lambda.  So the
+# so a row is a tuple of ids.  Each map is memoized on its table by its
+# label, so it is checked when it is first asked for.  The maps of each
+# kind that pass their checks compose: rep^(st) = (rep^s)^t, so sigma_st
+# has class map cmap_t . cmap_s and row map perm_s . perm_t, and the twist
+# by lambda mu is the twist by mu followed by the twist by lambda.  So the
 # passing maps form a group, and `_generators` checks only the labels
 # outside the group generated by those that passed before them; it
 # multiplies labels, and no map is ever composed.
@@ -394,25 +363,6 @@ def _value_ids(table: CharacterTable) -> tuple[dict, tuple, dict, dict, dict]:
 
 
 @memoized
-def _checked_maps(table: CharacterTable) -> dict:
-    """Each map of `table` checked so far, by (check name, label); None for a map that failed."""
-    return {}
-
-
-def _checked_once(check):
-    """`check(table, label)`, computed when first asked for and kept in `_checked_maps`."""
-    @functools.wraps(check)
-    def checked(table, label):
-        maps = _checked_maps(table)
-        key = (check.__name__, label)
-        if key not in maps:
-            maps[key] = check(table, label)
-        return maps[key]
-
-    return checked
-
-
-@_checked_once
 def _galois_map(table: CharacterTable, t: int) -> tuple[tuple, tuple] | None:
     """sigma_t, t a unit mod the exponent, as (class power map, row permutation), or None.
 
@@ -434,7 +384,7 @@ def _galois_map(table: CharacterTable, t: int) -> tuple[tuple, tuple] | None:
     return cmap, perm
 
 
-@_checked_once
+@memoized
 def _twist_map(table: CharacterTable, j: int) -> tuple[int, ...] | None:
     """The twist by the linear row lambda = r_j: the permutation i -> index of r_i * lambda.
 

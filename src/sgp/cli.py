@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import os
@@ -163,6 +162,8 @@ def _write_atomically(path: Path, chunks: Iterable[bytes]) -> str:
     place, so a run that stops partway never leaves `path` half written.
     A failed write or rename removes the partial file and re-raises.
     Returns the sha256 hex digest of the bytes written."""
+    import hashlib  # loads OpenSSL, which only the commands that write files need
+
     partial = path.with_name(path.name + ".partial")
     digest = hashlib.sha256()
     try:

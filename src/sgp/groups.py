@@ -9,14 +9,16 @@ reduce to the ``a^i`` / ``ba^i`` forms.
 Every constructed table is self-checked: Latin-square, identity and
 inverse laws, and associativity exhaustively by Light's test over the
 group's generators.  The package makes groups only with `build_group` and
-the three family constructors.  Groups and subgroups are immutable after
-construction and all functions are pure, so enumeration
+the three family constructors.  Groups and subgroups, like the class
+functions and tables of `chars`, are `Frozen`: immutable after
+construction.  All functions are pure, so enumeration
 over different groups can run in parallel with no shared state other than
 the cycle collector, which is interpreter-wide: `map_family` freezes it
 for the length of a sweep, and a nested or concurrent sweep that
-unfreezes early costs only speed.  What is derived from a group or
-subgroup (classes, tables, matrices) is computed once by `memoized` and
-kept on that object.
+unfreezes early costs only speed.  What is derived from a group, subgroup
+or table (classes, tables, Galois maps, family groups, matrices) is
+computed once by `memoized`, per object and arguments, and kept on that
+object.
 
 Each group walks the powers of every element once (`FiniteGroup.powers`),
 and element orders, powers, the exponent and cyclic subgroups are read
@@ -79,23 +81,67 @@ _WORD_TOKEN = re.compile(r"([a-z])(?:\^(-?\d+))?")
 
 
 def memoized(fn):
-    """Compute `fn(x)` once per object and keep it in `x.__dict__`.
+    """Compute `fn(x, *args)` once per object and arguments, and keep it on `x`.
 
-    Each value then lives and dies with the group or subgroup it describes.
-    The key is the function's name with a leading underscore, so a memoized
-    method is not shadowed by its own value.
+    Each value then lives and dies with the group, subgroup or table it
+    describes.  The key is the function's name with a leading underscore,
+    so a memoized method is not shadowed by its own value: `x.__dict__[key]`
+    holds the value of `fn(x)`, or, for a function of more arguments, a
+    dict of its values by the tuple of those arguments.
     """
     key = "_" + fn.__name__
 
     @functools.wraps(fn)
-    def wrapper(x):
+    def wrapper(x, *args):
+        if not args:
+            try:
+                return x.__dict__[key]
+            except KeyError:
+                value = x.__dict__[key] = fn(x)
+                return value
+        memo = x.__dict__.get(key)
+        if memo is None:
+            memo = x.__dict__[key] = {}
         try:
-            return x.__dict__[key]
+            return memo[args]
         except KeyError:
-            value = x.__dict__[key] = fn(x)
+            value = memo[args] = fn(x, *args)
             return value
 
     return wrapper
+
+
+class Frozen:
+    """An immutable object, equal to an object of its class with equal `_fields`.
+
+    A subclass writes its fields once, at construction, with `_set`; a
+    class that lists no fields is equal only to itself.  `memoized` keeps
+    what is derived from the fields in `__dict__`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields):
+        # object.__setattr__ keeps fields as the instance's inline values, so
+        # an object that memoizes nothing needs no dict of its own: a
+        # ClassFunction takes 104 bytes, against 248 when its fields are
+        # written with `self.__dict__.update` (Python 3.11)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or bool(self._fields) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key()) if self._fields else object.__hash__(self)
 
 
 def _verify_table(g: FiniteGroup, gens) -> tuple[int, ...]:
@@ -135,31 +181,23 @@ def _verify_table(g: FiniteGroup, gens) -> tuple[int, ...]:
     return tuple(inv)
 
 
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """An immutable finite group given by its full multiplication table.
 
     `gens` maps generator letters to elements and must generate the table.
     Without it, every element counts as a generator in the table check.
+    A group is equal only to itself.
     """
 
     def __init__(self, mul, labels, family, n=None, gens=None, name=""):
         mul = tuple(tuple(row) for row in mul)
-        object.__setattr__(self, "order", len(mul))
-        object.__setattr__(self, "identity", 0)
-        object.__setattr__(self, "mul", mul)
-        object.__setattr__(self, "inv", _verify_table(
-            self, range(len(mul)) if gens is None else gens.values()))
+        self._set(order=len(mul), identity=0, mul=mul)
+        self._set(inv=_verify_table(self, range(len(mul)) if gens is None else gens.values()))
         labels = tuple(labels)
         if len(labels) != len(mul) or len(set(labels)) != len(labels):
             raise InvalidParameterError("element labels must be unique, one per element")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", dict(gens or {}))
-        object.__setattr__(self, "name", name or f"G{len(mul)}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
+        self._set(labels=labels, family=family, n=n, gens=dict(gens or {}),
+                  name=name or f"G{len(mul)}")
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} order={self.order}>"
@@ -360,7 +398,7 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
     return result
 
 
-class Subgroup:
+class Subgroup(Frozen):
     """A closed subset of a parent group, validated at construction.
 
     Immutable, and equal to a subgroup of the same parent with the same
@@ -368,14 +406,15 @@ class Subgroup:
     up on the class, so a wrapper put there sees every construction.
     """
 
+    _fields = ("parent", "members")
+
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", members)
+        self._set(parent=parent, members=members)
         self.__post_init__()
 
     def __post_init__(self):
         mem = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", mem)
+        self._set(members=mem)
         p = self.parent
         ms = frozenset(mem)
         if p.identity not in ms:
@@ -391,17 +430,6 @@ class Subgroup:
                     raise InvalidParameterError("subgroup is not closed under multiplication")
         if p.order % len(mem):
             raise InvalidParameterError("subgroup order must divide the group order")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parent, self.members) == (other.parent, other.members)
-
-    def __hash__(self):
-        return hash((self.parent, self.members))
 
     def __repr__(self):
         return f"<Subgroup of {self.parent.name} order={self.order}>"
@@ -437,11 +465,7 @@ class Subgroup:
             a1, b1 = data
             rotations = p.powers(a1)
             family, emb = kind, rotations + tuple(p.mul[b1][r] for r in rotations)
-        n = self.order // _FAMILY_ORDER_FACTOR[family]
-        models = _family_groups(p)
-        if (family, n) not in models:
-            models[family, n] = _CONSTRUCTORS[family](n)
-        model = models[family, n]
+        model = _family_group(p, family, self.order // _FAMILY_ORDER_FACTOR[family])
         if tuple(sorted(emb)) != self.members or any(
             emb[model.mul[y][s]] != p.mul[emb[y]][emb[s]]
             for y in range(model.order)
@@ -463,9 +487,9 @@ class Subgroup:
 
 
 @memoized
-def _family_groups(g: FiniteGroup) -> dict[tuple[str, int], FiniteGroup]:
-    """The family groups of g's non-full subgroups, one per (family, n)."""
-    return {}
+def _family_group(g: FiniteGroup, family: str, n: int) -> FiniteGroup:
+    """g's one group of (family, n), the group of each such non-full subgroup of g."""
+    return _CONSTRUCTORS[family](n)
 
 
 def _closure(g: FiniteGroup, gens) -> frozenset[int]:

@@ -17,7 +17,6 @@ from sgp.chars import (
     CharacterTable,
     ClassFunction,
     TableValidation,
-    _checked_maps,
     _class_fusion,
     _class_power_map,
     _cyclic_rows,
@@ -907,8 +906,10 @@ def test_validation_keeps_only_the_maps_it_checks():
         tracemalloc.stop()
     # the identity is checked and 3, 5 generate the units mod 256; the
     # trivial row is checked and mu_1 generates the twists
-    assert sorted(_checked_maps(t)) == [("_galois_map", 1), ("_galois_map", 3),
-                                        ("_galois_map", 5), ("_twist_map", 0), ("_twist_map", 1)]
+    checked = [(fn.__name__, label) for fn in (_galois_map, _twist_map)
+               for (label,) in t.__dict__["_" + fn.__name__]]
+    assert sorted(checked) == [("_galois_map", 1), ("_galois_map", 3),
+                               ("_galois_map", 5), ("_twist_map", 0), ("_twist_map", 1)]
     # a map of every unit and every linear row kept about 1.7 MiB
     assert kept < 1 << 20
 

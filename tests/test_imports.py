@@ -1,20 +1,24 @@
 """Every name a package module imports is read there or re-exported in `__all__`,
 every name in a module's `__all__` is bound there, every module-level
 private name is read by some package module, and importing the command line
-loads none of the slow stdlib modules `dataclasses`, `inspect` and `typing`."""
+loads none of the slow stdlib modules `dataclasses`, `inspect`, `typing` and
+`hashlib`."""
 
 import ast
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sgp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sgp"
 
 # each costs milliseconds at every start of `sgp`, and no stdlib module sgp
-# uses loads one of them (checked on 3.10 to 3.13)
-SLOW_MODULES = ("dataclasses", "inspect", "typing")
+# uses loads one of them (checked on 3.10 to 3.13); `hashlib` also loads
+# OpenSSL, and only the commands that write files hash what they write
+SLOW_MODULES = ("dataclasses", "inspect", "typing", "hashlib", "_hashlib")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -147,3 +151,10 @@ def test_cli_import_loads_no_slow_stdlib_module():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def test_code_lines_skip_comments_docstrings_and_blank_lines():
+    code_lines = runpy.run_path(str(ROOT / "tools" / "code_lines.py"))["code_lines"]
+    source = ('"""Module."""\n\n# comment\nx = 1  # trailing\ndef f():\n'
+              '    """Doc\n    string."""\n    return """not a\n docstring"""\n')
+    assert code_lines(source) == 4  # x = 1, def f():, and the two lines of return

@@ -1,5 +1,9 @@
-"""The record types are named tuples and the three classes with memoized
-values are immutable: fields, reprs, equality, hashing and assignment."""
+"""The record types are named tuples and the four classes with memoized
+values are immutable: fields, reprs, equality, hashing and assignment; and
+`memoized` keeps one value per object and arguments, freed with the object."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -18,7 +22,14 @@ from sgp.gelfand import (
     multiplicity_matrix,
     predict,
 )
-from sgp.groups import ConjugacyClasses, Subgroup, conjugacy_classes, dihedral_group
+from sgp.groups import (
+    ConjugacyClasses,
+    Subgroup,
+    conjugacy_classes,
+    cyclic_group,
+    dihedral_group,
+    memoized,
+)
 
 FIELDS = {
     Witness: ("psi", "chi", "mult"),
@@ -134,3 +145,48 @@ def test_subgroups_class_functions_and_tables_are_immutable():
     # the values memoized on each object are kept all the same
     assert h.group.order == 2 and h.group is h.group
     assert row.conj_values is row.conj_values
+
+
+def test_groups_are_immutable_and_equal_only_to_themselves():
+    g = dihedral_group(6)
+    t = family_table(g)
+    for obj in (g, Subgroup(g, (0, 3)), t.irreducibles[1], t):
+        for name in ("order", "members", "values", "extra"):
+            with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+                setattr(obj, name, None)
+    assert g == g and hash(g) == hash(g)
+    assert g != dihedral_group(6)  # an equal table, built again
+    h = Subgroup(g, (0, 3))
+    assert h != (h.parent, h.members)  # only a subgroup equals a subgroup
+
+
+def test_memoized_keeps_one_value_per_object_and_arguments():
+    calls = []
+
+    @memoized
+    def scaled(g, k):
+        calls.append((g.name, k))
+        return [g.order * k]
+
+    @memoized
+    def nothing(g, k):
+        calls.append((g.name, "nothing", k))
+        return None
+
+    g, h = cyclic_group(3), cyclic_group(4)
+    assert scaled(g, 2) is scaled(g, 2)
+    assert (scaled(g, 2), scaled(g, 5), scaled(h, 2)) == ([6], [15], [8])
+    assert scaled(h, 2) is not scaled(g, 2)
+    assert nothing(g, 1) is None and nothing(g, 1) is None  # a None is kept too
+    assert calls == [("C3", 2), ("C3", 5), ("C4", 2), ("C3", "nothing", 1)]
+    assert scaled(g, 5) == [15] and len(calls) == 4
+
+
+def test_memoized_values_are_freed_with_their_group():
+    g = dihedral_group(6)
+    classify_subgroups(g)  # fills memos on g, its subgroups and its tables
+    assert validate_table(family_table(g)).passed
+    owner = weakref.ref(g)
+    del g
+    gc.collect()
+    assert owner() is None
