@@ -18,21 +18,21 @@ Every exact sum over classes goes through the one kernel
 and `decompose` makes one call for all the rows it is asked for, over
 only the classes where its character is nonzero.
 
-`validate_table` checks both orthogonality relations exactly, computing
-one sum per orbit of row pairs under the table's Galois maps sigma_t
-(class power maps and the row permutations they induce) and its twists
-(the row permutations r -> r * lambda for each linear row lambda), and
-one per orbit of column pairs under the Galois maps.  Each map is
-memoized on its table by its label (`_galois_map`, `_twist_map`), so it
-is checked when it is first asked for, and each table keeps one list of
-the labels whose maps generate the rest (`_generators`); no map is
-composed, and a map that fails its check is kept as None and not used, so
-a bad table is reported, never raised on.  One orbit routine,
-`_orbit_totals`, fills one grid of those pairs: it closes each orbit by a
-breadth-first search over the generators' maps, computes one total per
-orbit and reads the rest from it; it also fills the (psi, chi) pairs of a
-multiplicity matrix in `gelfand`, which acts on them by the generators'
-maps of G and the maps of H they read as.
+`validate_table` checks the row count, the degrees and the first
+orthogonality relation exactly; for a square table the second relation
+follows from the first.  It computes one sum per orbit of row pairs under
+the table's Galois maps sigma_t (the row permutations that class power
+maps induce) and its twists (the row permutations r -> r * lambda for
+each linear row lambda).  Each map is memoized on its table by its label
+(`_galois_map`, `_twist_map`), so it is checked when it is first asked
+for, and each table keeps one list of the labels whose maps generate the
+rest (`_generators`); no map is composed, and a map that fails its check
+is kept as None and not used, so a bad table is reported, never raised
+on.  One orbit routine, `_orbit_totals`, fills one grid of those pairs:
+it closes each orbit by a breadth-first search over the generators' maps,
+computes one total per orbit and reads the rest from it; it also fills
+the (psi, chi) pairs of a multiplicity matrix in `gelfand`, which acts on
+them by the generators' maps of G and the maps of H they read as.
 """
 
 from __future__ import annotations
@@ -320,11 +320,13 @@ def subgroup_table(h: Subgroup) -> CharacterTable:
 # <r_i lambda, r_j lambda> = <r_i, r_j> (Isaacs, Character Theory of Finite
 # Groups, ch. 5).  Which row a map gives is found by exact keys: each value
 # is lifted to Q(zeta_e), with equal values sharing one small integer id,
-# so a row is a tuple of ids.  Each map is memoized on its table by its
-# label, so it is checked when it is first asked for.  The maps of each
-# kind that pass their checks compose: rep^(st) = (rep^s)^t, so sigma_st
-# has class map cmap_t . cmap_s and row map perm_s . perm_t, and the twist
-# by lambda mu is the twist by mu followed by the twist by lambda.  So the
+# so a row is a tuple of ids.  Each map is kept as its row permutation,
+# memoized on its table by its label, so it is checked when it is first
+# asked for; the class map of sigma_t is checked and read only to find its
+# row permutation, since validation sums over row pairs alone.  The maps of
+# each kind that pass their checks compose: rep^(st) = (rep^s)^t, so
+# sigma_st has row map perm_s . perm_t, and the twist by lambda mu is the
+# twist by mu followed by the twist by lambda.  So the
 # passing maps form a group, and `_generators` checks only the labels
 # outside the group generated by those that passed before them; it
 # multiplies labels, and no map is ever composed.
@@ -363,14 +365,14 @@ def _value_ids(table: CharacterTable) -> tuple[dict, tuple, dict, dict, dict]:
 
 
 @memoized
-def _galois_map(table: CharacterTable, t: int) -> tuple[tuple, tuple] | None:
-    """sigma_t, t a unit mod the exponent, as (class power map, row permutation), or None.
+def _galois_map(table: CharacterTable, t: int) -> tuple[int, ...] | None:
+    """sigma_t, t a unit mod the exponent, as its row permutation, or None.
 
     Row j goes to row perm[j], the row equal to row j read through the class
-    map (the value row j takes at class cmap[c], at each class c).  The
-    class map must be a bijection that keeps class sizes, and the row map a
-    bijection; maps that fail either check give None, and so does every t
-    when two rows are equal or a value lies outside Q(zeta_e).
+    power map cmap (the value row j takes at class cmap[c], at each class
+    c).  The class map must be a bijection that keeps class sizes, and the
+    row map a bijection; maps that fail either check give None, and so does
+    every t when two rows are equal or a value lies outside Q(zeta_e).
     """
     sizes = conjugacy_classes(table.group).sizes
     _, rows, index, _, _ = _value_ids(table)
@@ -381,7 +383,7 @@ def _galois_map(table: CharacterTable, t: int) -> tuple[tuple, tuple] | None:
     perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
     if None in perm or len(set(perm)) != len(rows):
         return None
-    return cmap, perm
+    return perm
 
 
 @memoized
@@ -539,44 +541,39 @@ class TableValidation(namedtuple("TableValidation", "passed failures")):
 
 
 def validate_table(t: CharacterTable) -> TableValidation:
-    """Check row count, degree sum, and both orthogonality relations exactly.
+    """Check row count, degrees, and the first orthogonality relation exactly.
 
+    The second relation, on columns, follows: with as many rows as classes,
+    B[i][c] = r_i(c) sqrt(|c| / |G|) is square, the first relation says
+    B B* = I, so B* B = I, which is the column relation, and its column at
+    the identity says that the squared degrees sum to |G| (Isaacs,
+    Character Theory of Finite Groups, Thm 2.18).
     Each sum is computed once per orbit of its pair under the maps of `t`
     that pass their checks, given to `_orbit_totals` by the maps of their
     generators (`_generators`), the only maps checked.
-    Galois maps (`_galois_map`): if row r_i read through the class map
-    cmap is row r_p[i], and cmap keeps class sizes, then re-indexing gives
-    <r_p[i], r_p[j]> = <r_i, r_j>, and the column sums at (cmap[c], cmap[c'])
-    and (c, c') agree.  Twists (`_twist_map`) act on row pairs only: if
+    Galois maps (`_galois_map`): if row r_i read through the class power
+    map cmap is row r_p[i], and cmap keeps class sizes, then re-indexing
+    gives <r_p[i], r_p[j]> = <r_i, r_j>.  Twists (`_twist_map`): if
     r_i * lambda is r_p[i] and every value of lambda is a root of unity,
-    then <r_p[i], r_p[j]> = <r_i, r_j>, while a column sum is scaled by
-    lambda(c) conj(lambda(c')).  A table whose maps fail their checks has
-    every pair computed; validation never raises on a bad table.
+    then <r_p[i], r_p[j]> = <r_i, r_j>.  A table whose maps fail their
+    checks has every pair computed; validation never raises on a bad table.
     """
     failures: list[str] = []
     g = t.group
     cls = conjugacy_classes(g)
-    k = len(cls.reps)
     rows = t.irreducibles
-    if len(rows) != k:
-        failures.append(f"row count {len(rows)} != class count {k}")
-    deg_sum = 0
+    if len(rows) != len(cls.reps):
+        failures.append(f"row count {len(rows)} != class count {len(cls.reps)}")
     for r in rows:
         d = r.degree.as_rational_integer()
         if d is None or d < 1:
             failures.append(f"row {r.name}: degree {r.degree} is not a positive integer")
-        else:
-            deg_sum += d * d
-    if deg_sum != g.order:
-        failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
-    sizes = cls.sizes
     order = g.order
     units, linear, _ = _generators(t)
-    galois = [_galois_map(t, u) for u in units]
-    perms = [perm for _, perm in galois] + [_twist_map(t, j) for j in linear]
+    perms = [_galois_map(t, u) for u in units] + [_twist_map(t, j) for j in linear]
     row_totals = _orbit_totals(
         len(rows), len(rows), [(perm, perm) for perm in perms],
-        lambda reps: [weighted_product_sum(rows[i].values, rows[j].conj_values, sizes)
+        lambda reps: [weighted_product_sum(rows[i].values, rows[j].conj_values, cls.sizes)
                       for i, j in reps], symmetric=True)
     for i, ri in enumerate(rows):
         for j in range(i, len(rows)):
@@ -586,20 +583,6 @@ def validate_table(t: CharacterTable) -> TableValidation:
                 failures.append(
                     f"row orthogonality <{ri.name},{rows[j].name}> = "
                     f"{total * Fraction(1, order)}, expected {1 if i == j else 0}"
-                )
-    columns = [tuple(r.values[c] for r in rows) for c in range(k)]
-    conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
-    column_totals = _orbit_totals(
-        k, k, [(cmap, cmap) for cmap, _ in galois],
-        lambda reps: [weighted_product_sum(columns[c], conj_columns[cp]) for c, cp in reps],
-        symmetric=True)
-    for c in range(k):
-        for cp in range(c, k):
-            total = column_totals[c][cp]
-            want = order // sizes[c] if c == cp else 0  # a class size divides |G|
-            if total != want:
-                failures.append(
-                    f"column orthogonality at classes {c},{cp} = {total}, expected {want}"
                 )
     return TableValidation(not failures, tuple(failures))
 

@@ -218,7 +218,7 @@ def _orbit_matrix(h: Subgroup) -> MultiplicityMatrix:
     # and a twist of G by lambda twists H by lambda read through the fusion
     e_h = h.group.exponent()
     units, linear, _ = _generators(tg)
-    maps = [(_galois_map(th, t % e_h)[1], _galois_map(tg, t)[1]) for t in units]
+    maps = [(_galois_map(th, t % e_h), _galois_map(tg, t)) for t in units]
     for j in linear:
         restricted = _restricted_row(h, j)
         twist = None if restricted is None else _twist_map(th, restricted)

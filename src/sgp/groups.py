@@ -6,9 +6,10 @@ generator.  In the dicyclic group of order 4n the rotation a has order 2n
 and b^2 = a^n, so labels like ``b^2`` or ``b^3a^i`` never appear; they
 reduce to the ``a^i`` / ``ba^i`` forms.
 
-Every constructed table is self-checked: Latin-square, identity and
-inverse laws, and associativity exhaustively by Light's test over the
-group's generators.  The package makes groups only with `build_group` and
+Every constructed table is self-checked: each row a permutation, the
+identity and inverse laws, and associativity exhaustively by Light's test
+over the group's generators, which make it a group's table and so a Latin
+square.  The package makes groups only with `build_group` and
 the three family constructors.  Groups and subgroups, like the class
 functions and tables of `chars`, are `Frozen`: immutable after
 construction.  All functions are pure, so enumeration
@@ -147,19 +148,19 @@ class Frozen:
 def _verify_table(g: FiniteGroup, gens) -> tuple[int, ...]:
     """Check the group laws of g's table and return its inverse table.
 
-    Associativity is Light's test over the generators: (xy)s = x(ys) for
-    every generator s and all x, y.  The elements z with (xy)z = x(yz) for
-    all x, y are closed under the product, so the test covers the whole
-    table once the generators reach every element from the identity.
+    Every row must be a permutation, which keeps every later index in
+    range.  Associativity is Light's test over the generators: (xy)s = x(ys)
+    for every generator s and all x, y.  The elements z with (xy)z = x(yz)
+    for all x, y are closed under the product, so the test covers the whole
+    table once the generators reach every element from the identity.  With
+    the identity and two-sided inverses the table is then a group's, so
+    every column is a permutation as well.
     """
     mul, order, identity = g.mul, g.order, g.identity
     everything = frozenset(range(order))
     for i, row in enumerate(mul):
         if len(row) != order or set(row) != everything:
             raise InvalidParameterError(f"row {i} of the multiplication table is not a permutation")
-    for j in range(order):
-        if {mul[i][j] for i in range(order)} != everything:
-            raise InvalidParameterError(f"column {j} of the multiplication table is not a permutation")
     for i in range(order):
         if mul[identity][i] != i or mul[i][identity] != i:
             raise InvalidParameterError("identity law fails")
@@ -376,7 +377,10 @@ class ConjugacyClasses(namedtuple("ConjugacyClasses", "class_of reps sizes class
 
 @memoized
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
-    """Conjugacy classes of g, deterministically ordered by minimal element."""
+    """Conjugacy classes of g, deterministically ordered by minimal element.
+
+    The identity 0 is conjugate only to itself, so its class comes first.
+    """
     class_of = [-1] * g.order
     classes: list[tuple[int, ...]] = []
     for e in range(g.order):
@@ -387,15 +391,12 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
         for h in orbit:
             class_of[h] = idx
         classes.append(orbit)
-    result = ConjugacyClasses(
+    return ConjugacyClasses(
         class_of=tuple(class_of),
         reps=tuple(c[0] for c in classes),
         sizes=tuple(len(c) for c in classes),
         classes=tuple(classes),
     )
-    if result.reps[0] != g.identity or result.sizes[0] != 1:
-        raise InternalConsistencyError("identity class is not the leading singleton")
-    return result
 
 
 class Subgroup(Frozen):
@@ -403,7 +404,10 @@ class Subgroup(Frozen):
 
     Immutable, and equal to a subgroup of the same parent with the same
     members.  `__init__` validates through `Subgroup.__post_init__`, looked
-    up on the class, so a wrapper put there sees every construction.
+    up on the class, so a wrapper put there sees every construction.  The
+    members must be element indices, hold the identity and be closed under
+    the product; in a finite group that makes them a subgroup, since the
+    inverse of x is x^(o-1) for o the order of x.
     """
 
     _fields = ("parent", "members")
@@ -413,23 +417,18 @@ class Subgroup(Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        p = self.parent
+        _check_elements(p, self.members)
         mem = tuple(sorted(set(self.members)))
         self._set(members=mem)
-        p = self.parent
         ms = frozenset(mem)
         if p.identity not in ms:
             raise InvalidParameterError("subgroup must contain the identity")
         for x in mem:
-            if not 0 <= x < p.order:
-                raise InvalidParameterError(f"element index {x} out of range")
-            if p.inv[x] not in ms:
-                raise InvalidParameterError("subgroup is not closed under inverses")
             row = p.mul[x]
             for y in mem:
                 if row[y] not in ms:
                     raise InvalidParameterError("subgroup is not closed under multiplication")
-        if p.order % len(mem):
-            raise InvalidParameterError("subgroup order must divide the group order")
 
     def __repr__(self):
         return f"<Subgroup of {self.parent.name} order={self.order}>"
@@ -512,14 +511,19 @@ def _closure(g: FiniteGroup, gens) -> frozenset[int]:
     return frozenset(members)
 
 
+def _check_elements(g: FiniteGroup, xs) -> None:
+    """Refuse any x that is not an int element index of g."""
+    for x in xs:
+        if not isinstance(x, int) or not 0 <= x < g.order:
+            raise InvalidParameterError(f"element index {x!r} is not an int from 0 to {g.order - 1}")
+
+
 def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup containing the generators (indices or words)."""
-    idxs = {g.element(x) if isinstance(x, str) else int(x) for x in gens}
+    idxs = [g.element(x) if isinstance(x, str) else x for x in gens]
     if not idxs:
         raise InvalidParameterError("generator set must be nonempty")
-    for x in idxs:
-        if not 0 <= x < g.order:
-            raise InvalidParameterError(f"element index {x} out of range")
+    _check_elements(g, idxs)
     return Subgroup(g, tuple(sorted(_closure(g, idxs))))
 
 

@@ -518,7 +518,7 @@ def test_validate_catches_wrong_row_count():
 
 
 def validate_pairwise(t):
-    """The validation that computed every row pair and column pair."""
+    """The validation that computed every row pair."""
     failures = []
     g = t.group
     cls = conjugacy_classes(g)
@@ -526,15 +526,10 @@ def validate_pairwise(t):
     rows = t.irreducibles
     if len(rows) != k:
         failures.append(f"row count {len(rows)} != class count {k}")
-    deg_sum = 0
     for r in rows:
         d = r.degree.as_rational_integer()
         if d is None or d < 1:
             failures.append(f"row {r.name}: degree {r.degree} is not a positive integer")
-        else:
-            deg_sum += d * d
-    if deg_sum != g.order:
-        failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
     sizes = cls.sizes
     order = g.order
     for i, ri in enumerate(rows):
@@ -547,17 +542,38 @@ def validate_pairwise(t):
                     f"row orthogonality <{ri.name},{rows[j].name}> = "
                     f"{total * Fraction(1, order)}, expected {1 if i == j else 0}"
                 )
+    return TableValidation(not failures, tuple(failures))
+
+
+def column_failures(t):
+    """The sum of squared degrees and the column relation, each column pair computed.
+
+    `validate_table` does not check these, since they follow from the
+    checks it makes; this is the reference that the tests hold it to.
+    """
+    failures = []
+    g = t.group
+    cls = conjugacy_classes(g)
+    k = len(cls.reps)
+    rows = t.irreducibles
+    deg_sum = 0
+    for r in rows:
+        d = r.degree.as_rational_integer()
+        if d is not None and d >= 1:
+            deg_sum += d * d
+    if deg_sum != g.order:
+        failures.append(f"sum of squared degrees {deg_sum} != group order {g.order}")
     columns = [tuple(r.values[c] for r in rows) for c in range(k)]
     conj_columns = [tuple(r.conj_values[c] for r in rows) for c in range(k)]
     for c in range(k):
         for cp in range(c, k):
             total = weighted_product_sum(columns[c], conj_columns[cp])
-            want = Fraction(order, sizes[c]) if c == cp else Fraction(0)
+            want = Fraction(g.order, cls.sizes[c]) if c == cp else Fraction(0)
             if total != want:
                 failures.append(
                     f"column orthogonality at classes {c},{cp} = {total}, expected {want}"
                 )
-    return TableValidation(not failures, tuple(failures))
+    return failures
 
 
 @pytest.mark.parametrize("family, top", [("cyclic", 40), ("dihedral", 24), ("dicyclic", 24)])
@@ -565,6 +581,7 @@ def test_orbit_validation_equals_the_pairwise_reference(family, top):
     for n in range(1, top + 1):
         t = family_table(build_group(family, n))
         assert validate_table(t) == validate_pairwise(t) == TableValidation(True, ())
+        assert column_failures(t) == []
 
 
 def _replace_row(t, i, values, name=None):
@@ -638,6 +655,68 @@ def test_orbit_validation_of_a_broken_table_equals_the_pairwise_reference(make):
     assert report == validate_pairwise(t)
 
 
+def assert_column_failures_are_implied(t):
+    """Each failure of `column_failures(t)` comes with a failure of a check `validate_table` keeps.
+
+    With as many rows as classes, orthonormal rows make the columns
+    orthogonal, so a column failure comes with a row count or row
+    orthogonality failure.  The squared-degree sum is the column relation
+    at the identity over the rows of positive integer degree, so its
+    failure may come with a degree failure instead: a row scaled by -1
+    keeps the relations but not its degree.
+    """
+    kept = validate_table(t).failures
+    rows = any(f.startswith(("row count", "row orthogonality")) for f in kept)
+    degrees = any(f.endswith("is not a positive integer") for f in kept)
+    for failure in column_failures(t):
+        assert rows or (degrees and failure.startswith("sum of squared degrees")), (failure, kept)
+
+
+@pytest.mark.parametrize("make", _BROKEN_TABLES, ids=lambda f: f.__name__.strip("_"))
+def test_column_failures_of_a_broken_table_are_implied(make):
+    t = make()
+    assert column_failures(t)
+    assert_column_failures_are_implied(t)
+
+
+# values a perturbation writes into a cell: integers, a half, and roots of
+# unity of orders that some family exponents have and others lack
+_PERTURBING_VALUES = (rational(0), rational(2), rational(-1), rational(Fraction(1, 2)),
+                      zeta(4, 1), zeta(7, 1))
+_SCALES = (rational(0), rational(2), rational(-1), zeta(4, 1), zeta(3, 1))
+
+
+@st.composite
+def _perturbed_family_tables(draw):
+    """A family table with one value replaced, two values of a row swapped,
+    a row scaled, or a row copied over another; the row count is kept."""
+    t = family_table(build_group(draw(st.sampled_from(["cyclic", "dihedral", "dicyclic"])),
+                                 draw(st.integers(1, 12))))
+    rows = [list(r.values) for r in t.irreducibles]
+    cells = st.integers(0, len(rows) - 1)  # as many classes as rows
+    i = draw(cells)
+    kind = draw(st.sampled_from(["replace", "swap", "scale", "copy"]))
+    if kind == "replace":
+        other = rows[draw(cells)][draw(cells)]  # a value of the table itself
+        rows[i][draw(cells)] = draw(st.sampled_from((other, *_PERTURBING_VALUES)))
+    elif kind == "swap":
+        a, b = draw(cells), draw(cells)
+        rows[i][a], rows[i][b] = rows[i][b], rows[i][a]
+    elif kind == "scale":
+        scale = draw(st.sampled_from(_SCALES))
+        rows[i] = [v * scale for v in rows[i]]
+    else:
+        rows[draw(cells)] = list(rows[i])
+    return CharacterTable(t.group, tuple(ClassFunction(t.group, tuple(v), r.name)
+                                         for v, r in zip(rows, t.irreducibles)), "closed-form")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_perturbed_family_tables())
+def test_column_failures_of_a_perturbed_table_are_implied(t):
+    assert_column_failures_are_implied(t)
+
+
 def test_the_galois_stable_broken_table_reaches_swapped_pairs():
     t = _galois_stable_nonreal_sums()
     assert None not in map(functools.partial(_galois_map, t), _units(t.group))
@@ -704,7 +783,7 @@ def direct_galois_maps(table):
                 perm = tuple(index.get(tuple(map(row.__getitem__, cmap))) for row in rows)
                 if None in perm or len(set(perm)) != len(rows):
                     perm = None
-            maps[t] = None if perm is None else (cmap, perm)
+            maps[t] = perm
     return maps
 
 
@@ -818,16 +897,15 @@ def test_validation_computes_one_sum_per_orbit(monkeypatch):
         return counted(*args)
 
     monkeypatch.setattr(sgp.chars, "weighted_product_sum", counting)
-    t = family_table(cyclic_group(37))  # 37 * 38 pairs, in orbits of up to 36
+    t = family_table(cyclic_group(37))  # 37 * 38 / 2 row pairs i <= j
     assert validate_table(t).passed
     # Row pairs (i, j), i <= j, of mu_i and mu_j: the twist by mu_1 sends
     # (i, j) to (i + 1, j + 1) and sigma_t sends it to (t i, t j), so the
     # pairs i = j form one orbit, and the pairs i < j another, as t (j - i)
-    # runs over every nonzero difference.  Column pairs have the Galois maps
-    # only: (0, 0), the (0, j), and one orbit for each ratio j/i mod 37 up
-    # to inversion, 2 + 19.  So 2 + 21 sums, against 2 * 21 under the Galois
-    # maps alone.
-    assert len(calls) == 2 + 21
+    # runs over every nonzero difference.  So 2 sums, against 21 under the
+    # Galois maps alone: (0, 0), the (0, j), and one orbit for each ratio
+    # j/i mod 37 up to inversion, 2 + 19.
+    assert len(calls) == 2
 
 
 def _captured_matrix_maps(g, monkeypatch):
@@ -858,8 +936,8 @@ def test_orbit_fill_over_generators_equals_the_fill_over_the_whole_group(monkeyp
     t = family_table(cyclic_group(256))
     units = _generators(t)[0]
     n = len(t.irreducibles)
-    whole = fill(n, n, [(_galois_map(t, u)[1],) * 2 for u in _units(t.group)], True)
-    assert fill(n, n, [(_galois_map(t, u)[1],) * 2 for u in units], True) == whole
+    whole = fill(n, n, [(_galois_map(t, u),) * 2 for u in _units(t.group)], True)
+    assert fill(n, n, [(_galois_map(t, u),) * 2 for u in units], True) == whole
     assert units == (3, 5)
     # D72's (psi, chi) pairs under the Galois maps and twists of each matrix,
     # against every composition of those maps
@@ -877,7 +955,7 @@ def test_orbit_fill_holds_one_grid_of_pairs():
     # 256 * 256 pairs of C256's rows in 766 orbits; one grid of pointers to
     # the totals is about 0.6 MB
     t = family_table(cyclic_group(256))
-    maps = [(_galois_map(t, u)[1],) * 2 for u in _units(t.group)]
+    maps = [(_galois_map(t, u),) * 2 for u in _units(t.group)]
     n = len(t.irreducibles)
     reps = []
     assert not tracemalloc.is_tracing()

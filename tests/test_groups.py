@@ -198,6 +198,28 @@ def test_broken_multiplication_table_is_rejected():
     ]
     with pytest.raises(InvalidParameterError):
         FiniteGroup(bad, list("1wxyz"), "cyclic")
+    # every row a permutation, but not every column
+    with pytest.raises(InvalidParameterError):
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]], list("1xy"), "cyclic")
+
+
+_ORDER_8 = [cyclic_group(8), dihedral_group(4), dicyclic_group(2)]
+
+
+@pytest.mark.parametrize("g", _ORDER_8, ids=lambda g: g.name)
+def test_a_table_whose_rows_alone_are_permutations_is_rejected(g):
+    # Swapping two entries of one row keeps every row a permutation and
+    # repeats a value in both columns; the group laws that are checked
+    # must refuse the table without a check of the columns.
+    for r in range(g.order):
+        for a in range(g.order):
+            for b in range(a + 1, g.order):
+                mul = [list(row) for row in g.mul]
+                mul[r][a], mul[r][b] = mul[r][b], mul[r][a]
+                assert len({row[a] for row in mul}) < g.order
+                for gens in (g.gens, None):
+                    with pytest.raises(InvalidParameterError):
+                        FiniteGroup(mul, g.labels, g.family, n=g.n, gens=gens)
 
 
 def test_swapped_intercalate_above_order_64_is_rejected():
@@ -287,6 +309,7 @@ def test_class_equation_all_families():
             for s in cls.sizes:
                 assert g.order % s == 0
             assert cls.sizes[0] == 1 and cls.reps[0] == g.identity
+            assert cls.classes[0] == (g.identity,)
 
 
 # -- generated subgroups ---------------------------------------------------------
@@ -303,7 +326,7 @@ def test_generated_subgroup_examples():
     assert set(hb.members) == {dic12.element(w) for w in ("1", "b", "b^2", "b^3")}
 
     assert generated_subgroup(d10, [0]).members == (0,)
-    for bad in ([-1], [10], [5, -2]):
+    for bad in ([-1], [10], [5, -2], [1.5], [1.0], [None]):
         with pytest.raises(InvalidParameterError):
             generated_subgroup(d10, bad)
 
@@ -328,6 +351,28 @@ def test_subgroup_validation_rejects_non_closed_sets():
         Subgroup(g, (0, 1))  # a has order 3
     with pytest.raises(InvalidParameterError):
         Subgroup(g, (1, 2))  # missing identity
+
+
+def test_subgroup_validation_rejects_members_that_are_no_element_index():
+    g = dihedral_group(5)
+    for members in ((0, 10), (0, -1), (0, 1.0), (0, 5.0), (0, "b"), (0, None), (0, (1,))):
+        with pytest.raises(InvalidParameterError, match="element index"):
+            Subgroup(g, members)
+
+
+@pytest.mark.parametrize("g", _ORDER_8, ids=lambda g: g.name)
+def test_subgroup_accepts_exactly_the_member_sets_of_subgroups(g):
+    # closure under the product alone makes a subset with the identity a
+    # subgroup: inverses are positive powers, and Lagrange gives the order
+    subgroups = {h.members for h in all_subgroups(g)}
+    for mask in range(1 << g.order):
+        members = tuple(i for i in range(g.order) if mask >> i & 1)
+        try:
+            Subgroup(g, members)
+        except InvalidParameterError:
+            assert members not in subgroups, members
+        else:
+            assert members in subgroups, members
 
 
 # -- subgroup enumeration ---------------------------------------------------------
