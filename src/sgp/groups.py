@@ -21,9 +21,14 @@ or table (classes, tables, Galois maps, family groups, matrices) is
 computed once by `memoized`, per object and arguments, and kept on that
 object.
 
-Each group walks the powers of every element once (`FiniteGroup.powers`),
-and element orders, powers, the exponent and cyclic subgroups are read
-off those walks.
+Each row of a family table is a rotated slice of one shared list of the
+elements (two lists, one per coset of <a>, for the dihedral and dicyclic
+families), so a table of order N is built in O(N) slices and holds N int
+objects however large N is.  Conjugacy classes are orbits under
+conjugation by the generators, O(N * generators) steps.  Each group walks
+the powers of every element once (`FiniteGroup.powers`), and element
+orders, powers, the exponent and cyclic subgroups are read off those
+walks.
 
 Every subgroup of a cyclic, dihedral or dicyclic group is again one of
 these.  `Subgroup.group` is that family group (the parent when full, else
@@ -265,7 +270,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group of order n generated by a."""
     if n < 1:
         raise InvalidParameterError(f"cyclic group needs n >= 1, got {n}")
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    r = list(range(n))
+    mul = [r[i:] + r[:i] for i in range(n)]
     labels = [_rotation_label(i) for i in range(n)]
     return FiniteGroup(mul, labels, "cyclic", n=n, gens={"a": 1 % n}, name=f"C{n}")
 
@@ -273,18 +279,18 @@ def cyclic_group(n: int) -> FiniteGroup:
 def _extension_group(family: str, n: int, m: int, twist: int, name: str) -> FiniteGroup:
     """The group of order 2m generated by a of order m and b with bab^-1 = a^-1, b^2 = a^twist.
 
-    Element j*m + i is b^j a^i with 0 <= i < m and j in {0, 1}.
+    Element j*m + i is b^j a^i with 0 <= i < m and j in {0, 1}.  The row of
+    b^j1 a^i1 takes a^i2 to b^j1 a^(i1+i2) and b a^i2 to b^(1-j1) a^(i2+s)
+    with s = twist*j1 - i1, since a^i1 b = b a^-i1 and b^2 = a^twist: two
+    rotations of the two cosets, sliced from one list of the elements.
     """
-    order = 2 * m
-
-    def mul_pair(j1, i1, j2, i2):
-        i = (i2 - i1 + twist * j1) if j2 else i1 + i2
-        return ((j1 + j2) % 2) * m + i % m
-
-    mul = [
-        [mul_pair(e1 // m, e1 % m, e2 // m, e2 % m) for e2 in range(order)]
-        for e1 in range(order)
-    ]
+    cosets = (list(range(m)), list(range(m, 2 * m)))
+    mul = []
+    for j1 in (0, 1):
+        same, other = cosets[j1], cosets[1 - j1]
+        for i1 in range(m):
+            s = (twist * j1 - i1) % m
+            mul.append(same[i1:] + same[:i1] + other[s:] + other[:s])
     labels = [_rotation_label(i) for i in range(m)] + [_reflection_label(i) for i in range(m)]
     return FiniteGroup(mul, labels, family, n=n, gens={"a": 1 % m, "b": m}, name=name)
 
@@ -375,22 +381,39 @@ class ConjugacyClasses(namedtuple("ConjugacyClasses", "class_of reps sizes class
     classes: tuple[tuple[int, ...], ...]
 
 
+def _conjugation_row(g: FiniteGroup, x: int) -> list[int]:
+    """x y x^-1 for each element y: row x of the table read through column x^-1."""
+    mul, xi = g.mul, g.inv[x]
+    return [mul[z][xi] for z in mul[x]]
+
+
 @memoized
 def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
     """Conjugacy classes of g, deterministically ordered by minimal element.
 
+    Each class is the orbit of its least element under conjugation by the
+    generators, walked breadth-first: the x with x C x^-1 = C for an orbit
+    C are closed under the product, so the generators reach every
+    conjugate.  A group built without `gens` conjugates by every element.
     The identity 0 is conjugate only to itself, so its class comes first.
     """
+    gens = g.gens.values() if g.gens else range(g.order)
+    conj = [_conjugation_row(g, x) for x in gens]
     class_of = [-1] * g.order
     classes: list[tuple[int, ...]] = []
     for e in range(g.order):
         if class_of[e] >= 0:
             continue
-        orbit = tuple(sorted({g.conjugate(e, x) for x in range(g.order)}))
         idx = len(classes)
-        for h in orbit:
-            class_of[h] = idx
-        classes.append(orbit)
+        class_of[e] = idx
+        orbit = [e]
+        for y in orbit:  # the orbit grows while it is read
+            for row in conj:
+                z = row[y]
+                if class_of[z] < 0:
+                    class_of[z] = idx
+                    orbit.append(z)
+        classes.append(tuple(sorted(orbit)))
     return ConjugacyClasses(
         class_of=tuple(class_of),
         reps=tuple(c[0] for c in classes),
@@ -512,9 +535,9 @@ def _closure(g: FiniteGroup, gens) -> frozenset[int]:
 
 
 def _check_elements(g: FiniteGroup, xs) -> None:
-    """Refuse any x that is not an int element index of g."""
+    """Refuse any x that is not an int element index of g; a bool is no index."""
     for x in xs:
-        if not isinstance(x, int) or not 0 <= x < g.order:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < g.order:
             raise InvalidParameterError(f"element index {x!r} is not an int from 0 to {g.order - 1}")
 
 
@@ -535,6 +558,10 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, tuple(range(g.order)))
 
 
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
 def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Subgroup]:
     """Every subgroup of g, each exactly once, sorted by (order, members).
 
@@ -542,10 +569,10 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     and O'Brien, *Handbook of Computational Group Theory*, 2005): starting
     from the trivial subgroup, every subgroup H found, with a tuple that
     generates it, is extended by each distinct cyclic subgroup <x> with x
-    outside H and x y x^-1 in H for every y of the tuple.  Then x
-    normalizes H, and <H, x> is the union of the cosets H x^k for
-    0 <= k < m, where m = |<x>| / |<x> ∩ H| is the least k > 0 with x^k in
-    H, so no closure is searched.
+    outside H, m = |<x>| / |<x> ∩ H| prime and x y x^-1 in H for every y
+    of the tuple.  Then x normalizes H, and <H, x> is the union of the
+    cosets H x^k for 0 <= k < m (m is the least k > 0 with x^k in H), so
+    no closure is searched.
 
     The search is complete for the three families.  Every subgroup K != 1
     is cyclic, dihedral or dicyclic, so it has a normal subgroup H of prime
@@ -553,9 +580,13 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     subgroup in a dihedral or dicyclic K.  By induction on the order, H has
     been found with a tuple that generates it.  For any y in K outside H,
     the listed generator x of <y> is again in K outside H, it normalizes
-    H, and H <x> = K because the index is prime.  A group of any other
-    family raises `UnsupportedFamilyError`, since its table need not be
-    solvable and the search could then miss subgroups.
+    H, and H <x> = K because the index is prime; m = |H <x> : H| is that
+    prime.  So joins of composite m are never needed and never built.
+    Once a join K' = H <x'> of prime index is built, every x in K' outside
+    H is skipped for the rest of H's loop: H <x> is a subgroup of K'
+    larger than H, hence K' itself, which is already found.  A group of
+    any other family raises `UnsupportedFamilyError`, since its table need
+    not be solvable and the search could then miss subgroups.
     """
     check_order(g.order, max_order)
     if g.family not in _CONSTRUCTORS:
@@ -564,16 +595,20 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     for x in range(g.order):
         cyclic.setdefault(frozenset(g.powers(x)), x)
     mul = g.mul
+    listed = [(x, _conjugation_row(g, x), g.powers(x)) for x in cyclic.values()]
     trivial = frozenset((g.identity,))
     found = {trivial}
     work: list[tuple[frozenset[int], tuple[int, ...]]] = [(trivial, ())]  # (H, its generators)
     for h, gens in work:  # the work list grows while it is read
-        for x in cyclic.values():
-            if x in h or any(g.conjugate(y, x) not in h for y in gens):
+        covered = set(h)  # H and every prime-index join of H built so far
+        for x, row, powers in listed:
+            if x in covered or not h.issuperset(map(row.__getitem__, gens)):
                 continue
-            powers = g.powers(x)
-            cosets = powers[:len(powers) // len(h.intersection(powers))]
-            k = frozenset(mul[y][p] for p in cosets for y in h)
+            m = len(powers) // len(h.intersection(powers))
+            if not _is_prime(m):
+                continue
+            k = frozenset(mul[y][p] for p in powers[:m] for y in h)
+            covered.update(k)
             if k not in found:
                 found.add(k)
                 work.append((k, gens + (x,)))

@@ -11,6 +11,7 @@ import sgp.groups
 from sgp.chars import family_table, subgroup_table
 from sgp.errors import InvalidParameterError, SizeLimitError, UnsupportedFamilyError
 from sgp.groups import (
+    DEFAULT_MAX_ORDER,
     FiniteGroup,
     Subgroup,
     all_subgroups,
@@ -110,20 +111,59 @@ def census(family, n):
     return _tau(2 * n) + _sigma(n)
 
 
-def check_closed_form(family, ns):
+def check_closed_form(family, ns, max_order=DEFAULT_MAX_ORDER):
     """all_subgroups over each n agrees with the census and the closed-form member sets.
 
     The whole default bound is one call per family, e.g.
-    check_closed_form("dihedral", range(1, 129)).
+    check_closed_form("dihedral", range(1, 129)); orders above it need
+    max_order, e.g. check_closed_form("dihedral", (256, 512), max_order=1024).
     """
     for n in ns:
-        found = [h.members for h in all_subgroups(build_group(family, n))]
+        found = [h.members for h in all_subgroups(build_group(family, n), max_order)]
         expected = closed_form_subgroups(family, n)
         assert len(found) == len(expected) == census(family, n), (family, n)
         assert found == expected, (family, n)
 
 
+# -- reference tables ----------------------------------------------------------------
+# The entry-by-entry formulas that the sliced rows replaced, kept as the
+# reference the constructors are compared against.
+
+
+def presentation_table(family, n):
+    """The table of the family's presentation, one formula per entry.
+
+    Cn: a^i a^j = a^(i+j).  D2n and Dic4n: element j*m + i is b^j a^i, with
+    a of order m and b^2 = a^twist (m = n, twist = 0 for D2n; m = 2n,
+    twist = n for Dic4n), and a^i b = b a^-i.
+    """
+    if family == "cyclic":
+        return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    m, twist = (n, 0) if family == "dihedral" else (2 * n, n)
+
+    def mul_pair(j1, i1, j2, i2):
+        i = (i2 - i1 + twist * j1) if j2 else i1 + i2
+        return ((j1 + j2) % 2) * m + i % m
+
+    return tuple(tuple(mul_pair(e1 // m, e1 % m, e2 // m, e2 % m) for e2 in range(2 * m))
+                 for e1 in range(2 * m))
+
+
 # -- constructors ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_tables_are_the_presentations(family):
+    for n in range(1, 65):
+        assert build_group(family, n).mul == presentation_table(family, n), n
+
+
+@pytest.mark.parametrize("g", [cyclic_group(300), dihedral_group(150), dicyclic_group(75)],
+                         ids=lambda g: g.name)
+def test_a_table_holds_one_int_object_per_element(g):
+    # order 300 is above the interpreter's cache of small ints, so entries
+    # computed one by one would be distinct objects
+    assert len({id(x) for row in g.mul for x in row}) == g.order
 
 
 def test_dihedral_reflections_are_involutions():
@@ -270,6 +310,31 @@ def _brute_classes(g):
     return tuple(classes)
 
 
+def _without_gens(g):
+    """g's table as a group with no `gens`, whose every element is a generator."""
+    return FiniteGroup(g.mul, g.labels, g.family, n=g.n)
+
+
+_CLASS_ORACLE_CASES = {
+    "cyclic": lambda: [cyclic_group(n) for n in range(1, 41)],
+    "dihedral": lambda: [dihedral_group(n) for n in range(1, 33)],
+    "dicyclic": lambda: [dicyclic_group(n) for n in range(1, 21)],
+    "D12-without-gens": lambda: [_without_gens(dihedral_group(6))],
+}
+
+
+@pytest.mark.parametrize("case", list(_CLASS_ORACLE_CASES))
+def test_classes_equal_the_brute_force_oracle(case):
+    for g in _CLASS_ORACLE_CASES[case]():
+        classes = _brute_classes(g)
+        cls = conjugacy_classes(g)
+        assert cls.classes == classes, g.name
+        assert cls.reps == tuple(c[0] for c in classes)
+        assert cls.sizes == tuple(len(c) for c in classes)
+        assert cls.class_of == tuple(next(i for i, c in enumerate(classes) if x in c)
+                                     for x in range(g.order))
+
+
 def test_d6_classes():
     g = dihedral_group(3)
     cls = conjugacy_classes(g)
@@ -329,6 +394,21 @@ def test_generated_subgroup_examples():
     for bad in ([-1], [10], [5, -2], [1.5], [1.0], [None]):
         with pytest.raises(InvalidParameterError):
             generated_subgroup(d10, bad)
+
+
+def test_subgroup_refuses_a_bool_member():
+    # bool is a subclass of int, but True is no element index
+    g = cyclic_group(4)
+    for members in ((0, True, 2, 3), (False, 1, 2, 3)):
+        with pytest.raises(InvalidParameterError, match="element index"):
+            Subgroup(g, members)
+
+
+def test_generated_subgroup_refuses_a_bool_generator():
+    g = cyclic_group(4)
+    for gens in ([True], [2, True], [False]):
+        with pytest.raises(InvalidParameterError, match="element index"):
+            generated_subgroup(g, gens)
 
 
 @st.composite
