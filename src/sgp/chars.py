@@ -50,7 +50,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidLiftError,
     OracleFailureError,
-    UnsupportedFamilyError,
 )
 from .groups import (
     FiniteGroup,
@@ -289,13 +288,10 @@ def family_table(g: FiniteGroup) -> CharacterTable:
         rows = _cyclic_rows(g, g.gens["a"])
     elif g.family == "dihedral":
         rows = _dihedral_rows(g, g.n)
-    elif g.family == "dicyclic":
-        if g.n == 1:
-            rows = _cyclic_rows(g, g.gens["b"])
-        else:
-            rows = _dicyclic_rows(g)
+    elif g.n == 1:  # Dic4 is cyclic, generated by b
+        rows = _cyclic_rows(g, g.gens["b"])
     else:
-        raise UnsupportedFamilyError(f"no closed-form table for family {g.family!r}")
+        rows = _dicyclic_rows(g)
     return CharacterTable(g, tuple(rows), "closed-form")
 
 
@@ -676,8 +672,6 @@ def constructive_family_table(g: FiniteGroup) -> CharacterTable:
     remaining irreducibles are inductions of the rotation subgroup's
     characters filtered by self-inner-product exactly 1, deduplicated.
     """
-    if g.family not in ("cyclic", "dihedral", "dicyclic"):
-        raise UnsupportedFamilyError(f"no constructive table for family {g.family!r}")
     cls = conjugacy_classes(g)
     rows = list(linear_characters_bruteforce(g))
     if len(rows) < len(cls.reps):

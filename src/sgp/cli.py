@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     }
     for name, help_text in command_help.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("family", choices=["cyclic", "dihedral", "dicyclic"])
+        p.add_argument("family", choices=list(groups.FAMILIES))
         p.add_argument("n", metavar="n|a..b", help="single n or inclusive range a..b")
         if name != "atlas":
             p.add_argument("--format", choices=["text", "json", "csv"], default="text")

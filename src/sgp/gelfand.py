@@ -73,11 +73,12 @@ from .chars import (
 from .errors import (
     IntegralityError,
     InternalConsistencyError,
-    InvalidParameterError,
     UnsupportedFamilyError,
 )
 from .groups import (
+    _check_n,
     DEFAULT_MAX_ORDER,
+    FAMILIES,
     FiniteGroup,
     Subgroup,
     all_subgroups,
@@ -354,9 +355,8 @@ def predict(family: str, n: int) -> ClassificationRule:
     subgroups of order n and 2n.  Abelian groups (cyclic, dihedral n <= 2,
     dicyclic n = 1) predict every subgroup.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if family not in ("cyclic", "dihedral", "dicyclic"):
+    _check_n(family, n)
+    if family not in FAMILIES:
         raise UnsupportedFamilyError(f"no classification rule for family {family!r}")
     return ClassificationRule(family, n)
 

@@ -6,11 +6,15 @@ generator.  In the dicyclic group of order 4n the rotation a has order 2n
 and b^2 = a^n, so labels like ``b^2`` or ``b^3a^i`` never appear; they
 reduce to the ``a^i`` / ``ba^i`` forms.
 
-Every constructed table is self-checked: each row a permutation, the
-identity and inverse laws, and associativity exhaustively by Light's test
-over the group's generators, which make it a group's table and so a Latin
-square.  The package makes groups only with `build_group` and
-the three family constructors.  Groups and subgroups, like the class
+The three families are the only kind of group: `FAMILIES` gives each
+one's constructor, order factor and name prefix, and `FiniteGroup`
+refuses any other family once, when the group is built, so no function
+downstream checks the family again.  Every constructed table is
+self-checked: each row a permutation, the identity and inverse laws, the
+generators reaching every element, and associativity exhaustively by
+Light's test over the group's generators, which make it a group's table
+and so a Latin square.  The package makes groups only with `build_group`
+and the three family constructors.  Groups and subgroups, like the class
 functions and tables of `chars`, are `Frozen`: immutable after
 construction.  All functions are pure, so enumeration
 over different groups can run in parallel with no shared state other than
@@ -61,6 +65,7 @@ from .errors import (
 
 __all__ = [
     "FiniteGroup",
+    "FAMILIES",
     "ConjugacyClasses",
     "Subgroup",
     "cyclic_group",
@@ -188,22 +193,26 @@ def _verify_table(g: FiniteGroup, gens) -> tuple[int, ...]:
 
 
 class FiniteGroup(Frozen):
-    """An immutable finite group given by its full multiplication table.
+    """An immutable group of one of the `FAMILIES`, given by its full multiplication table.
 
     `gens` maps generator letters to elements and must generate the table.
-    Without it, every element counts as a generator in the table check.
-    A group is equal only to itself.
+    A family outside `FAMILIES` raises `UnsupportedFamilyError`, since
+    subgroup enumeration and the closed-form tables are complete only for
+    these families.  The group's `n` is its order over the family's order
+    factor and its `name` is the family's prefix and the order.  A group is
+    equal only to itself.
     """
 
-    def __init__(self, mul, labels, family, n=None, gens=None, name=""):
+    def __init__(self, mul, labels, family, gens):
+        _, factor, prefix = _family(family)
         mul = tuple(tuple(row) for row in mul)
         self._set(order=len(mul), identity=0, mul=mul)
-        self._set(inv=_verify_table(self, range(len(mul)) if gens is None else gens.values()))
+        self._set(inv=_verify_table(self, gens.values()))
         labels = tuple(labels)
         if len(labels) != len(mul) or len(set(labels)) != len(labels):
             raise InvalidParameterError("element labels must be unique, one per element")
-        self._set(labels=labels, family=family, n=n, gens=dict(gens or {}),
-                  name=name or f"G{len(mul)}")
+        self._set(labels=labels, family=family, n=len(mul) // factor, gens=dict(gens),
+                  name=f"{prefix}{len(mul)}")
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} order={self.order}>"
@@ -266,17 +275,22 @@ def _reflection_label(i: int) -> str:
     return "b" if i == 0 else ("ba" if i == 1 else f"ba^{i}")
 
 
+def _check_n(family: str, n) -> None:
+    """Refuse an n that is not an int of at least 1; a bool is no n."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidParameterError(f"{family} group needs an int n >= 1, got {n!r}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group of order n generated by a."""
-    if n < 1:
-        raise InvalidParameterError(f"cyclic group needs n >= 1, got {n}")
+    _check_n("cyclic", n)
     r = list(range(n))
     mul = [r[i:] + r[:i] for i in range(n)]
     labels = [_rotation_label(i) for i in range(n)]
-    return FiniteGroup(mul, labels, "cyclic", n=n, gens={"a": 1 % n}, name=f"C{n}")
+    return FiniteGroup(mul, labels, "cyclic", {"a": 1 % n})
 
 
-def _extension_group(family: str, n: int, m: int, twist: int, name: str) -> FiniteGroup:
+def _extension_group(family: str, m: int, twist: int) -> FiniteGroup:
     """The group of order 2m generated by a of order m and b with bab^-1 = a^-1, b^2 = a^twist.
 
     Element j*m + i is b^j a^i with 0 <= i < m and j in {0, 1}.  The row of
@@ -292,14 +306,13 @@ def _extension_group(family: str, n: int, m: int, twist: int, name: str) -> Fini
             s = (twist * j1 - i1) % m
             mul.append(same[i1:] + same[:i1] + other[s:] + other[:s])
     labels = [_rotation_label(i) for i in range(m)] + [_reflection_label(i) for i in range(m)]
-    return FiniteGroup(mul, labels, family, n=n, gens={"a": 1 % m, "b": m}, name=name)
+    return FiniteGroup(mul, labels, family, {"a": 1 % m, "b": m})
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """The dihedral group of order 2n: a^n = b^2 = 1 and bab = a^-1."""
-    if n < 1:
-        raise InvalidParameterError(f"dihedral group needs n >= 1, got {n}")
-    return _extension_group("dihedral", n, n, 0, f"D{2 * n}")
+    _check_n("dihedral", n)
+    return _extension_group("dihedral", n, 0)
 
 
 def dicyclic_group(n: int) -> FiniteGroup:
@@ -308,19 +321,28 @@ def dicyclic_group(n: int) -> FiniteGroup:
     The rotation a has order 2n.  n = 1 yields the cyclic group of order 4
     (generated by b) carrying the dicyclic family tag.
     """
-    if n < 1:
-        raise InvalidParameterError(f"dicyclic group needs n >= 1, got {n}")
-    return _extension_group("dicyclic", n, 2 * n, n, f"Dic{4 * n}")
+    _check_n("dicyclic", n)
+    return _extension_group("dicyclic", 2 * n, n)
 
 
-_FAMILY_ORDER_FACTOR = {"cyclic": 1, "dihedral": 2, "dicyclic": 4}
+# each family's constructor, its order factor (order = factor * n) and its name prefix
+FAMILIES = {
+    "cyclic": (cyclic_group, 1, "C"),
+    "dihedral": (dihedral_group, 2, "D"),
+    "dicyclic": (dicyclic_group, 4, "Dic"),
+}
+
+
+def _family(name: str) -> tuple[Callable[[int], FiniteGroup], int, str]:
+    """The `FAMILIES` entry of `name`; any other family raises `UnsupportedFamilyError`."""
+    if name not in FAMILIES:
+        raise UnsupportedFamilyError(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 def family_order(family: str, n: int) -> int:
     """The order of `build_group(family, n)`, known before any table is built."""
-    if family not in _FAMILY_ORDER_FACTOR:
-        raise UnsupportedFamilyError(f"unknown family {family!r}")
-    return _FAMILY_ORDER_FACTOR[family] * n
+    return _family(family)[1] * n
 
 
 def check_order(order: int, max_order: int) -> None:
@@ -329,13 +351,8 @@ def check_order(order: int, max_order: int) -> None:
         raise SizeLimitError(f"group order {order} exceeds the bound {max_order}")
 
 
-_CONSTRUCTORS = {"cyclic": cyclic_group, "dihedral": dihedral_group, "dicyclic": dicyclic_group}
-
-
 def build_group(family: str, n: int) -> FiniteGroup:
-    if family not in _CONSTRUCTORS:
-        raise UnsupportedFamilyError(f"unknown family {family!r}")
-    return _CONSTRUCTORS[family](n)
+    return _family(family)[0](n)
 
 
 def map_family(family: str, ns: Iterable[int], fn: Callable[[FiniteGroup], object],
@@ -392,13 +409,12 @@ def conjugacy_classes(g: FiniteGroup) -> ConjugacyClasses:
     """Conjugacy classes of g, deterministically ordered by minimal element.
 
     Each class is the orbit of its least element under conjugation by the
-    generators, walked breadth-first: the x with x C x^-1 = C for an orbit
-    C are closed under the product, so the generators reach every
-    conjugate.  A group built without `gens` conjugates by every element.
-    The identity 0 is conjugate only to itself, so its class comes first.
+    generators (`g.gens`, which every group has), walked breadth-first:
+    the x with x C x^-1 = C for an orbit C are closed under the product,
+    so the generators reach every conjugate.  The identity 0 is conjugate
+    only to itself, so its class comes first.
     """
-    gens = g.gens.values() if g.gens else range(g.order)
-    conj = [_conjugation_row(g, x) for x in gens]
+    conj = [_conjugation_row(g, x) for x in g.gens.values()]
     class_of = [-1] * g.order
     classes: list[tuple[int, ...]] = []
     for e in range(g.order):
@@ -487,7 +503,7 @@ class Subgroup(Frozen):
             a1, b1 = data
             rotations = p.powers(a1)
             family, emb = kind, rotations + tuple(p.mul[b1][r] for r in rotations)
-        model = _family_group(p, family, self.order // _FAMILY_ORDER_FACTOR[family])
+        model = _family_group(p, family, self.order // _family(family)[1])
         if tuple(sorted(emb)) != self.members or any(
             emb[model.mul[y][s]] != p.mul[emb[y]][emb[s]]
             for y in range(model.order)
@@ -511,7 +527,7 @@ class Subgroup(Frozen):
 @memoized
 def _family_group(g: FiniteGroup, family: str, n: int) -> FiniteGroup:
     """g's one group of (family, n), the group of each such non-full subgroup of g."""
-    return _CONSTRUCTORS[family](n)
+    return _family(family)[0](n)
 
 
 def _closure(g: FiniteGroup, gens) -> frozenset[int]:
@@ -584,13 +600,9 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
     prime.  So joins of composite m are never needed and never built.
     Once a join K' = H <x'> of prime index is built, every x in K' outside
     H is skipped for the rest of H's loop: H <x> is a subgroup of K'
-    larger than H, hence K' itself, which is already found.  A group of
-    any other family raises `UnsupportedFamilyError`, since its table need
-    not be solvable and the search could then miss subgroups.
+    larger than H, hence K' itself, which is already found.
     """
     check_order(g.order, max_order)
-    if g.family not in _CONSTRUCTORS:
-        raise UnsupportedFamilyError(f"no subgroup enumeration for {g.name} of family {g.family!r}")
     cyclic: dict[frozenset[int], int] = {}
     for x in range(g.order):
         cyclic.setdefault(frozenset(g.powers(x)), x)
@@ -617,11 +629,8 @@ def all_subgroups(g: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> list[Su
 
 
 def _rotation_bound(g: FiniteGroup) -> int | None:
-    if g.family == "dihedral":
-        return g.n
-    if g.family == "dicyclic":
-        return 2 * g.n
-    return None
+    """The number of rotations a^i, which are the elements below it; None for a cyclic g."""
+    return None if g.family == "cyclic" else g.order // 2
 
 
 @memoized
@@ -635,9 +644,9 @@ def subgroup_structure(h: Subgroup):
 
     Each generator is the least candidate by (parent class, index), so
     conjugate subgroups take generators from the same parent classes; the
-    trivial subgroup is cyclic, generated by the identity.  A
-    non-cyclic subgroup of a group of any other family raises
-    `UnsupportedFamilyError`.
+    trivial subgroup is cyclic, generated by the identity.  Every
+    subgroup of a cyclic group is cyclic, so only a dihedral or dicyclic
+    parent has subgroups of the other two kinds.
     """
     p = h.parent
     d = h.order
@@ -650,8 +659,6 @@ def subgroup_structure(h: Subgroup):
     if gen is not None:
         return ("cyclic", gen)
     bound = _rotation_bound(p)
-    if bound is None:
-        raise UnsupportedFamilyError(f"no structure for a non-cyclic subgroup of {p.name}")
     rotations = [x for x in h.members if x < bound]
     m = len(rotations)
     if 2 * m != d:

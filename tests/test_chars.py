@@ -1081,9 +1081,9 @@ def test_constructive_table_equals_family_for_cyclic():
 
 
 def test_constructive_rejects_unknown_family():
-    g = FiniteGroup([[0, 1], [1, 0]], ["1", "x"], "mystery")
+    # no group of another family can be built, so none reaches either table
     with pytest.raises(UnsupportedFamilyError):
-        constructive_family_table(g)
+        FiniteGroup([[0, 1], [1, 0]], ["1", "x"], "mystery", {"x": 1})
 
 
 # -- subgroup tables ------------------------------------------------------------------------------

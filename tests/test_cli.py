@@ -634,6 +634,11 @@ def test_unknown_family_is_usage_error(capsys):
     rc, _, err = run(capsys, "table", "symmetric", "4")
     assert rc == 1
     assert err
+    rc, out, err = run(capsys, "table", "mystery", "3")
+    assert (rc, out) == (1, "")
+    # argparse words the choices by Python version, in the registry's order
+    assert err.startswith("sgp: error: argument family: invalid choice: ") and "mystery" in err
+    assert re.search(r"\bcyclic\b.*\bdihedral\b.*\bdicyclic\b", err)
 
 
 def test_bad_ranges_are_usage_errors(capsys):

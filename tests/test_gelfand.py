@@ -14,6 +14,7 @@ from sgp.cli import main
 from sgp.errors import (
     IntegralityError,
     InternalConsistencyError,
+    InvalidParameterError,
     SizeLimitError,
     UnsupportedFamilyError,
 )
@@ -29,6 +30,7 @@ from sgp.gelfand import (
     predict,
 )
 from sgp.groups import (
+    DEFAULT_MAX_ORDER,
     FiniteGroup,
     all_subgroups,
     are_conjugate_subgroups,
@@ -509,6 +511,37 @@ def test_monotonicity_along_subgroup_chains():
                     assert strong[h.members]
 
 
+def check_lattice(family, ns, max_order=DEFAULT_MAX_ORDER):
+    """Verdicts are monotone up the subgroup lattice of each family group; returns the pairs tested.
+
+    For K < H <= G: if (G, K) is strong Gelfand then so is (G, H), since
+    every irreducible of H lies in the induction to H of an irreducible of
+    K, so its induction to G lies in one that is multiplicity-free; and if
+    (G, K) is Gelfand then so is (G, H), since 1_H lies in the induction of
+    1_K.  Only the `classify_subgroups` verdicts are read, and every pair
+    K < H is found by members.  The whole default bound is one call per
+    family, e.g. check_lattice("dihedral", range(1, 129)).
+    """
+    pairs = 0
+    for n in ns:
+        records = classify_subgroups(build_group(family, n), max_order).records
+        member_sets = [frozenset(r.members) for r in records]
+        for k, rk in zip(member_sets, records):
+            for h, rh in zip(member_sets, records):
+                if k < h:
+                    pairs += 1
+                    assert rh.gelfand or not rk.gelfand, (family, n, rk.members, rh.members)
+                    assert rh.strong_gelfand or not rk.strong_gelfand, (
+                        family, n, rk.members, rh.members)
+    return pairs
+
+
+def test_verdicts_are_monotone_along_the_subgroup_lattice():
+    pairs = (check_lattice("cyclic", range(1, 41)) + check_lattice("dihedral", range(1, 33))
+             + check_lattice("dicyclic", range(1, 17)))
+    assert pairs == 5311
+
+
 # -- prediction ----------------------------------------------------------------------
 
 
@@ -547,6 +580,16 @@ def test_predict_degenerate_cases_are_all_strong():
 def test_predict_unknown_family():
     with pytest.raises(UnsupportedFamilyError):
         predict("symmetric", 4)
+    with pytest.raises(UnsupportedFamilyError):
+        predict("mystery", 3)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", 0], ids=repr)
+def test_predict_refuses_an_n_that_is_not_an_int_of_at_least_one(n):
+    # n is tested before the family, so an unknown family does not hide a bad n
+    for family in ("cyclic", "dihedral", "dicyclic", "mystery"):
+        with pytest.raises(InvalidParameterError):
+            predict(family, n)
 
 
 # -- audit --------------------------------------------------------------------------------

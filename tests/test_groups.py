@@ -12,6 +12,7 @@ from sgp.chars import family_table, subgroup_table
 from sgp.errors import InvalidParameterError, SizeLimitError, UnsupportedFamilyError
 from sgp.groups import (
     DEFAULT_MAX_ORDER,
+    FAMILIES,
     FiniteGroup,
     Subgroup,
     all_subgroups,
@@ -22,6 +23,7 @@ from sgp.groups import (
     describe_subgroup,
     dicyclic_group,
     dihedral_group,
+    family_order,
     generated_subgroup,
     map_family,
     subgroup_structure,
@@ -219,15 +221,35 @@ def test_power_walks_equal_repeated_multiplication(g):
 
 
 def test_invalid_parameters_are_rejected():
-    for ctor in (cyclic_group, dihedral_group, dicyclic_group):
-        with pytest.raises(InvalidParameterError):
-            ctor(0)
+    # n must be an int of at least 1; a bool is an int but no n
+    for n in (True, 2.0, "3", 0):
+        for ctor in (cyclic_group, dihedral_group, dicyclic_group):
+            with pytest.raises(InvalidParameterError):
+                ctor(n)
+        for family in _FAMILIES:
+            with pytest.raises(InvalidParameterError):
+                build_group(family, n)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_the_registry_gives_each_group_its_order_n_and_name(family):
+    ctor, factor, prefix = FAMILIES[family]
+    for n in range(1, 17):
+        g = ctor(n)
+        assert (g.family, g.n, g.order, g.name) == (family, n, factor * n, f"{prefix}{factor * n}")
+        assert family_order(family, n) == g.order
+
+
+def test_an_unknown_family_is_refused():
+    for fn in (build_group, family_order):
+        with pytest.raises(UnsupportedFamilyError):
+            fn("mystery", 3)
 
 
 def test_broken_multiplication_table_is_rejected():
     # not a Latin square
     with pytest.raises(InvalidParameterError):
-        FiniteGroup([[0, 0], [1, 1]], ["1", "x"], "cyclic")
+        FiniteGroup([[0, 0], [1, 1]], ["1", "x"], "cyclic", {"x": 1})
     # Latin square and identity laws hold, but not associative
     bad = [
         [0, 1, 2, 3, 4],
@@ -237,10 +259,10 @@ def test_broken_multiplication_table_is_rejected():
         [4, 3, 1, 2, 0],
     ]
     with pytest.raises(InvalidParameterError):
-        FiniteGroup(bad, list("1wxyz"), "cyclic")
+        FiniteGroup(bad, list("1wxyz"), "cyclic", {"w": 1, "x": 2, "y": 3, "z": 4})
     # every row a permutation, but not every column
     with pytest.raises(InvalidParameterError):
-        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]], list("1xy"), "cyclic")
+        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]], list("1xy"), "cyclic", {"x": 1, "y": 2})
 
 
 _ORDER_8 = [cyclic_group(8), dihedral_group(4), dicyclic_group(2)]
@@ -257,9 +279,8 @@ def test_a_table_whose_rows_alone_are_permutations_is_rejected(g):
                 mul = [list(row) for row in g.mul]
                 mul[r][a], mul[r][b] = mul[r][b], mul[r][a]
                 assert len({row[a] for row in mul}) < g.order
-                for gens in (g.gens, None):
-                    with pytest.raises(InvalidParameterError):
-                        FiniteGroup(mul, g.labels, g.family, n=g.n, gens=gens)
+                with pytest.raises(InvalidParameterError):
+                    FiniteGroup(mul, g.labels, g.family, g.gens)
 
 
 def test_swapped_intercalate_above_order_64_is_rejected():
@@ -275,15 +296,14 @@ def test_swapped_intercalate_above_order_64_is_rejected():
         for c in (g.mul[t][y], y):
             mul[r][c] = {u: v, v: u}[mul[r][c]]
     assert g.order > 64 and mul != [list(row) for row in g.mul]
-    for gens in (g.gens, None):
-        with pytest.raises(InvalidParameterError, match="associativity"):
-            FiniteGroup(mul, g.labels, "dihedral", n=36, gens=gens)
+    with pytest.raises(InvalidParameterError, match="associativity"):
+        FiniteGroup(mul, g.labels, "dihedral", g.gens)
 
 
 def test_generators_must_generate_the_table():
     g = dihedral_group(5)
     with pytest.raises(InvalidParameterError, match="generate"):
-        FiniteGroup(g.mul, g.labels, "dihedral", n=5, gens={"a": g.gens["a"]})
+        FiniteGroup(g.mul, g.labels, "dihedral", {"a": g.gens["a"]})
 
 
 def test_labels_round_trip_through_parser():
@@ -310,16 +330,10 @@ def _brute_classes(g):
     return tuple(classes)
 
 
-def _without_gens(g):
-    """g's table as a group with no `gens`, whose every element is a generator."""
-    return FiniteGroup(g.mul, g.labels, g.family, n=g.n)
-
-
 _CLASS_ORACLE_CASES = {
     "cyclic": lambda: [cyclic_group(n) for n in range(1, 41)],
     "dihedral": lambda: [dihedral_group(n) for n in range(1, 33)],
     "dicyclic": lambda: [dicyclic_group(n) for n in range(1, 21)],
-    "D12-without-gens": lambda: [_without_gens(dihedral_group(6))],
 }
 
 
@@ -649,16 +663,14 @@ def test_subgroup_group_reindexes_consistently():
 
 
 def test_non_cyclic_subgroup_of_unknown_family_is_refused():
+    # a group of any other family, and so any subgroup of it, is refused
+    # when the group is built, before its table is read
     d4 = dihedral_group(2)
-    g = FiniteGroup(d4.mul, d4.labels, "mystery")
-    assert subgroup_structure(Subgroup(g, (0, 1))) == ("cyclic", 1)
-    whole = Subgroup(g, tuple(range(4)))
     with pytest.raises(UnsupportedFamilyError):
-        subgroup_structure(whole)
+        FiniteGroup(d4.mul, d4.labels, "mystery", d4.gens)
     with pytest.raises(UnsupportedFamilyError):
-        describe_subgroup(whole)
-    with pytest.raises(UnsupportedFamilyError):
-        all_subgroups(g)
+        FiniteGroup([[0, 0], [1, 1]], ["1", "x"], "mystery", {"x": 1})
+    assert FiniteGroup(d4.mul, d4.labels, "dihedral", d4.gens).name == "D4"
 
 
 def test_conjugates_share_one_family_group():
