@@ -41,7 +41,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import InvalidLiftError, InvalidOrderError
+from .errors import InvalidLiftError, InvalidOrderError, InvalidParameterError
 
 __all__ = [
     "Cyclotomic",
@@ -170,7 +170,7 @@ class Cyclotomic:
         """Build a value from `phi(order)` rational power-basis coefficients."""
         if order < 1:
             raise InvalidOrderError(f"order must be a positive integer, got {order}")
-        fracs = [Fraction(c) for c in coeffs]
+        fracs = [_exact(c) for c in coeffs]
         if len(fracs) != euler_phi(order):
             raise ValueError(
                 f"expected {euler_phi(order)} coefficients for order {order}, got {len(fracs)}"
@@ -412,9 +412,17 @@ def zeta(order: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic._make(order, _power_rows(order)[k % order], 1)
 
 
+def _exact(value) -> Fraction:
+    """An int or a Fraction as a Fraction; a float or a str is refused, so no
+    rounded or parsed value feeds a result."""
+    if not isinstance(value, (int, Fraction)):
+        raise InvalidParameterError(f"an exact value must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def rational(value) -> Cyclotomic:
     """Embed an integer or Fraction as a cyclotomic value of order 1."""
-    f = Fraction(value)
+    f = _exact(value)
     return Cyclotomic._make(1, ((0, f.numerator),) if f else (), f.denominator)
 
 

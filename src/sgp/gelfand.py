@@ -73,12 +73,10 @@ from .chars import (
 from .errors import (
     IntegralityError,
     InternalConsistencyError,
-    UnsupportedFamilyError,
 )
 from .groups import (
-    _check_n,
+    _family,
     DEFAULT_MAX_ORDER,
-    FAMILIES,
     FiniteGroup,
     Subgroup,
     all_subgroups,
@@ -355,9 +353,7 @@ def predict(family: str, n: int) -> ClassificationRule:
     subgroups of order n and 2n.  Abelian groups (cyclic, dihedral n <= 2,
     dicyclic n = 1) predict every subgroup.
     """
-    _check_n(family, n)
-    if family not in FAMILIES:
-        raise UnsupportedFamilyError(f"no classification rule for family {family!r}")
+    _family(family, n)
     return ClassificationRule(family, n)
 
 

@@ -6,15 +6,18 @@ generator.  In the dicyclic group of order 4n the rotation a has order 2n
 and b^2 = a^n, so labels like ``b^2`` or ``b^3a^i`` never appear; they
 reduce to the ``a^i`` / ``ba^i`` forms.
 
-The three families are the only kind of group: `FAMILIES` gives each
-one's constructor, order factor and name prefix, and `FiniteGroup`
-refuses any other family once, when the group is built, so no function
-downstream checks the family again.  Every constructed table is
-self-checked: each row a permutation, the identity and inverse laws, the
-generators reaching every element, and associativity exhaustively by
-Light's test over the group's generators, which make it a group's table
-and so a Latin square.  The package makes groups only with `build_group`
-and the three family constructors.  Groups and subgroups, like the class
+The three families are the only kind of group, and a group is made from
+its family and n alone: `FiniteGroup(family, n)`, which `build_group` and
+the three family constructors call.  `FAMILIES` gives each family's table
+builder, order factor and name prefix, and `_family(family, n)` is the one
+check of the pair, refusing a bad n before an unknown family, so no
+function downstream checks either again.  No table comes in from outside,
+so no group carries a family tag its table does not have.  Every built
+table is still self-checked: each row a permutation, the identity and
+inverse laws, the generators reaching every element, and associativity
+exhaustively by Light's test over the group's generators, which make it a
+group's table and so a Latin square; a failure is the package's own fault
+and raises `InternalConsistencyError`.  Groups and subgroups, like the class
 functions and tables of `chars`, are `Frozen`: immutable after
 construction.  All functions are pure, so enumeration
 over different groups can run in parallel with no shared state other than
@@ -155,8 +158,8 @@ class Frozen:
         return hash(self._key()) if self._fields else object.__hash__(self)
 
 
-def _verify_table(g: FiniteGroup, gens) -> tuple[int, ...]:
-    """Check the group laws of g's table and return its inverse table.
+def _verify_table(mul, gens) -> tuple[int, ...]:
+    """Check the group laws of the table `mul` with identity 0 and return its inverse table.
 
     Every row must be a permutation, which keeps every later index in
     range.  Associativity is Light's test over the generators: (xy)s = x(ys)
@@ -164,55 +167,55 @@ def _verify_table(g: FiniteGroup, gens) -> tuple[int, ...]:
     for all x, y are closed under the product, so the test covers the whole
     table once the generators reach every element from the identity.  With
     the identity and two-sided inverses the table is then a group's, so
-    every column is a permutation as well.
+    every column is a permutation as well.  Only the package's own family
+    tables reach this check, so a failing law is the package's fault and
+    raises `InternalConsistencyError`.
     """
-    mul, order, identity = g.mul, g.order, g.identity
+    order, identity = len(mul), 0
     everything = frozenset(range(order))
     for i, row in enumerate(mul):
         if len(row) != order or set(row) != everything:
-            raise InvalidParameterError(f"row {i} of the multiplication table is not a permutation")
+            raise InternalConsistencyError(f"row {i} of the multiplication table is not a permutation")
     for i in range(order):
         if mul[identity][i] != i or mul[i][identity] != i:
-            raise InvalidParameterError("identity law fails")
+            raise InternalConsistencyError("identity law fails")
     inv = []
     for i in range(order):
         j = mul[i].index(identity)
         if mul[j][i] != identity:
-            raise InvalidParameterError(f"element {i} has no two-sided inverse")
+            raise InternalConsistencyError(f"element {i} has no two-sided inverse")
         inv.append(j)
     gens = tuple(gens)
-    if any(s not in everything for s in gens) or len(_closure(g, gens)) != order:
-        raise InvalidParameterError("the generators do not generate the whole table")
+    if len(_closure(mul, gens)) != order:
+        raise InternalConsistencyError("the generators do not generate the whole table")
     for s in gens:
         col = [row[s] for row in mul]
         for x, row in enumerate(mul):
             # ((x y) s for all y) against (x (y s) for all y)
             if list(map(col.__getitem__, row)) != list(map(row.__getitem__, col)):
-                raise InvalidParameterError(f"associativity fails at x={x}, s={s}")
+                raise InternalConsistencyError(f"associativity fails at x={x}, s={s}")
     return tuple(inv)
 
 
 class FiniteGroup(Frozen):
-    """An immutable group of one of the `FAMILIES`, given by its full multiplication table.
+    """An immutable group of one of the `FAMILIES`, made from its family and n alone.
 
-    `gens` maps generator letters to elements and must generate the table.
-    A family outside `FAMILIES` raises `UnsupportedFamilyError`, since
-    subgroup enumeration and the closed-form tables are complete only for
-    these families.  The group's `n` is its order over the family's order
-    factor and its `name` is the family's prefix and the order.  A group is
-    equal only to itself.
+    `_family` refuses an n that is not an int of at least 1 with
+    `InvalidParameterError`, then a family outside `FAMILIES` with
+    `UnsupportedFamilyError`, since subgroup enumeration and the
+    closed-form tables are complete only for these families.  The family's
+    builder makes the table, labels and generators (`gens` maps generator
+    letters to elements), and `_verify_table` checks the group laws.  The
+    group's `name` is the family's prefix and the order.  A group is equal
+    only to itself.
     """
 
-    def __init__(self, mul, labels, family, gens):
-        _, factor, prefix = _family(family)
+    def __init__(self, family: str, n: int):
+        build, factor, prefix = _family(family, n)
+        mul, labels, gens = build(n)
         mul = tuple(tuple(row) for row in mul)
-        self._set(order=len(mul), identity=0, mul=mul)
-        self._set(inv=_verify_table(self, gens.values()))
-        labels = tuple(labels)
-        if len(labels) != len(mul) or len(set(labels)) != len(labels):
-            raise InvalidParameterError("element labels must be unique, one per element")
-        self._set(labels=labels, family=family, n=len(mul) // factor, gens=dict(gens),
-                  name=f"{prefix}{len(mul)}")
+        self._set(order=len(mul), identity=0, mul=mul, inv=_verify_table(mul, gens.values()),
+                  labels=tuple(labels), family=family, n=n, gens=gens, name=f"{prefix}{factor * n}")
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name} order={self.order}>"
@@ -275,23 +278,16 @@ def _reflection_label(i: int) -> str:
     return "b" if i == 0 else ("ba" if i == 1 else f"ba^{i}")
 
 
-def _check_n(family: str, n) -> None:
-    """Refuse an n that is not an int of at least 1; a bool is no n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"{family} group needs an int n >= 1, got {n!r}")
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    """The cyclic group of order n generated by a."""
-    _check_n("cyclic", n)
+def _cyclic_table(n: int):
+    """(mul, labels, gens) of the cyclic group of order n generated by a."""
     r = list(range(n))
     mul = [r[i:] + r[:i] for i in range(n)]
-    labels = [_rotation_label(i) for i in range(n)]
-    return FiniteGroup(mul, labels, "cyclic", {"a": 1 % n})
+    return mul, [_rotation_label(i) for i in range(n)], {"a": 1 % n}
 
 
-def _extension_group(family: str, m: int, twist: int) -> FiniteGroup:
-    """The group of order 2m generated by a of order m and b with bab^-1 = a^-1, b^2 = a^twist.
+def _extension_table(m: int, twist: int):
+    """(mul, labels, gens) of the group of order 2m generated by a of order m
+    and b with bab^-1 = a^-1, b^2 = a^twist.
 
     Element j*m + i is b^j a^i with 0 <= i < m and j in {0, 1}.  The row of
     b^j1 a^i1 takes a^i2 to b^j1 a^(i1+i2) and b a^i2 to b^(1-j1) a^(i2+s)
@@ -306,13 +302,39 @@ def _extension_group(family: str, m: int, twist: int) -> FiniteGroup:
             s = (twist * j1 - i1) % m
             mul.append(same[i1:] + same[:i1] + other[s:] + other[:s])
     labels = [_rotation_label(i) for i in range(m)] + [_reflection_label(i) for i in range(m)]
-    return FiniteGroup(mul, labels, family, {"a": 1 % m, "b": m})
+    return mul, labels, {"a": 1 % m, "b": m}
+
+
+# each family's table builder (n to (mul, labels, gens)), its order factor
+# (order = factor * n) and its name prefix
+FAMILIES = {
+    "cyclic": (_cyclic_table, 1, "C"),
+    "dihedral": (lambda n: _extension_table(n, 0), 2, "D"),
+    "dicyclic": (lambda n: _extension_table(2 * n, n), 4, "Dic"),
+}
+
+
+def _family(family: str, n) -> tuple[Callable[[int], tuple], int, str]:
+    """The `FAMILIES` entry of `family`, once n is known to be an int of at least 1.
+
+    A bool is no n.  A bad n raises `InvalidParameterError` before an
+    unknown family raises `UnsupportedFamilyError`.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidParameterError(f"{family} group needs an int n >= 1, got {n!r}")
+    if family not in FAMILIES:
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
+    return FAMILIES[family]
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    """The cyclic group of order n generated by a."""
+    return FiniteGroup("cyclic", n)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """The dihedral group of order 2n: a^n = b^2 = 1 and bab = a^-1."""
-    _check_n("dihedral", n)
-    return _extension_group("dihedral", n, 0)
+    return FiniteGroup("dihedral", n)
 
 
 def dicyclic_group(n: int) -> FiniteGroup:
@@ -321,28 +343,12 @@ def dicyclic_group(n: int) -> FiniteGroup:
     The rotation a has order 2n.  n = 1 yields the cyclic group of order 4
     (generated by b) carrying the dicyclic family tag.
     """
-    _check_n("dicyclic", n)
-    return _extension_group("dicyclic", 2 * n, n)
-
-
-# each family's constructor, its order factor (order = factor * n) and its name prefix
-FAMILIES = {
-    "cyclic": (cyclic_group, 1, "C"),
-    "dihedral": (dihedral_group, 2, "D"),
-    "dicyclic": (dicyclic_group, 4, "Dic"),
-}
-
-
-def _family(name: str) -> tuple[Callable[[int], FiniteGroup], int, str]:
-    """The `FAMILIES` entry of `name`; any other family raises `UnsupportedFamilyError`."""
-    if name not in FAMILIES:
-        raise UnsupportedFamilyError(f"unknown family {name!r}")
-    return FAMILIES[name]
+    return FiniteGroup("dicyclic", n)
 
 
 def family_order(family: str, n: int) -> int:
     """The order of `build_group(family, n)`, known before any table is built."""
-    return _family(family)[1] * n
+    return _family(family, n)[1] * n
 
 
 def check_order(order: int, max_order: int) -> None:
@@ -352,7 +358,7 @@ def check_order(order: int, max_order: int) -> None:
 
 
 def build_group(family: str, n: int) -> FiniteGroup:
-    return _family(family)[0](n)
+    return FiniteGroup(family, n)
 
 
 def map_family(family: str, ns: Iterable[int], fn: Callable[[FiniteGroup], object],
@@ -503,7 +509,7 @@ class Subgroup(Frozen):
             a1, b1 = data
             rotations = p.powers(a1)
             family, emb = kind, rotations + tuple(p.mul[b1][r] for r in rotations)
-        model = _family_group(p, family, self.order // _family(family)[1])
+        model = _family_group(p, family, self.order // FAMILIES[family][1])
         if tuple(sorted(emb)) != self.members or any(
             emb[model.mul[y][s]] != p.mul[emb[y]][emb[s]]
             for y in range(model.order)
@@ -527,19 +533,19 @@ class Subgroup(Frozen):
 @memoized
 def _family_group(g: FiniteGroup, family: str, n: int) -> FiniteGroup:
     """g's one group of (family, n), the group of each such non-full subgroup of g."""
-    return _family(family)[0](n)
+    return FiniteGroup(family, n)
 
 
-def _closure(g: FiniteGroup, gens) -> frozenset[int]:
-    """The subgroup generated by `gens`: breadth-first search from the
-    identity over right multiplication by the generators only.
+def _closure(mul, gens) -> frozenset[int]:
+    """The subgroup of the table `mul` generated by `gens`: breadth-first
+    search from the identity 0 over right multiplication by the generators
+    only.
 
     Every inverse in a finite group is a positive power, so the products of
     generators already reach the whole subgroup.
     """
-    mul = g.mul
-    members = {g.identity}
-    queue = [g.identity]
+    members = {0}
+    queue = [0]
     for x in queue:  # the queue grows while it is read
         row = mul[x]
         for s in gens:
@@ -563,7 +569,7 @@ def generated_subgroup(g: FiniteGroup, gens) -> Subgroup:
     if not idxs:
         raise InvalidParameterError("generator set must be nonempty")
     _check_elements(g, idxs)
-    return Subgroup(g, tuple(sorted(_closure(g, idxs))))
+    return Subgroup(g, tuple(sorted(_closure(g.mul, idxs))))
 
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
@@ -681,14 +687,10 @@ def describe_subgroup(h: Subgroup) -> str:
     if h.order == 1:
         return "trivial"
     kind, data = subgroup_structure(h)
-    if kind == "dihedral":
-        return f"D{h.order}"
-    if kind == "dicyclic":
-        return f"Dic{h.order}"
     bound = _rotation_bound(h.parent)
-    if bound is None or data < bound:  # a rotation generates only rotations
-        return f"C{h.order}"
-    return "<ba^i>"
+    if kind == "cyclic" and bound is not None and data >= bound:  # generated outside the rotations
+        return "<ba^i>"
+    return f"{FAMILIES[kind][2]}{h.order}"
 
 
 def are_conjugate_subgroups(h1: Subgroup, h2: Subgroup) -> bool:

@@ -1083,7 +1083,7 @@ def test_constructive_table_equals_family_for_cyclic():
 def test_constructive_rejects_unknown_family():
     # no group of another family can be built, so none reaches either table
     with pytest.raises(UnsupportedFamilyError):
-        FiniteGroup([[0, 1], [1, 0]], ["1", "x"], "mystery", {"x": 1})
+        FiniteGroup("mystery", 3)
 
 
 # -- subgroup tables ------------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from sgp.cyclo import (
     weighted_product_sums,
     zeta,
 )
-from sgp.errors import InvalidLiftError, InvalidOrderError
+from sgp.errors import InvalidLiftError, InvalidOrderError, InvalidParameterError
 from sgp.groups import cyclic_group, dicyclic_group, dihedral_group
 
 
@@ -282,6 +282,18 @@ def test_coefficients_are_normalized_rationals():
     for c in x.coeffs:
         assert math.gcd(c.numerator, c.denominator) == 1
         assert c.denominator >= 1
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, "1/3", "2"], ids=repr)
+def test_only_an_int_or_a_fraction_makes_an_exact_value(value):
+    # a float would feed its binary rounding into the result, and a str is
+    # parsed input, not a value
+    with pytest.raises(InvalidParameterError):
+        rational(value)
+    with pytest.raises(InvalidParameterError):
+        Cyclotomic(5, [1, value, 0, Fraction(1, 2)])
+    assert rational(Fraction(1, 3)).coeffs == (Fraction(1, 3),)
+    assert Cyclotomic(5, [1, 2, 0, Fraction(1, 2)]).coeffs == (1, 2, 0, Fraction(1, 2))
 
 
 def test_values_are_immutable():

@@ -39,6 +39,7 @@ from sgp.groups import (
     cyclic_group,
     dicyclic_group,
     dihedral_group,
+    family_order,
     generated_subgroup,
     full_subgroup,
     Subgroup,
@@ -586,10 +587,12 @@ def test_predict_unknown_family():
 
 @pytest.mark.parametrize("n", [True, 2.0, "3", 0], ids=repr)
 def test_predict_refuses_an_n_that_is_not_an_int_of_at_least_one(n):
-    # n is tested before the family, so an unknown family does not hide a bad n
-    for family in ("cyclic", "dihedral", "dicyclic", "mystery"):
-        with pytest.raises(InvalidParameterError):
-            predict(family, n)
+    # n is tested before the family, so an unknown family does not hide a
+    # bad n, at every entry point that takes (family, n)
+    for fn in (predict, build_group, family_order, FiniteGroup):
+        for family in ("cyclic", "dihedral", "dicyclic", "mystery"):
+            with pytest.raises(InvalidParameterError):
+                fn(family, n)
 
 
 # -- audit --------------------------------------------------------------------------------

@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 
 import sgp.groups
 from sgp.chars import family_table, subgroup_table
-from sgp.errors import InvalidParameterError, SizeLimitError, UnsupportedFamilyError
+from sgp.errors import (
+    InternalConsistencyError,
+    InvalidParameterError,
+    SizeLimitError,
+    UnsupportedFamilyError,
+)
 from sgp.groups import (
+    _verify_table,
     DEFAULT_MAX_ORDER,
     FAMILIES,
     FiniteGroup,
@@ -233,23 +239,34 @@ def test_invalid_parameters_are_rejected():
 
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_the_registry_gives_each_group_its_order_n_and_name(family):
-    ctor, factor, prefix = FAMILIES[family]
+    _, factor, prefix = FAMILIES[family]
     for n in range(1, 17):
-        g = ctor(n)
+        g = build_group(family, n)
         assert (g.family, g.n, g.order, g.name) == (family, n, factor * n, f"{prefix}{factor * n}")
         assert family_order(family, n) == g.order
 
 
 def test_an_unknown_family_is_refused():
-    for fn in (build_group, family_order):
+    for fn in (build_group, family_order, FiniteGroup):
         with pytest.raises(UnsupportedFamilyError):
             fn("mystery", 3)
 
 
+def test_family_order_refuses_an_n_that_is_not_an_int():
+    # a sweep's order bound is checked on the order, so a bool or a float
+    # n must be refused before it is multiplied
+    with pytest.raises(InvalidParameterError):
+        family_order("cyclic", True)
+    with pytest.raises(InvalidParameterError):
+        family_order("dihedral", 2.5)
+    with pytest.raises(InvalidParameterError):
+        list(map_family("cyclic", [True], len, max_order=0))
+
+
 def test_broken_multiplication_table_is_rejected():
     # not a Latin square
-    with pytest.raises(InvalidParameterError):
-        FiniteGroup([[0, 0], [1, 1]], ["1", "x"], "cyclic", {"x": 1})
+    with pytest.raises(InternalConsistencyError):
+        _verify_table([[0, 0], [1, 1]], [1])
     # Latin square and identity laws hold, but not associative
     bad = [
         [0, 1, 2, 3, 4],
@@ -258,11 +275,11 @@ def test_broken_multiplication_table_is_rejected():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(InvalidParameterError):
-        FiniteGroup(bad, list("1wxyz"), "cyclic", {"w": 1, "x": 2, "y": 3, "z": 4})
+    with pytest.raises(InternalConsistencyError):
+        _verify_table(bad, [1, 2, 3, 4])
     # every row a permutation, but not every column
-    with pytest.raises(InvalidParameterError):
-        FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]], list("1xy"), "cyclic", {"x": 1, "y": 2})
+    with pytest.raises(InternalConsistencyError):
+        _verify_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]], [1, 2])
 
 
 _ORDER_8 = [cyclic_group(8), dihedral_group(4), dicyclic_group(2)]
@@ -279,8 +296,8 @@ def test_a_table_whose_rows_alone_are_permutations_is_rejected(g):
                 mul = [list(row) for row in g.mul]
                 mul[r][a], mul[r][b] = mul[r][b], mul[r][a]
                 assert len({row[a] for row in mul}) < g.order
-                with pytest.raises(InvalidParameterError):
-                    FiniteGroup(mul, g.labels, g.family, g.gens)
+                with pytest.raises(InternalConsistencyError):
+                    _verify_table(mul, g.gens.values())
 
 
 def test_swapped_intercalate_above_order_64_is_rejected():
@@ -296,14 +313,14 @@ def test_swapped_intercalate_above_order_64_is_rejected():
         for c in (g.mul[t][y], y):
             mul[r][c] = {u: v, v: u}[mul[r][c]]
     assert g.order > 64 and mul != [list(row) for row in g.mul]
-    with pytest.raises(InvalidParameterError, match="associativity"):
-        FiniteGroup(mul, g.labels, "dihedral", g.gens)
+    with pytest.raises(InternalConsistencyError, match="associativity"):
+        _verify_table(mul, g.gens.values())
 
 
 def test_generators_must_generate_the_table():
     g = dihedral_group(5)
-    with pytest.raises(InvalidParameterError, match="generate"):
-        FiniteGroup(g.mul, g.labels, "dihedral", {"a": g.gens["a"]})
+    with pytest.raises(InternalConsistencyError, match="generate"):
+        _verify_table(g.mul, [g.gens["a"]])
 
 
 def test_labels_round_trip_through_parser():
@@ -664,13 +681,10 @@ def test_subgroup_group_reindexes_consistently():
 
 def test_non_cyclic_subgroup_of_unknown_family_is_refused():
     # a group of any other family, and so any subgroup of it, is refused
-    # when the group is built, before its table is read
-    d4 = dihedral_group(2)
+    # when the group is built, before any table is made
     with pytest.raises(UnsupportedFamilyError):
-        FiniteGroup(d4.mul, d4.labels, "mystery", d4.gens)
-    with pytest.raises(UnsupportedFamilyError):
-        FiniteGroup([[0, 0], [1, 1]], ["1", "x"], "mystery", {"x": 1})
-    assert FiniteGroup(d4.mul, d4.labels, "dihedral", d4.gens).name == "D4"
+        FiniteGroup("mystery", 3)
+    assert FiniteGroup("dihedral", 2).name == "D4"
 
 
 def test_conjugates_share_one_family_group():
