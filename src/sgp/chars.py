@@ -28,11 +28,14 @@ each linear row lambda).  Each map is memoized on its table by its label
 for, and each table keeps one list of the labels whose maps generate the
 rest (`_generators`); no map is composed, and a map that fails its check
 is kept as None and not used, so a bad table is reported, never raised
-on.  One orbit routine, `_orbit_totals`, fills one grid of those pairs:
-it closes each orbit by a breadth-first search over the generators' maps,
-computes one total per orbit and reads the rest from it; it also fills
-the (psi, chi) pairs of a multiplicity matrix in `gelfand`, which acts on
-them by the generators' maps of G and the maps of H they read as.
+on.  `validate_table` and `_matrix_totals` both read the generators' maps
+through `_generator_maps`.  One orbit routine, `_orbit_totals`, fills one
+grid of those pairs: it closes each orbit by a breadth-first search over
+the generators' maps, computes one total per orbit and reads the rest from
+it.  It also fills the (psi, chi) pairs of each multiplicity matrix of
+`gelfand` for `_matrix_totals`, the one place that pairs each generator of
+G's maps with the map of H it reads as; it raises `InternalConsistencyError`
+when a map of either table fails its check.
 """
 
 from __future__ import annotations
@@ -237,15 +240,18 @@ def _row(g: FiniteGroup, fn, name: str) -> ClassFunction:
     return ClassFunction(g, tuple(fn(e) for e in conjugacy_classes(g).reps), name)
 
 
-@memoized
-def _pair_value(g: FiniteGroup, m: int, k: int) -> Cyclotomic:
-    """zeta_m^k + zeta_m^-k, made once per group and shared by every pair row of its table."""
-    return zeta(m, k) + zeta(m, -k)
+def _pair_values(m: int) -> list[Cyclotomic]:
+    """zeta_m^k + zeta_m^-k for k < m, made once per table and shared by its pair rows.
+
+    The value at m - k is the value at k, so only k <= m / 2 is computed.
+    """
+    half = [zeta(m, k) + zeta(m, -k) for k in range(m // 2 + 1)]
+    return half + half[1:(m + 1) // 2][::-1]
 
 
-def _pair_row(g: FiniteGroup, m: int, s: int, rot: int, name: str) -> ClassFunction:
-    """zeta_m^(s e) + zeta_m^(-s e) on the rotations e < rot, 0 elsewhere."""
-    return _row(g, lambda e: _pair_value(g, m, s * e % m) if e < rot else _ZERO, name)
+def _pair_row(g: FiniteGroup, pairs: list, s: int, rot: int, name: str) -> ClassFunction:
+    """zeta_m^(s e) + zeta_m^(-s e) on the rotations e < rot, 0 elsewhere; m = len(pairs)."""
+    return _row(g, lambda e: pairs[s * e % len(pairs)] if e < rot else _ZERO, name)
 
 
 def _dihedral_rows(g: FiniteGroup, n: int) -> list[ClassFunction]:
@@ -257,7 +263,8 @@ def _dihedral_rows(g: FiniteGroup, n: int) -> list[ClassFunction]:
     if n % 2 == 0:
         rows.append(_row(g, lambda e: _sign(e) if e < n else _sign(e - n), "χ_3"))
         rows.append(_row(g, lambda e: _sign(e) if e < n else _sign(e - n + 1), "χ_4"))
-    rows.extend(_pair_row(g, n, j, n, f"ψ_{j}") for j in range(1, (n - 1) // 2 + 1))
+    pairs = _pair_values(n)
+    rows.extend(_pair_row(g, pairs, j, n, f"ψ_{j}") for j in range(1, (n - 1) // 2 + 1))
     return rows
 
 
@@ -271,13 +278,14 @@ def _dicyclic_rows(g: FiniteGroup) -> list[ClassFunction]:
     # 1 <= j, k <= (n-1)/2; pi_j comes from even rotation exponents 2j,
     # gamma_k from odd exponents 2k-1 (the central value -2 forces odd).
     half = range(1, (n - 1) // 2 + 1)
+    pi_pairs, gamma_pairs = _pair_values(n), _pair_values(m)
     return [
         _row(g, lambda e: _ONE, "θ_1"),
         _row(g, lambda e: _ONE if e < m else _MINUS_ONE, "θ_2"),
         _row(g, lambda e: _sign(e) if e < m else _i_sign(e - m), "θ_3"),
         _row(g, lambda e: _sign(e) if e < m else _i_sign(e - m + 1), "θ_4"),
-        *(_pair_row(g, n, j, m, f"π_{j}") for j in half),
-        *(_pair_row(g, m, 2 * k - 1, m, f"γ_{k}") for k in half),
+        *(_pair_row(g, pi_pairs, j, m, f"π_{j}") for j in half),
+        *(_pair_row(g, gamma_pairs, 2 * k - 1, m, f"γ_{k}") for k in half),
     ]
 
 
@@ -466,23 +474,6 @@ def _generate(labels, check, times) -> tuple[tuple, bool]:
     return tuple(generators), len(reached) == len(labels)
 
 
-def _restricted_row(h: Subgroup, j: int) -> int | None:
-    """The row of `subgroup_table(h)` equal to row j of the parent's table read through the fusion.
-
-    Row j must be a twist of the parent's table, so each of its values is a
-    power zeta_e^k, e the parent's exponent.  On H that value is
-    zeta_f^(k f / e), f the exponent of H; a value with k f / e no integer,
-    or powers that make no row of H, give None.
-    """
-    _, rows_g, _, _, power_of = _value_ids(family_table(h.parent))
-    _, _, index_h, roots_h, _ = _value_ids(subgroup_table(h))
-    ratio = h.parent.exponent() // h.group.exponent()
-    powers = [power_of[rows_g[j][c]] for c in _class_fusion(h)]
-    if any(k % ratio for k in powers):
-        return None
-    return index_h.get(tuple(roots_h.get(k // ratio) for k in powers))
-
-
 def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = False) -> list:
     """The total of each pair (i, j), i < n_rows, j < n_cols, as a grid of rows.
 
@@ -525,6 +516,55 @@ def _orbit_totals(n_rows: int, n_cols: int, maps, totals_of, symmetric: bool = F
     return grid
 
 
+def _generator_maps(table: CharacterTable) -> tuple[list, list]:
+    """(label, map) for each generator of `table`'s Galois maps, and for each of its twists."""
+    units, linear, _ = _generators(table)
+    return ([(t, _galois_map(table, t)) for t in units],
+            [(j, _twist_map(table, j)) for j in linear])
+
+
+def _matrix_totals(h: Subgroup, totals_of) -> list:
+    """The matrix M[psi][chi] = <psi induced to G, chi>, G = `h.parent`, as `_orbit_totals` fills it.
+
+    `totals_of` computes the pairs (psi, chi) that `_orbit_totals` gives it.
+    Every Galois map and twist of both tables must pass its check, and each
+    generator of G's maps is paired with the map of H it reads as:
+    * sigma_t of G with sigma_(t mod e_H) of H; t mod e_H runs over every
+      unit mod e_H as t runs over the units mod e_G, and a multiplicity is
+      rational, so M[sigma_t psi][sigma_t chi] = M[psi][chi];
+    * the twist by a linear row lambda of G with the twist by nu, lambda
+      read on H through the class fusion; (psi nu) induced to G is
+      (psi induced to G) times lambda, and |lambda| = 1, so
+      M[psi nu][chi lambda] = M[psi][chi].  Each value of lambda is a power
+      zeta_e^k, e the exponent of G; on H it is zeta_f^(k f / e), f the
+      exponent of H, so nu is found in ids, and powers k f / e that are no
+      integers or make no row of H raise `InternalConsistencyError`.
+    """
+    th, tg = subgroup_table(h), family_table(h.parent)
+    for table in (th, tg):
+        if not _generators(table)[2]:
+            raise InternalConsistencyError(
+                f"a Galois map or a twist does not permute the rows of the table of "
+                f"{table.group.name}")
+    e_h = h.group.exponent()
+    galois, twists = _generator_maps(tg)
+    maps = [(_galois_map(th, t % e_h), perm) for t, perm in galois]
+    _, rows_g, _, _, power_of = _value_ids(tg)
+    _, _, index_h, roots_h, _ = _value_ids(th)
+    ratio = h.parent.exponent() // e_h
+    fusion = _class_fusion(h)
+    for j, perm in twists:
+        powers = [power_of[rows_g[j][c]] for c in fusion]
+        row = index_h.get(tuple(None if k % ratio else roots_h.get(k // ratio) for k in powers))
+        twist = None if row is None else _twist_map(th, row)
+        if twist is None:
+            raise InternalConsistencyError(
+                f"row {tg.irreducibles[j].name} read on a subgroup of order {h.order} "
+                f"of {h.parent.name} is no linear row of its table")
+        maps.append((twist, perm))
+    return _orbit_totals(len(th.irreducibles), len(tg.irreducibles), maps, totals_of)
+
+
 # -- validation and decomposition --------------------------------------------
 
 
@@ -565,10 +605,9 @@ def validate_table(t: CharacterTable) -> TableValidation:
         if d is None or d < 1:
             failures.append(f"row {r.name}: degree {r.degree} is not a positive integer")
     order = g.order
-    units, linear, _ = _generators(t)
-    perms = [_galois_map(t, u) for u in units] + [_twist_map(t, j) for j in linear]
+    galois, twists = _generator_maps(t)
     row_totals = _orbit_totals(
-        len(rows), len(rows), [(perm, perm) for perm in perms],
+        len(rows), len(rows), [(perm, perm) for _, perm in galois + twists],
         lambda reps: [weighted_product_sum(rows[i].values, rows[j].conj_values, cls.sizes)
                       for i, j in reps], symmetric=True)
     for i, ri in enumerate(rows):

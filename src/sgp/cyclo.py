@@ -70,18 +70,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # Long division by a monic integer polynomial; remainder must vanish.
     num = list(num)
@@ -108,8 +96,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n < 1:
         raise InvalidOrderError(f"cyclotomic order must be >= 1, got {n}")
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
@@ -168,11 +156,10 @@ class Cyclotomic:
 
     def __init__(self, order: int, coeffs) -> None:
         """Build a value from `phi(order)` rational power-basis coefficients."""
-        if order < 1:
-            raise InvalidOrderError(f"order must be a positive integer, got {order}")
+        order = _order(order)
         fracs = [_exact(c) for c in coeffs]
         if len(fracs) != euler_phi(order):
-            raise ValueError(
+            raise InvalidParameterError(
                 f"expected {euler_phi(order)} coefficients for order {order}, got {len(fracs)}"
             )
         den = math.lcm(*(f.denominator for f in fracs))
@@ -352,7 +339,7 @@ class Cyclotomic:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            raise ValueError("negative powers of cyclotomic values are not supported")
+            raise InvalidParameterError("negative powers of cyclotomic values are not supported")
         result = Cyclotomic._make(self.order, ((0, 1),), 1)
         base = self
         while k:
@@ -407,9 +394,15 @@ _set_conj = Cyclotomic._conj.__set__
 
 def zeta(order: int, k: int = 1) -> Cyclotomic:
     """The root of unity zeta_order^k in canonical form (k reduced mod order)."""
-    if order < 1:
-        raise InvalidOrderError(f"order must be a positive integer, got {order}")
+    order = _order(order)
     return Cyclotomic._make(order, _power_rows(order)[k % order], 1)
+
+
+def _order(n) -> int:
+    """n, if it is an order: an int, not a bool, at least 1; otherwise InvalidOrderError."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidOrderError(f"order must be a positive integer, got {n!r}")
+    return n
 
 
 def _exact(value) -> Fraction:

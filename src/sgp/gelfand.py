@@ -3,16 +3,14 @@
 The multiplicity matrix of a pair (G, H) holds <psi induced to G, chi>
 over Irr(H) x Irr(G).  A pair is given by its subgroup alone: every
 function here takes H, a `groups.Subgroup`, and reads G as `H.parent`.
-Three exact symmetries fill most of the matrix without arithmetic:
+Exact symmetries fill most of the matrix without arithmetic:
 
-* Galois.  For t a unit mod the exponent of G, sigma_t: zeta -> zeta^t
-  sends a character psi to x -> psi(x^t), so it permutes Irr(H) and
-  Irr(G) as the class power maps permute values; a multiplicity is
-  rational, so M[sigma_t psi][sigma_t chi] = M[psi][chi].
-* Twists.  For a linear character lambda of G, with nu = lambda read on H
-  through the class fusion, (psi nu) induced to G is (psi induced to G)
-  times lambda, and |lambda| = 1, so M[psi nu][chi lambda] = M[psi][chi]
-  (`chars._twist_map`, `chars._restricted_row`).
+* Galois maps and twists.  The Galois maps sigma_t of G and H, and the
+  twists by the linear characters lambda of G and by lambda read on H,
+  permute the pairs (psi, chi) and fix every multiplicity.  Their rules,
+  their checks and the pairing of each map of G with the map of H it reads
+  as live in `chars` (`chars._matrix_totals`), which fills the matrix from
+  the first entry of each orbit of pairs, computed here.
 * Class fusion.  An entry is (1/|H|) * sum over the classes d of H of
   |d| psi(d) conj(chi(fuse(d))), so it is fixed by the family group of H
   and its class fusion in G (`chars._class_fusion`).  One matrix is kept
@@ -21,11 +19,6 @@ Three exact symmetries fill most of the matrix without arithmetic:
   are picked by parent class (`groups.subgroup_structure`), so each
   conjugate of a subgroup has its family group and its key.
 
-Within a matrix, only the first entry of each orbit of (psi, chi) pairs
-under the Galois maps and twists is computed (`chars._orbit_totals`, the
-orbit routine of table validation, given the maps of the generators of
-G's table, `chars._generators`, each paired with the map of H it reads
-as), and every other entry is read from it.
 Each computed entry goes through both paths, induction and restriction,
 which must agree exactly (Frobenius reciprocity as a runtime self-check),
 and is certified a nonnegative integer; every row of the filled matrix
@@ -34,12 +27,9 @@ each induced psi against all of its requested columns chi in one kernel
 call over the classes where psi induced to G is nonzero, the classes
 that meet H (`chars.decompose`); the restriction path takes one
 `inner_product` per entry, so every batched entry is checked against a
-sum computed on its own.  Rows are matched by
-exact keys of their values by `chars._galois_map` and `chars._twist_map`,
-which check each map when it is first asked for and keep it on its table;
-here a table with a Galois map or twist that fails its check, a twist of
-G that reads on H as no linear row of H, or a path disagreement raises
-`InternalConsistencyError`.
+sum computed on its own.  A path disagreement raises
+`InternalConsistencyError`, and so does `chars._matrix_totals` for a map
+that fails its check.
 Called without a subset of entries, `multiplicity_by_induction` and
 `multiplicity_by_restriction` compute the whole matrix, the reference for
 the transported entries.
@@ -58,11 +48,7 @@ from collections import namedtuple
 
 from .chars import (
     _class_fusion,
-    _galois_map,
-    _generators,
-    _orbit_totals,
-    _restricted_row,
-    _twist_map,
+    _matrix_totals,
     decompose,
     induce,
     inner_product,
@@ -188,9 +174,9 @@ def multiplicity_matrix(h: Subgroup) -> MultiplicityMatrix:
     entry, so G keeps one matrix per key (family, n,
     `chars._class_fusion(h)`) and every subgroup with that key gets it: each
     conjugate of h, and h rebuilt from its members, among them.  One entry
-    per orbit of (psi, chi) pairs is computed by both paths; every other
-    entry is M[sigma_t psi][sigma_t chi] = M[psi][chi] or
-    M[psi nu][chi lambda] = M[psi][chi], read from its orbit's first.
+    per orbit of (psi, chi) pairs under the Galois maps and twists is
+    computed by both paths; `chars._matrix_totals` reads every other entry
+    from its orbit's first.
     """
     matrices = _matrices(h.parent)
     key = (h.group.family, h.group.n, _class_fusion(h))
@@ -207,25 +193,6 @@ def _matrices(g: FiniteGroup) -> dict:
 
 def _orbit_matrix(h: Subgroup) -> MultiplicityMatrix:
     g = h.parent
-    th, tg = subgroup_table(h), family_table(g)
-    for table in (th, tg):
-        if not _generators(table)[2]:
-            raise InternalConsistencyError(
-                f"a Galois map or a twist does not permute the rows of the table of "
-                f"{table.group.name}")
-    # t mod e_h runs over every unit mod e_h as t runs over the units mod e_g,
-    # and a twist of G by lambda twists H by lambda read through the fusion
-    e_h = h.group.exponent()
-    units, linear, _ = _generators(tg)
-    maps = [(_galois_map(th, t % e_h), _galois_map(tg, t)) for t in units]
-    for j in linear:
-        restricted = _restricted_row(h, j)
-        twist = None if restricted is None else _twist_map(th, restricted)
-        if twist is None:
-            raise InternalConsistencyError(
-                f"row {tg.irreducibles[j].name} read on a subgroup of order {h.order} "
-                f"of {g.name} is no linear row of its table")
-        maps.append((twist, _twist_map(tg, j)))
 
     def both_paths(reps):
         wanted: dict[int, list[int]] = {}
@@ -239,8 +206,8 @@ def _orbit_matrix(h: Subgroup) -> MultiplicityMatrix:
             )
         return [q for row in via_induction for q in row]
 
-    totals = _orbit_totals(len(th.irreducibles), len(tg.irreducibles), maps, both_paths)
-    entries = tuple(map(tuple, totals))
+    th, tg = subgroup_table(h), family_table(g)
+    entries = tuple(map(tuple, _matrix_totals(h, both_paths)))
     degrees = [chi.degree.as_rational_integer() for chi in tg.irreducibles]
     for psi, row in zip(th.irreducibles, entries):
         total = sum(m * d for m, d in zip(row, degrees))

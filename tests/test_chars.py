@@ -490,6 +490,16 @@ def test_family_tables_equal_the_per_cell_reference(family, large):
             assert _cells(row.values) == _cells(values)
 
 
+@pytest.mark.parametrize("g", [dihedral_group(9), dicyclic_group(5), dicyclic_group(6)],
+                         ids=lambda g: g.name)
+def test_a_family_table_leaves_only_its_classes_and_itself_on_its_group(g):
+    # the pair values zeta_m^k + zeta_m^-k are shared while the table is
+    # built, and no memo of them outlives it
+    before = set(vars(g))
+    family_table(g)
+    assert set(vars(g)) - before == {"_conjugacy_classes", "_family_table"}
+
+
 # -- validation --------------------------------------------------------------------------
 
 
@@ -909,14 +919,14 @@ def test_validation_computes_one_sum_per_orbit(monkeypatch):
 
 
 def _captured_matrix_maps(g, monkeypatch):
-    """The (rows, columns, maps) that `gelfand` passes `_orbit_totals` for each matrix of g."""
+    """The (rows, columns, maps) that `_matrix_totals` passes `_orbit_totals` for each matrix of g."""
     captured = []
 
     def capture(n_rows, n_cols, maps, totals_of, symmetric=False):
         captured.append((n_rows, n_cols, maps))
         return _orbit_totals(n_rows, n_cols, maps, totals_of, symmetric)
 
-    monkeypatch.setattr(sgp.gelfand, "_orbit_totals", capture)
+    monkeypatch.setattr(sgp.chars, "_orbit_totals", capture)
     sgp.gelfand.classify_subgroups(g)
     return captured
 
@@ -949,6 +959,31 @@ def test_orbit_fill_over_generators_equals_the_fill_over_the_whole_group(monkeyp
         every = [(m[:n_rows], tuple(j - n_rows for j in m[n_rows:])) for m in group]
         assert len(every) > len(generators)
         assert fill(n_rows, n_cols, generators, False) == fill(n_rows, n_cols, every, False)
+
+
+@pytest.mark.parametrize("family, top", [("cyclic", 40), ("dihedral", 32), ("dicyclic", 16)])
+def test_each_twist_of_g_is_paired_with_the_twist_by_its_restriction(family, top, monkeypatch):
+    # the row of H that r_j reads as is found here by restricting r_j and
+    # comparing values exactly, not by the ids `_matrix_totals` reads
+    captured = []
+    monkeypatch.setattr(sgp.chars, "_orbit_totals",
+                        lambda n_rows, n_cols, maps, totals_of: captured.append(maps))
+    paired = 0
+    for n in range(1, top + 1):
+        g = build_group(family, n)
+        tg = family_table(g)
+        units, linear, _ = _generators(tg)
+        for h in all_subgroups(g):
+            th = subgroup_table(h)
+            sgp.chars._matrix_totals(h, None)
+            expected = []
+            for j in linear:
+                values = restrict(tg.irreducibles[j], h).values
+                (r,) = [i for i, psi in enumerate(th.irreducibles) if psi.values == values]
+                expected.append((_twist_map(th, r), _twist_map(tg, j)))
+            assert captured.pop()[len(units):] == expected
+            paired += len(expected)
+    assert paired
 
 
 def test_orbit_fill_holds_one_grid_of_pairs():

@@ -55,6 +55,21 @@ def test_zeta_invalid_order():
         Cyclotomic(0, [])
 
 
+@pytest.mark.parametrize("order", [True, False, 2.5, Fraction(3), "5", -2], ids=repr)
+def test_an_order_that_is_no_positive_int_is_refused(order):
+    with pytest.raises(InvalidOrderError):
+        zeta(order, 1)
+    with pytest.raises(InvalidOrderError):
+        Cyclotomic(order, [1])
+
+
+def test_a_wrong_coefficient_count_and_a_negative_power_are_parameter_errors():
+    with pytest.raises(InvalidParameterError, match="expected 4 coefficients for order 5, got 1"):
+        Cyclotomic(5, [1])
+    with pytest.raises(InvalidParameterError, match="negative powers"):
+        zeta(5, 1) ** -1
+
+
 # -- ring operations ------------------------------------------------------
 
 

@@ -301,18 +301,22 @@ def _failed_twists(original):
     return lambda table, j: None
 
 
-def _no_restricted_row(original):
-    return lambda h, j: None
+def _rotated_fusion(original):
+    # a twist of G read on H through this fusion is no linear row of H
+    def rotated(h):
+        fusion = original(h)
+        return fusion[1:] + fusion[:1]
+    return rotated
 
 
 _PATCH_HOMES = {"_class_power_map": sgp.chars, "subgroup_structure": sgp.groups,
-                "_twist_map": sgp.gelfand, "_restricted_row": sgp.gelfand}
+                "_twist_map": sgp.chars, "_class_fusion": sgp.chars}
 
 
 @pytest.mark.parametrize("name, wrong", [("_class_power_map", _wrong_power_map),
                                          ("subgroup_structure", _wrong_generator),
                                          ("_twist_map", _failed_twists),
-                                         ("_restricted_row", _no_restricted_row)])
+                                         ("_class_fusion", _rotated_fusion)])
 def test_a_wrong_transport_is_an_internal_consistency_error(name, wrong, monkeypatch, capsys):
     home = _PATCH_HOMES[name]
     monkeypatch.setattr(home, name, wrong(getattr(home, name)))
